@@ -20,14 +20,16 @@ overrides fanned out as independent points, each with a seed derived from
 the root seed (order-stable, so --jobs parallelism cannot change any
 byte). Protocol params accept "e2r" in place of "r".
 
-Unknown keys anywhere are rejected, and every parameter set (including
-each sweep point) is validated before any computation starts, so an
-invalid config never leaves partial output files. Artifacts are rendered
-in memory and written only after the whole run has succeeded, followed by
-manifest.json (config echo in canonical form, package version, wall time,
-sha256 of every artifact). The echoed config block is itself a valid
-config, and --config accepts a manifest file directly, so any output can
-be regenerated from its manifest alone.
+Each experiment's keys, with type, bound and default, are declared once
+in _SCHEMAS; the params keys come from the dataclass fields. Unknown keys
+anywhere are rejected, and every parameter set (including each sweep
+point) is validated before any computation starts, so an invalid config
+never leaves partial output files. Artifacts are rendered in memory and
+written only after the whole run has succeeded, followed by manifest.json
+(config echo in canonical form, package version, wall time, sha256 of
+every artifact). The echoed config block is itself a valid config, and
+--config accepts a manifest file directly, so any output can be
+regenerated from its manifest alone.
 
 Exit codes: 0 success, 2 on a validation error, 3 when a computed result
 misses the configured numerical tolerance (files are still written so the
@@ -37,6 +39,7 @@ failure can be inspected).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -44,6 +47,7 @@ import math
 import os
 import sys
 import time
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -58,19 +62,8 @@ EXIT_TOLERANCE = 3
 
 EXPERIMENTS = ("moments", "sample", "wigner", "validate-jj")
 
-_COMMON_KEYS = {"seed", "output_dir", "nu_unit", "params", "sweep"}
-_EXPERIMENT_KEYS = {
-    "moments": _COMMON_KEYS | {"tolerance"},
-    "sample": _COMMON_KEYS | {"shots"},
-    "wigner": _COMMON_KEYS | {"grid", "convention", "tolerance", "spacing"},
-    "validate-jj": _COMMON_KEYS | {"t_final", "steps", "tolerance", "reference"},
-}
-_PROTOCOL_KEYS = {"A", "r", "e2r", "N", "nu", "d_b", "d_a"}
-_THREELEVEL_KEYS = {
-    "g1", "g2", "G3", "Delta", "beta",
-    "omega", "omega_i", "d_a", "ratio_min", "pump_detuning",
-}
-_GRID_KEYS = {"re_min", "re_max", "re_count", "im_min", "im_max", "im_count"}
+_REQUIRED = object()  # a missing key is an error
+_OPTIONAL = object()  # a missing or null key is left out of the canonical config
 
 
 class ConfigError(ValueError):
@@ -81,195 +74,186 @@ def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _check_keys(obj, allowed, path):
+# ---------------------------------------------------------------------------
+# parsers: (value, path) -> canonical value, or ConfigError naming the path
+
+def _number(above=None):
+    def parse(value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(path, f"expected a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            _fail(path, "integer out of float range")
+        if not math.isfinite(value):
+            _fail(path, "must be finite")
+        if above is not None and not value > above:
+            _fail(path, f"must be > {above:g}")
+        return value
+    return parse
+
+
+def _integer(least=None, below=None):
+    def parse(value, path):
+        if isinstance(value, bool) or not isinstance(value, int):
+            _fail(path, f"expected an integer, got {value!r}")
+        if least is not None and value < least:
+            _fail(path, f"must be >= {least}")
+        if below is not None and value >= below:
+            _fail(path, f"must be < {below}")
+        return value
+    return parse
+
+
+def _one_of(*choices):
+    def parse(value, path):
+        if not isinstance(value, str) or value not in choices:
+            _fail(path, f"expected one of {list(choices)}, got {value!r}")
+        return value
+    return parse
+
+
+def _or_null(parse):
+    return lambda value, path: None if value is None else parse(value, path)
+
+
+def _output_dir(value, path):
+    if not value or not isinstance(value, str):
+        _fail(path, "missing (set it or $QNDSIM_OUTPUT_DIR)")
+    return value
+
+
+def _check(obj, table, path, partial=False):
+    """Parse a JSON object against {key: (parser, default)}.
+
+    The default is _REQUIRED, _OPTIONAL (absent or null leaves the key out)
+    or the value an absent key takes. A partial object (a sweep override)
+    may leave out any key. The result follows the table's order.
+    """
     if not isinstance(obj, dict):
         _fail(path, "expected a JSON object")
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(set(obj) - set(table))
     if unknown:
         _fail(path, "unknown key(s) " + ", ".join(repr(k) for k in unknown))
-
-
-def _number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        _fail(path, "must be finite")
-    return value
-
-
-def _integer(value, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _enum(value, choices, path):
-    if value not in choices:
-        _fail(path, f"expected one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _resolve_r(raw, path):
-    """Exactly one of r / e2r; canonical form is r."""
-    has_r, has_e = "r" in raw, "e2r" in raw
-    if has_r == has_e:
-        _fail(path, "exactly one of 'r' and 'e2r' is required")
-    if has_r:
-        return _number(raw["r"], f"{path}.r")
-    e2r = _number(raw["e2r"], f"{path}.e2r")
-    if e2r <= 0.0:
-        _fail(f"{path}.e2r", "must be > 0")
-    return 0.5 * math.log(e2r)
-
-
-def _normalize_protocol(raw, nu_unit, path, require=True):
-    """Canonical ProtocolParams kwargs: r form, nu in rad/s."""
-    _check_keys(raw, _PROTOCOL_KEYS, path)
     out = {}
-    if require or "r" in raw or "e2r" in raw:
-        out["r"] = _resolve_r(raw, path)
-    for key in ("A", "N", "nu"):
-        if key in raw:
-            out[key] = _number(raw[key], f"{path}.{key}")
-        elif require:
+    for key, (parse, default) in table.items():
+        if key in obj:
+            value = parse(obj[key], f"{path}.{key}")
+        elif default is _REQUIRED and not partial:
             _fail(path, f"missing required key {key!r}")
-    if "nu" in out and nu_unit == "hz":
-        out["nu"] = 2.0 * math.pi * out["nu"]
-    for key in ("d_b", "d_a"):
-        if key in raw and raw[key] is not None:
-            out[key] = _integer(raw[key], f"{path}.{key}")
+        elif partial or default is _OPTIONAL:
+            continue
+        else:
+            value = default
+        if value is not None or default is not _OPTIONAL:
+            out[key] = value
     return out
 
 
-def _normalize_threelevel(raw, path, require=True):
-    _check_keys(raw, _THREELEVEL_KEYS, path)
-    out = {}
-    for key in ("g1", "g2", "G3", "Delta", "beta"):
-        if key in raw:
-            out[key] = _number(raw[key], f"{path}.{key}")
-        elif require:
-            _fail(path, f"missing required key {key!r}")
-    for key in ("omega", "omega_i", "ratio_min", "pump_detuning"):
-        if key in raw and raw[key] is not None:
-            out[key] = _number(raw[key], f"{path}.{key}")
-    if "d_a" in raw and raw["d_a"] is not None:
-        out["d_a"] = _integer(raw["d_a"], f"{path}.d_a")
-    return out
+def _fields_table(cls):
+    """The table of a params dataclass: each field parsed by its type, and
+    _REQUIRED unless the dataclass supplies a default."""
+    hints = typing.get_type_hints(cls)
+    table = {}
+    for f in dataclasses.fields(cls):
+        kind = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],)
+                    if t is not type(None))
+        parse = {int: _integer(), float: _number()}[kind]
+        required = f.default is dataclasses.MISSING
+        table[f.name] = (parse, _REQUIRED) if required else (_or_null(parse), _OPTIONAL)
+    return table
 
 
-def _build_params(experiment, kwargs, path):
-    cls = threelevel.ThreeLevelParams if experiment == "validate-jj" else protocol.ProtocolParams
+_PROTOCOL = _fields_table(protocol.ProtocolParams)
+_PROTOCOL = {"r": _PROTOCOL.pop("r"), **_PROTOCOL}  # canonical order leads with r
+_THREELEVEL = _fields_table(threelevel.ThreeLevelParams)
+_GRID = dict(sorted(_fields_table(wigner.GridSpec).items()))  # echoed in key order
+_POSITIVE = _number(above=0.0)
+
+
+def _protocol_params(value, path, partial=False):
+    """ProtocolParams fields, with "e2r" accepted in place of "r"."""
+    if isinstance(value, dict) and ("e2r" in value or not partial):
+        if ("r" in value) == ("e2r" in value):
+            _fail(path, "exactly one of 'r' and 'e2r' is required")
+        if "e2r" in value:
+            value = dict(value)
+            value["r"] = 0.5 * math.log(_POSITIVE(value.pop("e2r"), f"{path}.e2r"))
+    return _check(value, _PROTOCOL, path, partial)
+
+
+def _threelevel_params(value, path, partial=False):
+    return _check(value, _THREELEVEL, path, partial)
+
+
+def _sweep(params):
+    def parse(value, path):
+        if not isinstance(value, list) or not value:
+            _fail(path, "expected a non-empty list of params overrides")
+        return [params(entry, f"{path}[{k}]", partial=True)
+                for k, entry in enumerate(value)]
+    return parse
+
+
+def _grid(value, path):
+    grid = _check(value, _GRID, path)
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+        wigner.GridSpec(**grid)
+    except ValueError as exc:
         _fail(path, str(exc))
+    return grid
+
+
+def _schema(params, **keys):
+    return {
+        "seed": (_integer(0, 2**64), _REQUIRED),
+        "output_dir": (_output_dir, _REQUIRED),
+        "nu_unit": (_one_of("rad_per_s", "hz"), "rad_per_s"),
+        "params": (params, _REQUIRED),
+        "sweep": (_sweep(params), _OPTIONAL),
+        **keys,
+    }
+
+
+_SCHEMAS = {
+    "moments": _schema(_protocol_params, tolerance=(_POSITIVE, 1e-6)),
+    "sample": _schema(_protocol_params, shots=(_integer(2), _REQUIRED)),
+    "wigner": _schema(
+        _protocol_params,
+        grid=(_grid, _REQUIRED),
+        convention=(_one_of("paper", "standard"), "paper"),
+        spacing=(_or_null(_POSITIVE), None),
+        tolerance=(_or_null(_POSITIVE), None),
+    ),
+    "validate-jj": _schema(
+        _threelevel_params,
+        t_final=(_or_null(_POSITIVE), None),
+        steps=(_integer(1), 100),
+        tolerance=(_POSITIVE, 0.05),
+        reference=(_one_of("fit", "predicted"), "fit"),
+    ),
+}
 
 
 def resolve_config(experiment, raw):
     """Validate and canonicalize; the result is itself a valid config."""
-    _check_keys(raw, _EXPERIMENT_KEYS[experiment], "config")
-
-    if "seed" not in raw:
-        _fail("config", "missing required key 'seed' (randomness is never implicit)")
-    seed = _integer(raw["seed"], "config.seed")
-    if not 0 <= seed < 2**64:
-        _fail("config.seed", "must fit in 64 bits")
-
-    output_dir = raw.get("output_dir", os.environ.get("QNDSIM_OUTPUT_DIR"))
-    if not output_dir or not isinstance(output_dir, str):
-        _fail("config.output_dir", "missing (set it or $QNDSIM_OUTPUT_DIR)")
-
-    nu_unit = _enum(raw.get("nu_unit", "rad_per_s"), {"rad_per_s", "hz"}, "config.nu_unit")
-    if "params" not in raw:
-        _fail("config", "missing required key 'params'")
-
-    threel = experiment == "validate-jj"
-    if threel:
-        params = _normalize_threelevel(raw["params"], "config.params")
-    else:
-        params = _normalize_protocol(raw["params"], nu_unit, "config.params")
-
-    cfg = {
-        "experiment": experiment,
-        "seed": seed,
-        "output_dir": output_dir,
-        "nu_unit": "rad_per_s",
-        "params": params,
-    }
-
-    if "sweep" in raw:
-        if not isinstance(raw["sweep"], list) or not raw["sweep"]:
-            _fail("config.sweep", "expected a non-empty list of params overrides")
-        sweep = []
-        for k, entry in enumerate(raw["sweep"]):
-            path = f"config.sweep[{k}]"
-            if threel:
-                sweep.append(_normalize_threelevel(entry, path, require=False))
-            else:
-                sweep.append(_normalize_protocol(entry, nu_unit, path, require=False))
-        cfg["sweep"] = sweep
-
-    if experiment == "moments":
-        tol = _number(raw.get("tolerance", 1e-6), "config.tolerance")
-        if tol <= 0.0:
-            _fail("config.tolerance", "must be > 0")
-        cfg["tolerance"] = tol
-    elif experiment == "sample":
-        if "shots" not in raw:
-            _fail("config", "missing required key 'shots'")
-        shots = _integer(raw["shots"], "config.shots")
-        if shots < 2:
-            _fail("config.shots", "must be >= 2")
-        cfg["shots"] = shots
-    elif experiment == "wigner":
-        if "grid" not in raw:
-            _fail("config", "missing required key 'grid'")
-        _check_keys(raw["grid"], _GRID_KEYS, "config.grid")
-        grid = {}
-        for key in sorted(_GRID_KEYS):
-            if key not in raw["grid"]:
-                _fail("config.grid", f"missing required key {key!r}")
-            grid[key] = (_integer if key.endswith("count") else _number)(
-                raw["grid"][key], f"config.grid.{key}")
-        try:
-            wigner.GridSpec(**grid)
-        except ValueError as exc:
-            _fail("config.grid", str(exc))
-        cfg["grid"] = grid
-        cfg["convention"] = _enum(
-            raw.get("convention", "paper"), {"paper", "standard"}, "config.convention")
-        cfg["spacing"] = None
-        if raw.get("spacing") is not None:
-            cfg["spacing"] = _number(raw["spacing"], "config.spacing")
-            if cfg["spacing"] <= 0.0:
-                _fail("config.spacing", "must be > 0")
-        cfg["tolerance"] = None
-        if raw.get("tolerance") is not None:
-            cfg["tolerance"] = _number(raw["tolerance"], "config.tolerance")
-            if cfg["tolerance"] <= 0.0:
-                _fail("config.tolerance", "must be > 0")
-    else:
-        cfg["t_final"] = None
-        if raw.get("t_final") is not None:
-            cfg["t_final"] = _number(raw["t_final"], "config.t_final")
-            if cfg["t_final"] <= 0.0:
-                _fail("config.t_final", "must be > 0")
-        steps = _integer(raw.get("steps", 100), "config.steps")
-        if steps < 1:
-            _fail("config.steps", "must be >= 1")
-        cfg["steps"] = steps
-        tol = _number(raw.get("tolerance", 0.05), "config.tolerance")
-        if tol <= 0.0:
-            _fail("config.tolerance", "must be > 0")
-        cfg["tolerance"] = tol
-        cfg["reference"] = _enum(
-            raw.get("reference", "fit"), {"fit", "predicted"}, "config.reference")
+    if isinstance(raw, dict) and "output_dir" not in raw:
+        raw = {**raw, "output_dir": os.environ.get("QNDSIM_OUTPUT_DIR")}
+    cfg = {"experiment": experiment, **_check(raw, _SCHEMAS[experiment], "config")}
+    if cfg["nu_unit"] == "hz":
+        for point in (cfg["params"], *cfg.get("sweep", ())):
+            if "nu" in point:
+                point["nu"] = 2.0 * math.pi * point["nu"]
+        cfg["nu_unit"] = "rad_per_s"
 
     # every point must construct cleanly before any computation
+    cls = threelevel.ThreeLevelParams if experiment == "validate-jj" else protocol.ProtocolParams
     for k, point in enumerate(_point_param_dicts(cfg)):
         path = f"config.sweep[{k}]" if "sweep" in cfg else "config.params"
-        q = _build_params(experiment, point, path)
+        try:
+            q = cls(**point)
+        except (TypeError, ValueError) as exc:
+            _fail(path, str(exc))
         if experiment == "validate-jj" and cfg["t_final"] is None:
             if q.gamma_eff_predicted <= 0.0:
                 _fail(path, "t_final is required when the predicted rate is zero")
@@ -497,7 +481,7 @@ def _load_config(path, experiment):
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -520,7 +504,7 @@ def _apply_sets(raw, assignments):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:
             value = text
         node = raw
         parts = key.split(".")

@@ -18,6 +18,9 @@ GUARD_BAND = 5
 # truncated thermal tail mass allowed before renormalization
 THERMAL_TAIL = 1e-10
 
+# rows rendered per slice by write_csv
+CSV_CHUNK = 65536
+
 
 class TruncationError(ValueError):
     """Construction refused: not enough truncation headroom or tail mass."""
@@ -171,3 +174,12 @@ def unitarity_defect(u, guard_band=GUARD_BAND):
     k = u.shape[0] - guard_band
     g = u.conj().T @ u - np.eye(u.shape[0])
     return float(np.abs(g[:k, :k]).max())
+
+
+def write_csv(fh, header, *columns):
+    """CSV rows of equal-length numpy columns, each value as repr of its
+    Python scalar (shortest round-trip floats), CSV_CHUNK rows at a time."""
+    fh.write(header + "\n")
+    for start in range(0, len(columns[0]), CSV_CHUNK):
+        cells = [map(repr, c[start:start + CSV_CHUNK].tolist()) for c in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

@@ -6,7 +6,6 @@ Assignment rounds y to the nearest outcome center (ties to even, clamped at
 zero); estimation inverts the ensemble mean, <Y> = 2AN.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ import numpy as np
 from scipy.constants import hbar, k as k_B
 from scipy.special import erfc
 
-from . import protocol
+from . import fock, protocol
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,7 @@ def estimate(record):
 
 def write_record_csv(record, fh):
     """CSV rows `shot,y,m_true`, floats in shortest round-trip form."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["shot", "y", "m_true"])
-    for i in range(record.shots):
-        w.writerow([i, repr(float(record.y[i])), int(record.m_true[i])])
+    fock.write_csv(fh, "shot,y,m_true", np.arange(record.shots), record.y, record.m_true)
 
 
 def report_json_dict(report):

@@ -390,6 +390,5 @@ def write_report_json(report: SqueezeValidationReport, fh) -> None:
 
 
 def write_report_csv(report: SqueezeValidationReport, fh) -> None:
-    fh.write("t,varY_full,varY_effective\n")
-    for t, vf, ve in zip(report.times, report.varY_full, report.varY_effective):
-        fh.write(f"{float(t)!r},{float(vf)!r},{float(ve)!r}\n")
+    fock.write_csv(fh, "t,varY_full,varY_effective",
+                   report.times, report.varY_full, report.varY_effective)

@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import erfc
 
 from . import fock, protocol
@@ -301,7 +300,8 @@ def reconstruct_pn(
     if s <= 0.0:
         raise ValueError("spacing must be positive")
     axis = marginal.im_axis
-    cum = cumulative_trapezoid(marginal.density, axis, initial=0.0)
+    y = marginal.density  # scipy's cumulative_trapezoid(y, axis, initial=0.0)
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(axis) * (y[1:] + y[:-1]) / 2.0)))
     n_max = max(int(math.floor(axis[-1] / s + 0.5)), 0)
     edges = (np.arange(n_max + 2) - 0.5) * s
     edges[0] = axis[0]
@@ -345,19 +345,14 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def write_grid_csv(grid: WignerGrid, fh) -> None:
-    fh.write("re,im,w\n")
-    for i, y in enumerate(grid.im_axis):
-        for j, x in enumerate(grid.re_axis):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(grid.values[i, j])!r}\n")
+    n_im, n_re = grid.values.shape
+    fock.write_csv(fh, "re,im,w", np.tile(grid.re_axis, n_im),
+                   np.repeat(grid.im_axis, n_re), grid.values.ravel())
 
 
 def write_marginal_csv(marginal: Marginal, fh) -> None:
-    fh.write("coordinate,value\n")
-    for y, d in zip(marginal.im_axis, marginal.density):
-        fh.write(f"{float(y)!r},{float(d)!r}\n")
+    fock.write_csv(fh, "coordinate,value", marginal.im_axis, marginal.density)
 
 
 def write_histogram_csv(hist: PhononHistogram, fh) -> None:
-    fh.write("n,p\n")
-    for n, p in enumerate(hist.probabilities):
-        fh.write(f"{n},{float(p)!r}\n")
+    fock.write_csv(fh, "n,p", np.arange(len(hist.probabilities)), hist.probabilities)

@@ -1,10 +1,14 @@
 """CLI checks: config validation, determinism, exit codes, manifest round trip."""
 
+import copy
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qndsim import cli
 
@@ -243,3 +247,173 @@ def test_jobs_must_be_positive(tmp_path, capsys):
                                   "params": PROTOCOL_PARAMS})
     assert cli.main(["moments", "--config", cfg, "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, patch, key", [
+    ("moments", {"nu_unit": []}, "config.nu_unit"),
+    ("wigner", {"convention": {}}, "config.convention"),
+    ("validate-jj", {"reference": [1]}, "config.reference"),
+    ("sample", {"params": {**PROTOCOL_PARAMS, "A": 10**400}}, "config.params.A"),
+    ("moments", {"sweep": [{"e2r": -(10**400)}]}, "config.sweep[0].e2r"),
+])
+def test_unhashable_and_overflowing_values_exit_2(tmp_path, capsys, experiment, patch, key):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**VALID[experiment], "output_dir": str(out), **patch})
+    assert cli.main([experiment, "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(b'{"seed": 1' + b"0" * 5000 + b"}", id="past-integer-digit-limit"),
+    pytest.param(b'{"seed": 1, "output_dir": "\xff"}', id="not-utf8"),
+])
+def test_unloadable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    assert cli.main(["moments", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# property: every config that is invalid by construction exits 2, writes nothing
+
+# Every base runs in about a second in either Wigner convention, so a
+# validator hole shows as a failed assertion, not as a long run. A sweep
+# override hides a bad base value of the key it sets, so no override sets a
+# key whose base value gets a bound checked only at construction.
+SMALL_PARAMS = {"A": 1.0, "e2r": 4.0, "N": 0.5, "nu": NU}
+SMALL_GRID = {"re_min": -5.0, "re_max": 5.0, "re_count": 11,
+              "im_min": -5.0, "im_max": 5.0, "im_count": 21}
+VALID = {
+    "moments": {"seed": 1, "params": SMALL_PARAMS, "tolerance": 1e-6},
+    "sample": {"seed": 1, "shots": 100, "params": SMALL_PARAMS, "sweep": [{"e2r": 2.0}]},
+    "wigner": {"seed": 1, "params": {**SMALL_PARAMS, "e2r": 1.0, "N": 0.0}, "grid": SMALL_GRID,
+               "convention": "paper", "spacing": 1.0, "tolerance": 0.5},
+    "validate-jj": {"seed": 1, "params": JJ_PARAMS, "sweep": [{"beta": 5.0}],
+                    "t_final": 1.0, "steps": 10, "tolerance": 0.05, "reference": "fit"},
+}
+
+NOT_POSITIVE = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+NEGATIVE = st.floats(max_value=-math.ulp(0.0), allow_infinity=False)  # never -0.0
+
+
+def below(n):
+    return st.integers(min_value=-(2**70), max_value=n - 1)
+
+
+def outside(*choices):
+    return st.text(max_size=12).filter(lambda s: s not in choices)
+
+
+# key path -> (JSON type, values outside the key's bound or None, required)
+COMMON_FIELDS = {
+    ("seed",): (int, below(0) | st.integers(min_value=2**64, max_value=2**70), True),
+    ("nu_unit",): (str, outside("rad_per_s", "hz"), False),
+    ("params",): (dict, None, True),
+}
+PROTOCOL_FIELDS = {
+    **COMMON_FIELDS,
+    ("params", "A"): (float, NOT_POSITIVE, True),
+    ("params", "e2r"): (float, NOT_POSITIVE, True),
+    ("params", "N"): (float, NEGATIVE, True),
+    ("params", "nu"): (float, NOT_POSITIVE, True),
+    ("params", "d_b"): (int, below(1), False),
+    ("params", "d_a"): (int, below(2), False),
+}
+FIELDS = {
+    "moments": {**PROTOCOL_FIELDS, ("tolerance",): (float, NOT_POSITIVE, False)},
+    "sample": {
+        **PROTOCOL_FIELDS,
+        ("shots",): (int, below(2), True),
+        ("sweep",): (list, None, False),
+        ("sweep", 0, "N"): (float, NEGATIVE, False),
+        ("sweep", 0, "e2r"): (float, NOT_POSITIVE, False),
+    },
+    "wigner": {
+        **PROTOCOL_FIELDS,
+        ("grid",): (dict, None, True),
+        ("grid", "re_count"): (int, below(2), True),
+        ("grid", "im_max"): (float, None, True),
+        ("convention",): (str, outside("paper", "standard"), False),
+        ("spacing",): (float, NOT_POSITIVE, False),
+        ("tolerance",): (float, NOT_POSITIVE, False),
+    },
+    "validate-jj": {
+        **COMMON_FIELDS,
+        ("params", "g1"): (float, NEGATIVE, True),
+        ("params", "Delta"): (float, NOT_POSITIVE, True),
+        ("params", "beta"): (float, None, True),
+        ("params", "d_a"): (int, below(2), False),
+        ("params", "ratio_min"): (float, NOT_POSITIVE, False),
+        ("sweep",): (list, None, False),
+        ("sweep", 0, "Delta"): (float, NOT_POSITIVE, False),
+        ("t_final",): (float, NOT_POSITIVE, False),
+        ("steps",): (int, below(1), False),
+        ("tolerance",): (float, NOT_POSITIVE, False),
+        ("reference",): (str, outside("fit", "predicted"), False),
+    },
+}
+
+JSON_SCALARS = st.one_of(st.booleans(), st.text(max_size=5),
+                         st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+WRONG_TYPE = {  # null is left out: whether it means "absent" depends on the key
+    float: JSON_SCALARS,
+    int: JSON_SCALARS | st.floats(),
+    str: st.booleans() | st.integers() | st.floats() | st.lists(st.text(max_size=3), max_size=2),
+    dict: st.booleans() | st.integers() | st.text(max_size=5) | st.lists(st.integers(), max_size=2),
+    list: st.booleans() | st.integers() | st.text(max_size=5) | st.just([]) | st.just([1]),
+}
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 2**1024, -(2**1024), 10**400])
+UNKNOWN_KEY = st.from_regex(r"[a-z]{1,6}_", fullmatch=True)  # no schema key ends in "_"
+DELETE = object()
+
+
+def corruptions(experiment):
+    """One (key path, value) that makes VALID[experiment] invalid: a wrong
+    JSON type, a non-finite or oversized number, a value outside the key's
+    bound, an unknown key (set to 1.0) or a missing required key (DELETE)."""
+    fields = FIELDS[experiment]
+
+    def at(paths, values):
+        return st.sampled_from(paths).flatmap(lambda p: values(p).map(lambda v: (p, v)))
+
+    objects = [()] + [p + (0,) if kind is list else p
+                      for p, (kind, _, _) in fields.items() if kind in (dict, list)]
+    return st.one_of(
+        at(list(fields), lambda p: WRONG_TYPE[fields[p][0]]),
+        at([p for p in fields if fields[p][0] is float], lambda p: NON_FINITE),
+        at([p for p in fields if fields[p][1] is not None], lambda p: fields[p][1]),
+        at([p for p in fields if fields[p][2]], lambda p: st.just(DELETE)),
+        st.tuples(st.sampled_from(objects), UNKNOWN_KEY).map(lambda ok: (ok[0] + (ok[1],), 1.0)),
+    )
+
+
+@pytest.mark.parametrize("experiment", sorted(VALID))
+def test_property_base_configs_run(tmp_path, experiment):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**VALID[experiment], "output_dir": str(out)})
+    assert cli.main([experiment, "--config", cfg]) == 0
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(VALID))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_invalid_config_exits_2_without_output(experiment, data):
+    path, value = data.draw(corruptions(experiment))
+    config = copy.deepcopy(VALID[experiment])
+    node = config
+    for part in path[:-1]:
+        node = node[part]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({**config, "output_dir": str(out)}))
+        assert cli.main([experiment, "--config", str(cfg)]) == 2
+        assert not out.exists()

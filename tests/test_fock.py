@@ -1,5 +1,6 @@
 """Fock-engine checks: series oracles, ladder algebra, headroom policing."""
 
+import io
 import math
 
 import numpy as np
@@ -269,3 +270,20 @@ def test_density_invariants_preserved_by_conjugation():
     assert np.abs(out - out.conj().T).max() <= 1e-12
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.eigvalsh(out).min() >= -1e-10
+
+
+def test_write_csv_renders_the_same_rows_in_any_chunking(monkeypatch):
+    cols = (np.arange(10), np.linspace(-1.0, 1.0, 10) ** 3, np.arange(10) % 3)
+    whole = io.StringIO()
+    fock.write_csv(whole, "i,x,k", *cols)
+    monkeypatch.setattr(fock, "CSV_CHUNK", 3)
+    chunked = io.StringIO()
+    fock.write_csv(chunked, "i,x,k", *cols)
+    assert chunked.getvalue() == whole.getvalue()
+    lines = whole.getvalue().split("\n")
+    assert lines[0] == "i,x,k" and lines[-1] == "" and len(lines) == 12
+    assert lines[4] == f"3,{float(cols[1][3])!r},0"
+
+    empty = io.StringIO()
+    fock.write_csv(empty, "i,x", np.arange(0), np.zeros(0))
+    assert empty.getvalue() == "i,x\n"

@@ -155,8 +155,8 @@ def test_norm_preserved_and_step_size_converged():
 def test_variance_tracks_fitted_exponent():
     q = params()
     report = tl.validate_effective_gamma(q, 31.25, steps=100)
-    assert rel_error_against_rate(report, 2.0 * q.kappa) < 0.05
-    assert 1.9 < report.gamma_eff_fit / q.kappa < 2.1
+    assert rel_error_against_rate(report, q.gamma_eff_predicted) < 0.05
+    assert abs(report.gamma_eff_fit / q.gamma_eff_predicted - 1.0) < 0.05
     assert 0.0 < report.population_leakage <= report.leakage_band
     assert report.leakage_ok
     assert report.leakage_band < 0.02
@@ -202,7 +202,7 @@ def test_fit_tracking_improves_with_detuning():
     for Delta in [20.0, 50.0, 100.0]:
         q = params(Delta=Delta)
         report = tl.validate_effective_gamma(q, 0.5 / q.gamma_eff_predicted, steps=100)
-        rels.append(rel_error_against_rate(report, 2.0 * q.kappa))
+        rels.append(rel_error_against_rate(report, q.gamma_eff_predicted))
     assert all(later < earlier for earlier, later in zip(rels, rels[1:]))
     assert rels[-1] < 0.01
 
