@@ -7,19 +7,18 @@ block-diagonal in phonon number with a pure field state per block:
     rho = sum_n P(n) |n><n|_b (x) |psi_n><psi_n|_a,   psi_n = D(inA) S(r) |0>.
 
 CompositeState stores exactly that: the weights P(n) plus one windowed field
-vector per block. The matrix path walks the blocks with a Chebyshev-expanded
-displacement step (purely imaginary displacements compose exactly, with zero
-Weyl phase: D(iA)^n = D(inA)), which keeps the cost linear in the window
-width instead of quadratic in the full Fock dimension.
+vector per block. Every exponential of a ladder operator here is the action
+fock.ladder_exp: the squeezed seed S(r)|0>, then one displacement step D(iA)
+per block (purely imaginary displacements compose exactly, with zero Weyl
+phase: D(iA)^n = D(inA)), which keeps the cost linear in the window width
+instead of quadratic in the full Fock dimension.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.constants import hbar, k as k_B
-from scipy.special import jv
 
 from . import fock
 
@@ -28,6 +27,9 @@ DENSIFY_TAIL = 1e-14
 
 # mass allowed to touch the moving window's edges before the walk aborts
 EDGE_TOL = 1e-10
+
+# levels at a window edge whose mass is held to EDGE_TOL
+EDGE_LEVELS = 40
 
 
 @dataclass(frozen=True)
@@ -123,8 +125,8 @@ def evolve_pulse(rho0, p):
 
     Vacuum-seeded inputs take the windowed chain (its truncation policy is
     the moving window with edge-mass guards); other block vectors take the
-    dense route, which enforces the dense headroom rules for the largest
-    populated n.
+    general route on levels [0, dim), which enforces the headroom rules
+    (see _dense_block_dim) for every n.
     """
     n_top = len(rho0.pn) - 1
     if all(off == 0 and b.shape == (1,)
@@ -139,8 +141,8 @@ def evolve_pulse(rho0, p):
         dim = _dense_block_dim(n, p, off + len(vec))
         psi = np.zeros(dim, dtype=complex)
         psi[off:off + len(vec)] = vec
-        u = fock.displacement(1j * n * p.A, dim) @ fock.squeeze(p.r, dim)
-        blocks.append(u @ psi)
+        psi = fock.ladder_exp(psi, 0.5 * p.r, 2)
+        blocks.append(fock.ladder_exp(psi, 1j * n * p.A, 1))
     return CompositeState(pn=rho0.pn.copy(), offsets=(0,) * (n_top + 1),
                           blocks=tuple(blocks), params=p)
 
@@ -199,10 +201,16 @@ def _embed(vec, off, dim, weight=1.0):
 
 
 def _dense_block_dim(n, p, floor):
-    if p.d_a is not None:
-        return p.d_a
+    """Field dimension of block n on the general route: it holds the input
+    vector (floor), |nA|^2 <= dim/4 and e^{2r} <= dim/8, or raises."""
     need = max(fock.displacement_dim(n * p.A), fock.squeeze_dim(p.r), floor)
-    return 2 * need + 16
+    if p.d_a is None:
+        return 2 * need + 16
+    if p.d_a < need:
+        raise fock.TruncationError(
+            "d_a = %d is below the %d levels block %d needs (input vector, "
+            "|nA|^2 <= d_a/4, e^{2r} <= d_a/8)" % (p.d_a, need, n))
+    return p.d_a
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +290,10 @@ def composite_field_moments(state):
                         var_x=ex2 - ex ** 2, var_y=ey2 - ey ** 2)
 
 
-@lru_cache(maxsize=8)
 def _squeezed_seed(r):
+    """S(r)|0> on the window of block 0."""
     _, hi = _window(0, 1.0, r)
-    psi = fock.squeeze(r, hi) @ fock.basis(hi)
-    psi.flags.writeable = False
-    return psi
+    return fock.ladder_exp(fock.basis(hi), 0.5 * r, 2)
 
 
 def _window(n, A, r):
@@ -303,43 +309,10 @@ def _window(n, A, r):
     return lo, hi
 
 
-def _cheb_exp_iax(psi, k0, A):
-    """exp(iAX) psi on the window starting at Fock level k0.
-
-    Chebyshev expansion of exp(iA x) over the spectral range of the windowed
-    X, with Bessel coefficients; the term count follows the tau + c tau^{1/3}
-    super-exponential cutoff with a fixed safety pad.
-    """
-    d = len(psi)
-    wid = 2.0 * math.sqrt(k0 + d)
-    tau = A * wid
-    count = int(math.ceil(tau + 14.0 * tau ** (1.0 / 3.0) + 40))
-    ks = np.arange(count + 1)
-    coef = 2.0 * (1j ** ks) * jv(ks, tau)
-    coef[0] *= 0.5
-    ladder = np.sqrt(np.arange(k0 + 1, k0 + d, dtype=float)) / wid
-
-    def x_over_w(v):
-        out = np.zeros_like(v)
-        out[1:] += ladder * v[:-1]
-        out[:-1] += ladder * v[1:]
-        return out
-
-    tm1 = psi
-    t0 = x_over_w(psi)
-    acc = coef[0] * tm1 + coef[1] * t0
-    for k in range(2, count + 1):
-        t1 = 2.0 * x_over_w(t0) - tm1
-        acc += coef[k] * t1
-        tm1, t0 = t0, t1
-    return acc
-
-
 def _displacement_chain(A, r, n_top):
     """Windowed vectors psi_n = D(inA) S(r) |0> for n = 0..n_top."""
-    psi = np.array(_squeezed_seed(r), dtype=complex)
+    psi = _squeezed_seed(r)
     k0 = 0
-    guard = 40
     offs, vecs = [], []
     for n in range(n_top + 1):
         offs.append(k0)
@@ -351,17 +324,17 @@ def _displacement_chain(A, r, n_top):
         grown = np.zeros(hi1 - lo1, dtype=complex)
         grown[k0 - lo1:k0 - lo1 + len(psi)] = psi
         psi, k0 = grown, lo1
-        psi = _cheb_exp_iax(psi, k0, A)
-        edge = np.vdot(psi[-guard:], psi[-guard:]).real
+        psi = fock.ladder_exp(psi, 1j * A, 1, k0)
+        edge = np.vdot(psi[-EDGE_LEVELS:], psi[-EDGE_LEVELS:]).real
         if k0 > 0:
-            edge += np.vdot(psi[:guard], psi[:guard]).real
+            edge += np.vdot(psi[:EDGE_LEVELS], psi[:EDGE_LEVELS]).real
         if edge > EDGE_TOL:
             raise fock.TruncationError(
                 "window edge mass %.3g at block %d; widen the window"
                 % (edge, n + 1))
         cum = np.cumsum(np.abs(psi) ** 2)
         cut = int(np.searchsorted(cum, 1e-18))
-        if cut > guard:
-            psi = psi[cut - guard:]
-            k0 += cut - guard
+        if cut > EDGE_LEVELS:
+            psi = psi[cut - EDGE_LEVELS:]
+            k0 += cut - EDGE_LEVELS
     return offs, vecs

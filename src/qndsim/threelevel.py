@@ -99,6 +99,13 @@ class ThreeLevelParams:
             )
         if self.pump_detuning is not None and not math.isfinite(self.pump_detuning):
             raise ValueError("pump_detuning must be finite when given")
+        try:
+            rates = (self.delta_small, self.gamma_eff_predicted, self.pump)
+            finite = all(map(math.isfinite, rates))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"Delta = {self.Delta:g} overflows the Stark shift, rate or pump")
 
     @property
     def delta_small(self) -> float:

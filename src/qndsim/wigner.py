@@ -19,10 +19,12 @@ differ in peak width and overall value scale. Reconstruction therefore
 bins the Im-axis marginal around the shared centers, which makes the two
 paths directly comparable without rescaling the axis.
 
-The numeric path walks the grid with exact single-step displacement
-operators instead of building D(alpha) per point. Each step is unitary,
-so the evaluation cannot overflow even for strongly squeezed states where
-a normally ordered expansion of D(alpha) would exceed double range.
+The numeric path walks the grid with single-step displacement actions
+(fock.ladder_exp) instead of building D(alpha) per point: one line of
+states along Re, then the whole line, as one block of vectors, steps
+along Im. Each step is unitary, so the evaluation cannot overflow
+even for strongly squeezed states where a normally ordered expansion of
+D(alpha) would exceed double range.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ STANDARD = "standard-numeric"
 
 COVERAGE_SIGMAS = 5.0
 RANK_TOL = 1e-13
+BLOCK_ENTRIES = 1 << 20
 
 
 class OverlapWarning(UserWarning):
@@ -154,34 +157,29 @@ def _check_headroom(re: np.ndarray, im: np.ndarray, dim: int) -> None:
 
 
 def _displaced_parity_walk(
-    psi: np.ndarray,
-    corner: np.ndarray,
-    step_re: np.ndarray,
-    step_im: np.ndarray,
-    shape: tuple[int, int],
-) -> np.ndarray:
-    """Parity expectation of D(-alpha) psi on the full grid, row by row."""
-    n_im, n_re = shape
-    dim = psi.shape[0]
+    vecs: np.ndarray, weights: np.ndarray, re: np.ndarray, im: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Weighted parity sums of D(-alpha) vecs[:, s] on the grid, and the
+    largest mass a walked state holds in its top EDGE_LEVELS levels.
+
+    The corner state steps along Re to a line of states, and then the
+    whole line steps as one block along Im, one grid row per step.
+    """
+    dim, width = vecs.shape
+    line = [fock.ladder_exp(vecs, -complex(re[0], im[0]), 1)]
+    for _ in range(re.size - 1):
+        line.append(fock.ladder_exp(line[-1], -(re[1] - re[0]), 1))
+    block = np.concatenate(line, axis=1)
     parity = 1.0 - 2.0 * (np.arange(dim) % 2)
-    out = np.empty((n_im, n_re))
-    row_state = corner @ psi
-    for i in range(n_im):
-        u = row_state
-        for j in range(n_re):
-            out[i, j] = parity @ (u.real**2 + u.imag**2)
-            if j + 1 < n_re:
-                u = step_re @ u
-        if i + 1 < n_im:
-            row_state = step_im @ row_state
-    return out
-
-
-def _walk_operators(re: np.ndarray, im: np.ndarray, dim: int):
-    corner = fock.displacement(-complex(re[0], im[0]), dim, on_headroom="warn")
-    step_re = fock.displacement(-(re[1] - re[0]), dim, on_headroom="warn")
-    step_im = fock.displacement(-1j * (im[1] - im[0]), dim, on_headroom="warn")
-    return corner, step_re, step_im
+    out = np.empty((im.size, re.size))
+    top = 0.0
+    for i in range(im.size):
+        if i:
+            block = fock.ladder_exp(block, -1j * (im[1] - im[0]), 1)
+        prob = block.real**2 + block.imag**2
+        out[i] = (parity @ prob).reshape(re.size, width) @ weights
+        top = max(top, float(prob[-protocol.EDGE_LEVELS:].sum(axis=0).max()))
+    return out, top
 
 
 def wigner_numeric(rho: np.ndarray, spec: GridSpec) -> WignerGrid:
@@ -196,7 +194,7 @@ def wigner_numeric(rho: np.ndarray, spec: GridSpec) -> WignerGrid:
     im = spec.im_axis()
 
     if rho.ndim == 1:
-        pairs = [(1.0, rho)]
+        vecs, weights = rho[:, None], np.ones(1)
         dim = rho.shape[0]
     elif rho.ndim == 2 and rho.shape[0] == rho.shape[1]:
         dim = rho.shape[0]
@@ -205,20 +203,20 @@ def wigner_numeric(rho: np.ndarray, spec: GridSpec) -> WignerGrid:
         vals, vecs = np.linalg.eigh(rho)
         if vals.min() < -1e-9 * max(vals.max(), 1.0):
             raise ValueError("density operator has a negative eigenvalue")
-        cut = RANK_TOL * max(vals.max(), 0.0)
-        pairs = [
-            (float(vals[k]), vecs[:, k]) for k in range(dim) if vals[k] > cut
-        ]
+        keep = vals > RANK_TOL * max(vals.max(), 0.0)
+        vecs, weights = vecs[:, keep], vals[keep]
     else:
         raise ValueError("expected a state vector or a square density matrix")
 
     _check_headroom(re, im, dim)
-    corner, step_re, step_im = _walk_operators(re, im, dim)
-    values = np.zeros((im.size, re.size))
-    for weight, vec in pairs:
-        values += weight * _displaced_parity_walk(
-            vec, corner, step_re, step_im, (im.size, re.size)
-        )
+    # Walk the eigenvectors in chunks of about BLOCK_ENTRIES amplitudes
+    # per block, so that memory does not grow with the rank.
+    per = max(1, BLOCK_ENTRIES // (dim * re.size))
+    values = sum(
+        (_displaced_parity_walk(vecs[:, s : s + per], weights[s : s + per], re, im)[0]
+         for s in range(0, weights.size, per)),
+        np.zeros((im.size, re.size)),
+    )
     return WignerGrid(re, im, values * (2.0 / math.pi), STANDARD)
 
 
@@ -255,14 +253,22 @@ def wigner_numeric_protocol(
     sig = math.exp(-params.r) / 2.0
     half_rows = int(math.ceil(tail_sigmas * sig / h))
     dn = h * np.arange(-half_rows, half_rows + 1)
-    extreme = np.max(np.abs(re)) ** 2 + dn[-1] ** 2
-    dim = max(fock.squeeze_dim(params.r), int(math.ceil(4.0 * extreme))) + 64
-    psi = fock.squeeze(params.r, dim)[:, 0]
-
-    corner, step_re, step_im = _walk_operators(re, dn, dim)
-    patch = (2.0 / math.pi) * _displaced_parity_walk(
-        psi, corner, step_re, step_im, (dn.size, re.size)
-    )
+    # The walked states D(-alpha) S(r)|0> reach |alpha| plus the
+    # antisqueezed spread along Re, which the block chain's window also
+    # allows as 18 e^{2r} levels at alpha = 0; the walk measures the mass
+    # that reaches the top levels anyway.
+    reach = math.hypot(np.max(np.abs(re)), dn[-1])
+    spread = (reach + math.sqrt(18.0) * math.exp(params.r)) ** 2
+    dim = max(fock.squeeze_dim(params.r), fock.displacement_dim(reach),
+              int(math.ceil(spread))) + 64
+    psi = fock.ladder_exp(fock.basis(dim), 0.5 * params.r, 2)
+    walk, top = _displaced_parity_walk(psi[:, None], np.ones(1), re, dn)
+    if top > protocol.EDGE_TOL:
+        raise fock.TruncationError(
+            f"walked states hold {top:.3g} of their mass in the top "
+            f"{protocol.EDGE_LEVELS} of {dim} levels"
+        )
+    patch = (2.0 / math.pi) * walk
 
     pn = fock.thermal_pn(params.N, params.phonon_dim())
     values = np.zeros((im.size, re.size))

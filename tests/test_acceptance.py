@@ -86,9 +86,10 @@ def test_criterion_3_estimator_within_bands():
 
 
 def test_criterion_4_squeezed_vacuum_variance():
-    # the antisqueezed tail spans ~18 e^{2r} levels; 1024 holds it to 1e-14
-    dim = 1024
-    psi = fock.squeeze(R50, dim)[:, 0]
+    # the library's seed S(r)|0>: its window spans the ~18 e^{2r} levels of
+    # the antisqueezed tail
+    psi = protocol._squeezed_seed(R50)
+    dim = len(psi)
     y = fock.quadrature_y(dim)
     ypsi = y @ psi
     var = float(np.vdot(ypsi, ypsi).real - np.vdot(psi, ypsi).real ** 2)

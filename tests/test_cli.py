@@ -255,6 +255,8 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     ("validate-jj", {"reference": [1]}, "config.reference"),
     ("sample", {"params": {**PROTOCOL_PARAMS, "A": 10**400}}, "config.params.A"),
     ("moments", {"sweep": [{"e2r": -(10**400)}]}, "config.sweep[0].e2r"),
+    ("validate-jj", {"params": {**JJ_PARAMS, "Delta": 1e308}, "sweep": [{"beta": 1.0}]},
+     "config.sweep[0]: Delta = 1e+308"),
 ])
 def test_unhashable_and_overflowing_values_exit_2(tmp_path, capsys, experiment, patch, key):
     out = tmp_path / "out"

@@ -1,12 +1,16 @@
-"""Fock-engine checks: series oracles, ladder algebra, headroom policing."""
+"""Fock-engine checks: series and dense oracles for the ladder-exponential
+kernel, ladder algebra, thermal tail policing."""
 
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
-from qndsim import fock
+import oracles
+from qndsim import fock, protocol
 
 
 def coherent_amps(alpha, dim):
@@ -41,6 +45,18 @@ def vector_moments(psi):
     return ea, ex, ey, vx, vy
 
 
+def general_route_pulse(A, r, d_a, offset=0):
+    """One pulse on a two-block non-vacuum state on levels offset and
+    offset + 1, which takes the general route: block 1 is displaced by A
+    and every block squeezed by r."""
+    block = np.array([0.6, 0.8j])
+    rho0 = protocol.CompositeState(pn=np.array([0.6, 0.4]), offsets=(offset, offset),
+                                   blocks=(block, block))
+    p = protocol.ProtocolParams(A=A, r=r, N=1.0, nu=2 * math.pi * 1e9,
+                                d_b=2, d_a=d_a)
+    return protocol.evolve_pulse(rho0, p)
+
+
 def test_ladder_entries():
     a2 = fock.annihilation(2)
     assert np.array_equal(a2, np.array([[0, 1], [0, 0]], dtype=complex))
@@ -54,6 +70,8 @@ def test_ladder_entries():
 def test_ladder_dim_check():
     with pytest.raises(ValueError):
         fock.annihilation(1)
+    with pytest.raises(ValueError):
+        fock.ladder_exp(np.eye(4), 0.1, 3)
 
 
 def test_commutator_identity_below_top_level():
@@ -63,22 +81,26 @@ def test_commutator_identity_below_top_level():
         assert np.abs(comm[:dim - 1, :dim - 1]).max() <= 1e-12
 
 
+def vacuum_exp(z, k, dim):
+    return fock.ladder_exp(fock.basis(dim), z, k)
+
+
 def test_displacement_identity_at_zero():
-    d = fock.displacement(0.0, 12)
+    d = fock.ladder_exp(np.eye(12), 0.0, 1)
     assert np.abs(d - np.eye(12)).max() <= 1e-14
 
 
 def test_displacement_matches_series_oracle():
     alpha = 0.7 + 0.3j
     dim = 40
-    psi = fock.displacement(alpha, dim) @ fock.basis(dim)
+    psi = vacuum_exp(alpha, 1, dim)
     assert np.abs(psi - coherent_amps(alpha, dim)).max() <= 1e-12
 
 
 def test_displacement_coherent_moments():
     # alpha = i n A with n = A = 1
     dim = 32
-    psi = fock.displacement(1j, dim) @ fock.basis(dim)
+    psi = vacuum_exp(1j, 1, dim)
     ea, _, ey, _, _ = vector_moments(psi)
     assert ea == pytest.approx(1j, abs=1e-9)
     n_op = fock.number(dim)
@@ -86,23 +108,28 @@ def test_displacement_coherent_moments():
     assert ey == pytest.approx(2.0, abs=1e-9)
 
 
+def test_displacement_headroom_policing():
+    # |alpha|^2 <= dim/4: alpha = 4 needs 64 levels, so 32 is refused
+    assert fock.displacement_dim(4.0) == 64
+    assert fock.displacement_dim(4.0j) == 64
+    with pytest.raises(fock.TruncationError, match="d_a = 32"):
+        general_route_pulse(4.0, 0.0, 32)
+    assert len(general_route_pulse(4.0, 0.0, 64).blocks[1]) == 64
+    # the input vector must fit too: levels 31 and 32 need 33
+    with pytest.raises(fock.TruncationError, match="d_a = 32"):
+        general_route_pulse(0.1, 0.0, 32, offset=31)
+
+
 def test_displacement_group_inverse():
     dim = 48
     alpha = 1.1 - 0.6j
-    prod = fock.displacement(alpha, dim) @ fock.displacement(-alpha, dim)
-    k = dim - fock.GUARD_BAND
+    prod = fock.ladder_exp(fock.ladder_exp(np.eye(dim), -alpha, 1), alpha, 1)
+    k = dim - oracles.GUARD_BAND
     assert np.abs((prod - np.eye(dim))[:k, :k]).max() <= 1e-10
 
 
-def test_displacement_headroom_policing():
-    with pytest.raises(fock.TruncationError):
-        fock.displacement(4.0, 32)
-    with pytest.warns(RuntimeWarning):
-        fock.displacement(4.0, 32, on_headroom="warn")
-
-
 def test_squeeze_identity_at_zero():
-    s = fock.squeeze(0.0, 16)
+    s = fock.ladder_exp(np.eye(16), 0.0, 2)
     assert np.abs(s - np.eye(16)).max() <= 1e-14
 
 
@@ -110,34 +137,60 @@ def test_squeeze_matches_series_oracle():
     # truncation corrupts the top of the ladder; compare well below it
     r = 0.6
     dim = 64
-    psi = fock.squeeze(r, dim) @ fock.basis(dim)
+    psi = vacuum_exp(0.5 * r, 2, dim)
     assert np.abs((psi - squeezed_amps(r, dim))[:40]).max() <= 1e-13
 
 
 def test_squeeze_vacuum_variances_at_e2r_50():
     r = 0.5 * math.log(50.0)
     dim = 512
-    psi = fock.squeeze(r, dim) @ fock.basis(dim)
+    psi = vacuum_exp(0.5 * r, 2, dim)
     _, _, _, vx, vy = vector_moments(psi)
     assert vy == pytest.approx(0.02, abs=1e-6)
     assert vx == pytest.approx(50.0, rel=1e-6)
 
 
 def test_squeeze_minimum_uncertainty():
-    psi = fock.squeeze(0.5, 64) @ fock.basis(64)
+    psi = vacuum_exp(0.25, 2, 64)
     _, _, _, vx, vy = vector_moments(psi)
     assert vx * vy == pytest.approx(1.0, abs=1e-8)
 
 
 def test_squeeze_headroom_policing():
-    with pytest.raises(fock.TruncationError):
-        fock.squeeze(0.5 * math.log(50.0), 64)
+    # e^{2r} <= dim/8: e^{2r} = 50 needs 400 levels, so 64 is refused
+    r = 0.5 * math.log(50.0)
+    assert fock.squeeze_dim(r) == 400
+    assert fock.squeeze_dim(-r) == 400
+    with pytest.raises(fock.TruncationError, match="d_a = 64"):
+        general_route_pulse(0.1, r, 64)
+    assert len(general_route_pulse(0.1, r, 400).blocks[0]) == 400
 
 
 def test_unitarity_guard_banded():
-    for u in (fock.displacement(1.5j, 64), fock.displacement(2.0 - 1.0j, 64),
-              fock.squeeze(0.9, 64), fock.squeeze(-0.7, 64)):
-        assert fock.unitarity_defect(u) <= 1e-10
+    eye = np.eye(64)
+    for z, k in ((1.5j, 1), (2.0 - 1.0j, 1), (0.45, 2), (-0.35, 2)):
+        assert oracles.unitarity_defect(fock.ladder_exp(eye, z, k)) <= 1e-10
+
+
+BLOCKS = st.tuples(st.integers(2, 24), st.sampled_from([(), (1,), (3,)]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(re=st.floats(-2.0, 2.0), im=st.floats(-2.0, 2.0), k=st.sampled_from([1, 2]),
+       k0=st.integers(0, 30), shape=BLOCKS, seed=st.integers(0, 2**32 - 1))
+def test_ladder_exp_property_against_dense_expm(re, im, k, k0, shape, seed):
+    """Any z, k, window offset and vector or block: the kernel equals the
+    dense expm of the same truncated generator and keeps every norm."""
+    dim, cols = shape
+    z = complex(re, im) / (1.0 + k0) ** (0.5 * (k - 1))  # keep |z| a^k moderate
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(dim, *cols)) + 1j * rng.normal(size=(dim, *cols))
+    got = fock.ladder_exp(psi, z, k, k0)
+    want = expm(oracles.ladder_generator(z, k, dim, k0)) @ psi
+    scale = np.linalg.norm(psi, axis=0)
+    assert got.shape == psi.shape
+    assert np.abs(got - want).max() <= 1e-12 * scale.max()
+    assert np.abs(np.linalg.norm(got, axis=0) - scale).max() <= 1e-12 * scale.max()
 
 
 def test_thermal_vacuum():
@@ -240,7 +293,7 @@ def test_expectation_examples():
     y = fock.quadrature_y(dim)
     assert fock.expectation(vac, y) == pytest.approx(0.0, abs=1e-14)
     assert fock.expectation(vac, y @ y) == pytest.approx(1.0, abs=1e-12)
-    psi = fock.displacement(1j, dim) @ fock.basis(dim)
+    psi = vacuum_exp(1j, 1, dim)
     coh = np.outer(psi, psi.conj())
     assert fock.expectation(coh, y).real == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(ValueError):
@@ -254,8 +307,7 @@ def test_displacement_squeeze_composition():
     for _ in range(10):
         alpha = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 2.0
         r = rng.uniform(0.0, 1.0)
-        psi = (fock.displacement(alpha, dim)
-               @ fock.squeeze(r, dim) @ fock.basis(dim))
+        psi = fock.ladder_exp(vacuum_exp(0.5 * r, 2, dim), alpha, 1)
         ea, _, _, vx, vy = vector_moments(psi)
         assert ea == pytest.approx(alpha, abs=1e-7)
         assert vx == pytest.approx(math.exp(2 * r), rel=1e-6)
@@ -265,7 +317,7 @@ def test_displacement_squeeze_composition():
 def test_density_invariants_preserved_by_conjugation():
     dim = 64
     rho = fock.thermal_state(0.8, dim)
-    u = fock.displacement(1.0j, dim) @ fock.squeeze(0.6, dim)
+    u = fock.ladder_exp(fock.ladder_exp(np.eye(dim), 0.3, 2), 1.0j, 1)
     out = u @ rho @ u.conj().T
     assert np.abs(out - out.conj().T).max() <= 1e-12
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 
+import oracles
 from qndsim import fock, protocol
 
 R50 = 0.5 * math.log(50.0)
@@ -21,7 +23,7 @@ def params(A=1.0, r=R50, N=1.0, **kw):
 def dense_pulse_unitary(A, r, d_b, d_a):
     """Literal composite propagator exp(iA n(x)X) (I(x)S(r))."""
     inter = fock.tensor(fock.number(d_b), fock.quadrature_x(d_a))
-    return expm(1j * A * inter) @ fock.tensor(np.eye(d_b), fock.squeeze(r, d_a))
+    return expm(1j * A * inter) @ fock.tensor(np.eye(d_b), oracles.squeeze(r, d_a))
 
 
 def dense_y_moments(rho, dim):
@@ -253,7 +255,7 @@ def test_chain_against_sparse_exponential_route():
     dim = 1024
     psi = np.zeros(dim, dtype=complex)
     seed_dim = fock.squeeze_dim(r) * 4
-    psi[:seed_dim] = fock.squeeze(r, seed_dim) @ fock.basis(seed_dim)
+    psi[:seed_dim] = oracles.squeeze(r, seed_dim) @ fock.basis(seed_dim)
     ks = np.sqrt(np.arange(1, dim))
     x = diags([ks, ks], [1, -1], format="csc")
     for n in range(n_top + 1):
@@ -263,3 +265,15 @@ def test_chain_against_sparse_exponential_route():
         assert abs(np.vdot(psi, chain)) == pytest.approx(1.0, abs=1e-9)
         assert np.abs(psi - chain).max() <= 1e-7
         psi = expm_multiply(1j * A * x, psi)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(A=st.floats(0.25, 2.0), e2r=st.floats(1.0, 50.0), n_top=st.integers(0, 30))
+def test_window_holds_every_block(A, e2r, n_top):
+    """Across the (A, r, n) range the moving window never sheds more than
+    EDGE_TOL (the chain raises TruncationError if it does) and the chain
+    keeps every block normalized."""
+    offs, vecs = protocol._displacement_chain(A, 0.5 * math.log(e2r), n_top)
+    assert len(vecs) == n_top + 1 and min(offs) >= 0
+    norms = np.array([np.linalg.norm(v) for v in vecs])
+    assert np.abs(norms - 1.0).max() <= 1e-12

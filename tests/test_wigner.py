@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+import oracles
 from qndsim import fock, protocol, wigner
 
 R50 = 0.5 * math.log(50.0)
@@ -107,7 +108,7 @@ def test_numeric_vacuum_gaussian():
 def test_numeric_matches_expm_displaced_parity():
     # One-shot exp(alpha a^dag - conj(alpha) a) per point against the walk.
     dim = 72
-    sq = fock.squeeze(0.4, dim)[:, 0]
+    sq = oracles.squeeze(0.4, dim)[:, 0]
     coh = coherent_amps(0.5 - 0.3j, dim)
     rho = 0.7 * np.outer(sq, sq.conj()) + 0.3 * np.outer(coh, coh.conj())
     spec = wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)
@@ -115,12 +116,12 @@ def test_numeric_matches_expm_displaced_parity():
     parity = np.diag(1.0 - 2.0 * (np.arange(dim) % 2.0)).astype(complex)
     for i, y in enumerate(grid.im_axis):
         for j, x in enumerate(grid.re_axis):
-            d = fock.displacement(complex(x, y), dim)
+            d = oracles.displacement(complex(x, y), dim)
             w = (2.0 / math.pi) * np.trace(d @ parity @ d.conj().T @ rho).real
             assert grid.values[i, j] == pytest.approx(w, abs=1e-11)
 
 
-def test_numeric_mixture_of_coherent_states():
+def test_numeric_mixture_of_coherent_states(monkeypatch):
     dim = 112
     vac = np.zeros(dim, dtype=complex)
     vac[0] = 1.0
@@ -134,12 +135,16 @@ def test_numeric_mixture_of_coherent_states():
         np.exp(-2.0 * (re**2 + im**2)) + np.exp(-2.0 * (re**2 + (im - 1.0) ** 2))
     )
     assert np.max(np.abs(grid.values - exact)) < 1e-9
+    # one eigenvector per walked block gives the same map
+    monkeypatch.setattr(wigner, "BLOCK_ENTRIES", 1)
+    chunked = wigner.wigner_numeric(rho, spec)
+    assert np.max(np.abs(chunked.values - grid.values)) < 1e-14
 
 
 def test_numeric_squeezed_marginal_variances():
     r = 0.5 * math.log(10.0)
     dim = 224
-    psi = fock.squeeze(r, dim)[:, 0]
+    psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
     spec = wigner.GridSpec(-7.2, 7.2, 97, -0.8, 0.8, 49)
     grid = wigner.wigner_numeric(psi, spec)
     assert grid.integral() == pytest.approx(1.0, abs=2e-3)
@@ -175,6 +180,39 @@ def test_protocol_path_matches_generic():
     fast = wigner.wigner_numeric_protocol(p, spec, tail_sigmas=8.0)
     assert fast.convention == wigner.STANDARD
     assert np.max(np.abs(direct.values - fast.values)) < 1e-7
+
+
+def standard_closed_form(p, grid):
+    """(2/pi) sum_n P(n) exp(-2 Re^2 e^{-2r} - 2 (Im - nA)^2 e^{2r})."""
+    pn = fock.thermal_pn(p.N, p.phonon_dim())
+    re = grid.re_axis[None, :]
+    im = grid.im_axis[:, None]
+    return TWO_OVER_PI * sum(
+        w * np.exp(-2.0 * re**2 * math.exp(-2.0 * p.r) - 2.0 * (im - n * p.A) ** 2 * math.exp(2.0 * p.r))
+        for n, w in enumerate(pn))
+
+
+def test_protocol_path_matches_closed_form_at_demo_point():
+    # Re +-12 reaches 1.7 antisqueezed standard deviations; a field dimension
+    # sized for a coherent state of that amplitude is off by 3.7e-3 there.
+    p = params()
+    grid = wigner.wigner_numeric_protocol(p, demo_im_spec(12.0, 49))
+    assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 1e-5
+
+
+def test_protocol_path_walk_budget(monkeypatch):
+    # The walked states' top-level mass is measured: at a coherent-state
+    # dimension it is far above EDGE_TOL, and a zero budget always raises.
+    r = R50
+    dim = 643
+    psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
+    re = np.linspace(-12.0, 12.0, 49)
+    dn = np.arange(-51, 52) / 60.0
+    _, top = wigner._displaced_parity_walk(psi[:, None], np.ones(1), re, dn)
+    assert top > 1e-5
+    monkeypatch.setattr(protocol, "EDGE_TOL", 0.0)
+    with pytest.raises(fock.TruncationError, match="top"):
+        wigner.wigner_numeric_protocol(params(), demo_im_spec(2.0, 17))
 
 
 def test_protocol_path_requires_center_lattice():
