@@ -9,8 +9,6 @@ All matrices are plain complex numpy arrays; all functions are pure.
 """
 
 import numpy as np
-from scipy.linalg.blas import daxpy as axpy
-from scipy.special import jv
 
 # truncated thermal tail mass allowed before renormalization
 THERMAL_TAIL = 1e-10
@@ -30,24 +28,22 @@ def annihilation(dim):
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
-def creation(dim):
-    return annihilation(dim).conj().T
-
-
 def number(dim):
     return np.diag(np.arange(dim, dtype=complex))
 
 
-def quadrature_x(dim):
-    """X = a + a'."""
-    a = annihilation(dim)
-    return a + a.conj().T
-
-
-def quadrature_y(dim):
-    """Y = i(a' - a)."""
-    a = annihilation(dim)
-    return 1j * (a.conj().T - a)
+def quadrature_action(psi, k0=0):
+    """(X psi, Y psi) with X and Y truncated to the Fock levels
+    [k0, k0 + n) of psi's last axis, n its length: the banded ladder
+    stencil behind every quadrature moment."""
+    ks = np.sqrt(np.arange(k0 + 1, k0 + psi.shape[-1], dtype=float))
+    xpsi = np.zeros_like(psi)
+    xpsi[..., 1:] += ks * psi[..., :-1]
+    xpsi[..., :-1] += ks * psi[..., 1:]
+    ypsi = np.zeros_like(psi)
+    ypsi[..., 1:] += 1j * ks * psi[..., :-1]
+    ypsi[..., :-1] -= 1j * ks * psi[..., 1:]
+    return xpsi, ypsi
 
 
 def basis(dim, n=0):
@@ -63,6 +59,8 @@ def chebyshev_coefficients(tau):
     """Coefficients of exp(i tau x) = sum_m c_m T_m(x) on [-1, 1]:
     c_0 = J_0(tau), c_m = 2 i^m J_m(tau), kept up to the last m whose tail
     sum of |c_m| is above double precision (at least two terms)."""
+    from scipy.special import jv  # on first use, as every scipy import here
+
     m = np.arange(int(2.0 * tau) + 64)  # J_m(tau) is negligible long before
     bessel = jv(m, tau)
     tail = np.cumsum(np.abs(bessel[::-1]))[::-1]
@@ -83,6 +81,7 @@ def ladder_exp(psi, z, k, k0=0):
     exp(i tau x) in x = X / (2 L), with L the window's top ladder entry, so
     ||x|| <= 1 (Gershgorin) and tau = 2 |z| L (Tal-Ezer & Kosloff 1984).
     """
+    from scipy.linalg.blas import daxpy as axpy
     from scipy.sparse import diags  # on first use: no CLI start-up pays for it
 
     if k not in (1, 2):

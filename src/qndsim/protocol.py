@@ -18,9 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from . import fock
+
+# reduced Planck and Boltzmann constants, J s and J/K: exact in the 2019 SI
+hbar = 6.62607015e-34 / (2 * math.pi)
+k_B = 1.380649e-23
 
 # weighted block mass that may be silently dropped when densifying
 DENSIFY_TAIL = 1e-14
@@ -275,13 +278,7 @@ def composite_field_moments(state):
     for w, off, psi in zip(state.pn, state.offsets, state.blocks):
         if w == 0.0:
             continue
-        ks = np.sqrt(np.arange(off + 1, off + len(psi), dtype=float))
-        xpsi = np.zeros_like(psi)
-        xpsi[1:] += ks * psi[:-1]
-        xpsi[:-1] += ks * psi[1:]
-        ypsi = np.zeros_like(psi)
-        ypsi[1:] += 1j * ks * psi[:-1]
-        ypsi[:-1] -= 1j * ks * psi[1:]
+        xpsi, ypsi = fock.quadrature_action(psi, off)
         ex += w * np.vdot(psi, xpsi).real
         ey += w * np.vdot(psi, ypsi).real
         ex2 += w * np.vdot(xpsi, xpsi).real

@@ -10,10 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
-from scipy.special import erfc
 
 from . import fock, protocol
+from .protocol import hbar, k_B
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,8 @@ def assign_m(y, p):
 
 def interior_misassignment(A, r):
     """Two-sided tail past half the center spacing: erfc(A e^r / sqrt 2)."""
+    from scipy.special import erfc  # on first use; math.erfc differs in the last bit
+
     return float(erfc(A * math.exp(r) / math.sqrt(2.0)))
 
 

@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import fock, protocol
 
@@ -156,6 +155,14 @@ def _check_headroom(re: np.ndarray, im: np.ndarray, dim: int) -> None:
         )
 
 
+def _check_walk_budget(top: float, dim: int) -> None:
+    if top > protocol.EDGE_TOL:
+        raise fock.TruncationError(
+            f"walked states hold {top:.3g} of their mass in the top "
+            f"{protocol.EDGE_LEVELS} of {dim} levels"
+        )
+
+
 def _displaced_parity_walk(
     vecs: np.ndarray, weights: np.ndarray, re: np.ndarray, im: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -187,7 +194,8 @@ def wigner_numeric(rho: np.ndarray, spec: GridSpec) -> WignerGrid:
 
     Accepts a density matrix or a pure-state vector. Mixed states are
     expanded in their eigenbasis and each eigenvector is walked across the
-    grid once.
+    grid once. Raises TruncationError when a walked state holds more than
+    protocol.EDGE_TOL of its mass in its top protocol.EDGE_LEVELS levels.
     """
     rho = np.asarray(rho, dtype=complex)
     re = spec.re_axis()
@@ -212,11 +220,13 @@ def wigner_numeric(rho: np.ndarray, spec: GridSpec) -> WignerGrid:
     # Walk the eigenvectors in chunks of about BLOCK_ENTRIES amplitudes
     # per block, so that memory does not grow with the rank.
     per = max(1, BLOCK_ENTRIES // (dim * re.size))
-    values = sum(
-        (_displaced_parity_walk(vecs[:, s : s + per], weights[s : s + per], re, im)[0]
-         for s in range(0, weights.size, per)),
-        np.zeros((im.size, re.size)),
-    )
+    values = np.zeros((im.size, re.size))
+    top = 0.0
+    for s in range(0, weights.size, per):
+        walk, chunk_top = _displaced_parity_walk(vecs[:, s : s + per], weights[s : s + per], re, im)
+        values += walk
+        top = max(top, chunk_top)
+    _check_walk_budget(top, dim)
     return WignerGrid(re, im, values * (2.0 / math.pi), STANDARD)
 
 
@@ -263,11 +273,7 @@ def wigner_numeric_protocol(
               int(math.ceil(spread))) + 64
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * params.r, 2)
     walk, top = _displaced_parity_walk(psi[:, None], np.ones(1), re, dn)
-    if top > protocol.EDGE_TOL:
-        raise fock.TruncationError(
-            f"walked states hold {top:.3g} of their mass in the top "
-            f"{protocol.EDGE_LEVELS} of {dim} levels"
-        )
+    _check_walk_budget(top, dim)
     patch = (2.0 / math.pi) * walk
 
     pn = fock.thermal_pn(params.N, params.phonon_dim())
@@ -302,6 +308,8 @@ def reconstruct_pn(
     n = 0 bin extends down to the grid bottom. Warns with OverlapWarning
     when the peaks are not distinguishable at these parameters.
     """
+    from scipy.special import erfc  # on first use, as in sampler
+
     s = params.A if spacing is None else float(spacing)
     if s <= 0.0:
         raise ValueError("spacing must be positive")

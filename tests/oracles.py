@@ -1,12 +1,17 @@
-"""Dense test oracles for the ladder exponentials.
+"""Dense test oracles for the ladder exponentials and the three-level model.
 
 The library applies every exponential of a ladder operator as an action,
 fock.ladder_exp. These build the operators themselves with scipy's dense
 expm of the truncated generator, an independent route to check it against.
+The three-level trajectory, which the library samples from one
+eigendecomposition, is stepped here with the dense expm propagator, and
+its field moments come from per-sample dense traces.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from qndsim import fock, threelevel
 
 # top-of-ladder levels excluded from unitarity checks
 GUARD_BAND = 5
@@ -17,6 +22,18 @@ def ladder_generator(z, k, dim, k0=0):
     a = np.diag(np.sqrt(np.arange(k0 + 1, k0 + dim, dtype=float)), k=1)
     ak = np.linalg.matrix_power(a, k).astype(complex)
     return z * ak.conj().T - np.conj(z) * ak
+
+
+def quadrature_x(dim):
+    """X = a + a' as a dense matrix."""
+    a = fock.annihilation(dim)
+    return a + a.conj().T
+
+
+def quadrature_y(dim):
+    """Y = i(a' - a) as a dense matrix."""
+    a = fock.annihilation(dim)
+    return 1j * (a.conj().T - a)
 
 
 def displacement(alpha, dim):
@@ -34,3 +51,30 @@ def unitarity_defect(u, guard_band=GUARD_BAND):
     k = u.shape[0] - guard_band
     g = u.conj().T @ u - np.eye(u.shape[0])
     return float(np.abs(g[:k, :k]).max())
+
+
+def evolve_threelevel(q, t_final, steps, initial=None):
+    """States after every step of the dense propagator expm(-i H dt)."""
+    psi = threelevel.initial_vacuum_i(q) if initial is None else initial
+    u = expm(-1j * (t_final / steps) * threelevel.build_full_hamiltonian(q))
+    states = [psi]
+    for _ in range(steps):
+        states.append(u @ states[-1])
+    return np.array(states)
+
+
+def threelevel_traces(states, d_a):
+    """Per-sample atom populations, field <n>, <a> and Var(Y), each a dense
+    trace against the field density matrix sum_r |b_r><b_r|, where b_r is
+    the field vector of atom level r."""
+    a, n_op, y = fock.annihilation(d_a), fock.number(d_a), quadrature_y(d_a)
+    pops, n_mean, a_mean, var_y = [], [], [], []
+    for psi in states:
+        b = psi.reshape(3, d_a)
+        rho = b.T @ b.conj()
+        ey = np.trace(rho @ y).real
+        pops.append((np.abs(b) ** 2).sum(axis=1))
+        n_mean.append(np.trace(rho @ n_op).real)
+        a_mean.append(np.trace(rho @ a))
+        var_y.append(np.trace(rho @ y @ y).real - ey ** 2)
+    return np.array(pops), np.array(n_mean), np.array(a_mean), np.array(var_y)

@@ -4,6 +4,9 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -161,6 +164,21 @@ def test_wigner_coverage_error_leaves_no_files(tmp_path, capsys):
     assert cli.main(["wigner", "--config", cfg]) == 2
     assert "cover" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_start_up_and_validate_jj_load_no_scipy(tmp_path):
+    # scipy is imported inside the functions that use it, on first use
+    cfg = write_config(tmp_path, {"seed": 3, "output_dir": str(tmp_path / "out"),
+                                  "params": JJ_PARAMS, "steps": 20})
+    code = ("import sys, qndsim.cli as cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            f"print(cli.main(['validate-jj', '--config', {cfg!r}]), loaded())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_validate_jj_fit_reference_passes(tmp_path):

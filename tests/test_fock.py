@@ -35,8 +35,8 @@ def vector_moments(psi):
     """(<a>, <X>, <Y>, Var X, Var Y) of a pure state vector."""
     dim = len(psi)
     a = fock.annihilation(dim)
-    x = fock.quadrature_x(dim)
-    y = fock.quadrature_y(dim)
+    x = oracles.quadrature_x(dim)
+    y = oracles.quadrature_y(dim)
     ea = np.vdot(psi, a @ psi)
     ex = np.vdot(psi, x @ psi).real
     ey = np.vdot(psi, y @ psi).real
@@ -79,6 +79,21 @@ def test_commutator_identity_below_top_level():
         a = fock.annihilation(dim)
         comm = a @ a.conj().T - a.conj().T @ a - np.eye(dim)
         assert np.abs(comm[:dim - 1, :dim - 1]).max() <= 1e-12
+
+
+def test_quadrature_action_matches_dense_operators():
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=(2, 3, 12)) + 1j * rng.normal(size=(2, 3, 12))
+    for k0 in (0, 7):
+        # X and Y on the levels [k0, k0 + 12): a diagonal block of the dense ones
+        x = oracles.quadrature_x(k0 + 12)[k0:, k0:]
+        y = oracles.quadrature_y(k0 + 12)[k0:, k0:]
+        xpsi, ypsi = fock.quadrature_action(psi, k0)
+        assert np.max(np.abs(xpsi - psi @ x.T)) <= 1e-13
+        assert np.max(np.abs(ypsi - psi @ y.T)) <= 1e-13
+        # one vector gives the same bits as a row of the batch
+        single = fock.quadrature_action(psi[1, 2], k0)
+        assert np.array_equal(single[0], xpsi[1, 2]) and np.array_equal(single[1], ypsi[1, 2])
 
 
 def vacuum_exp(z, k, dim):
@@ -290,7 +305,7 @@ def test_expectation_examples():
     dim = 24
     vac = np.outer(fock.basis(dim), fock.basis(dim).conj())
     assert fock.expectation(vac, np.eye(dim, dtype=complex)) == pytest.approx(1.0)
-    y = fock.quadrature_y(dim)
+    y = oracles.quadrature_y(dim)
     assert fock.expectation(vac, y) == pytest.approx(0.0, abs=1e-14)
     assert fock.expectation(vac, y @ y) == pytest.approx(1.0, abs=1e-12)
     psi = vacuum_exp(1j, 1, dim)

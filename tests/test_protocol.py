@@ -10,7 +10,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 
 import oracles
-from qndsim import fock, protocol
+from qndsim import fock, protocol, sampler
 
 R50 = 0.5 * math.log(50.0)
 NU = 2 * math.pi * 1e9
@@ -22,12 +22,12 @@ def params(A=1.0, r=R50, N=1.0, **kw):
 
 def dense_pulse_unitary(A, r, d_b, d_a):
     """Literal composite propagator exp(iA n(x)X) (I(x)S(r))."""
-    inter = fock.tensor(fock.number(d_b), fock.quadrature_x(d_a))
+    inter = fock.tensor(fock.number(d_b), oracles.quadrature_x(d_a))
     return expm(1j * A * inter) @ fock.tensor(np.eye(d_b), oracles.squeeze(r, d_a))
 
 
 def dense_y_moments(rho, dim):
-    y = fock.quadrature_y(dim)
+    y = oracles.quadrature_y(dim)
     ey = fock.expectation(rho, y).real
     return ey, fock.expectation(rho, y @ y).real - ey ** 2
 
@@ -81,6 +81,14 @@ def test_temperature_spot_value():
     # CODATA hbar and k_B, nu = 2 pi x 1 GHz, N = 1
     assert protocol.temperature_from_N(1.0, NU) == \
         pytest.approx(0.0692384, abs=5e-8)
+
+
+def test_si_constants_equal_scipy():
+    from scipy import constants
+
+    assert protocol.hbar == constants.hbar
+    assert protocol.k_B == constants.k
+    assert sampler.hbar is protocol.hbar and sampler.k_B is protocol.k_B
 
 
 def test_temperature_monotone_and_errors():

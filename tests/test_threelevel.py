@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from qndsim import threelevel as tl
 
 
@@ -150,6 +151,48 @@ def test_norm_preserved_and_step_size_converged():
     fine = tl.evolve_full(q, 31.25, 200)
     assert coarse.norm_drift() <= 1e-8
     assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) <= 1e-8
+
+
+def test_eigen_trajectory_matches_dense_expm_oracle():
+    for q, initial in [(params(), None), (params(Delta=100.0, beta=40.0), None),
+                       (params(), coherent_seed(params()))]:
+        traj = tl.evolve_full(q, 31.25, 5000, initial=initial)
+        dense = oracles.evolve_threelevel(q, 31.25, 5000, initial=initial)
+        assert np.array_equal(traj.states[0], dense[0])
+        assert np.max(np.abs(traj.states - dense)) <= 1e-11
+
+
+@pytest.mark.parametrize("corrupt", ["eigenvalue", "eigenvector"])
+def test_corrupted_eigenpair_raises(monkeypatch, corrupt):
+    eigh = np.linalg.eigh
+
+    def corrupted(h):
+        energies, vecs = eigh(h)
+        if corrupt == "eigenvalue":
+            energies[7] += 1e-6
+        else:
+            vecs[:, 7] *= 1.0 + 1e-6
+        return energies, vecs
+
+    q = params(d_a=8)
+    tl.evolve_full(q, 1.0, 10)
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    with pytest.raises(RuntimeError, match="defect"):
+        tl.evolve_full(q, 1.0, 10)
+
+
+def test_vectorised_observables_match_dense_traces():
+    q = params()
+    for initial in (None, coherent_seed(q)):
+        traj = tl.evolve_full(q, 31.25, 700, initial=initial)
+        got = tl._field_moments(traj)
+        want = oracles.threelevel_traces(traj.states, q.d_a)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
+        assert np.array_equal(tl.field_var_y(traj), got[3])
+    report = tl.validate_effective_gamma(q, 31.25, steps=700)
+    assert report.varY_full[0] == 1.0
 
 
 def test_variance_tracks_fitted_exponent():

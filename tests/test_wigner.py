@@ -105,12 +105,18 @@ def test_numeric_vacuum_gaussian():
     assert grid.integral() == pytest.approx(1.0, abs=2e-3)
 
 
-def test_numeric_matches_expm_displaced_parity():
-    # One-shot exp(alpha a^dag - conj(alpha) a) per point against the walk.
-    dim = 72
+def squeezed_coherent_mixture(dim):
     sq = oracles.squeeze(0.4, dim)[:, 0]
     coh = coherent_amps(0.5 - 0.3j, dim)
-    rho = 0.7 * np.outer(sq, sq.conj()) + 0.3 * np.outer(coh, coh.conj())
+    return 0.7 * np.outer(sq, sq.conj()) + 0.3 * np.outer(coh, coh.conj())
+
+
+def test_numeric_matches_expm_displaced_parity():
+    # One-shot exp(alpha a^dag - conj(alpha) a) per point against the walk.
+    # At d = 80 the walked states hold 6.4e-12 of their mass in their top
+    # EDGE_LEVELS levels (3.3e-9 at d = 72, which the budget refuses).
+    dim = 80
+    rho = squeezed_coherent_mixture(dim)
     spec = wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)
     grid = wigner.wigner_numeric(rho, spec)
     parity = np.diag(1.0 - 2.0 * (np.arange(dim) % 2.0)).astype(complex)
@@ -141,12 +147,16 @@ def test_numeric_mixture_of_coherent_states(monkeypatch):
     assert np.max(np.abs(chunked.values - grid.values)) < 1e-14
 
 
+SQUEEZED_SPEC = wigner.GridSpec(-7.2, 7.2, 97, -0.8, 0.8, 49)
+
+
 def test_numeric_squeezed_marginal_variances():
+    # At d = 352 the walked states hold 1.9e-11 of their mass in their top
+    # EDGE_LEVELS levels (3.0e-5 at d = 224, which the budget refuses).
     r = 0.5 * math.log(10.0)
-    dim = 224
+    dim = 352
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
-    spec = wigner.GridSpec(-7.2, 7.2, 97, -0.8, 0.8, 49)
-    grid = wigner.wigner_numeric(psi, spec)
+    grid = wigner.wigner_numeric(psi, SQUEEZED_SPEC)
     assert grid.integral() == pytest.approx(1.0, abs=2e-3)
     w_re = np.trapezoid(grid.values, grid.im_axis, axis=0)
     w_im = np.trapezoid(grid.values, grid.re_axis, axis=1)
@@ -154,6 +164,15 @@ def test_numeric_squeezed_marginal_variances():
     var_im = np.trapezoid(w_im * grid.im_axis**2, grid.im_axis) / np.trapezoid(w_im, grid.im_axis)
     assert var_re == pytest.approx(10.0 / 4.0, rel=1e-3)
     assert var_im == pytest.approx(0.1 / 4.0, rel=1e-3)
+
+
+def test_numeric_walk_budget_refuses_short_truncations():
+    squeezed = fock.ladder_exp(fock.basis(224), 0.25 * math.log(10.0), 2)
+    with pytest.raises(fock.TruncationError, match="top"):
+        wigner.wigner_numeric(squeezed, SQUEEZED_SPEC)
+    with pytest.raises(fock.TruncationError, match="top"):
+        wigner.wigner_numeric(squeezed_coherent_mixture(72),
+                              wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5))
 
 
 def test_numeric_rejects_grid_beyond_headroom():
