@@ -381,7 +381,10 @@ def _run_validate_jj(cfg, point, point_seed):
     t_final = cfg["t_final"]
     if t_final is None:
         t_final = 0.5 / q.gamma_eff_predicted
-    report = threelevel.validate_effective_gamma(q, t_final, steps=cfg["steps"])
+    try:
+        report = threelevel.validate_effective_gamma(q, t_final, steps=cfg["steps"])
+    except RuntimeError as exc:  # the propagator check: t_final too long for doubles
+        raise ValueError(f"t_final = {t_final:g}: {exc}") from exc
     if cfg["reference"] == "predicted":
         ref_err = report.max_rel_error
     else:

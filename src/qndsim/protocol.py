@@ -1,17 +1,19 @@
 """Pulsed-measurement protocol: closed-form moments and the matrix path.
 
-The pulse pair (squeeze by r, then phonon-conditioned displacement with area
-A) commutes with the phonon number, so every state the protocol touches is
-block-diagonal in phonon number with a pure field state per block:
+The membrane starts thermal and the field in vacuum. The pulse pair
+(squeeze by r, then phonon-conditioned displacement with area A) commutes
+with the phonon number, so the pulse output is block-diagonal in phonon
+number with a pure field state per block:
 
     rho = sum_n P(n) |n><n|_b (x) |psi_n><psi_n|_a,   psi_n = D(inA) S(r) |0>.
 
-CompositeState stores exactly that: the weights P(n) plus one windowed field
-vector per block. Every exponential of a ladder operator here is the action
-fock.ladder_exp: the squeezed seed S(r)|0>, then one displacement step D(iA)
-per block (purely imaginary displacements compose exactly, with zero Weyl
-phase: D(iA)^n = D(inA)), which keeps the cost linear in the window width
-instead of quadratic in the full Fock dimension.
+evolve_pulse(p) builds exactly that, and it is the only state this module
+builds: a CompositeState of the thermal weights P(n) plus one windowed
+field vector per block. Every exponential of a ladder operator here is the
+action fock.ladder_exp: the squeezed seed S(r)|0>, then one displacement
+step D(iA) per block (purely imaginary displacements compose exactly, with
+zero Weyl phase: D(iA)^n = D(inA)), which keeps the cost linear in the
+window width instead of quadratic in the full Fock dimension.
 """
 
 import math
@@ -24,9 +26,6 @@ from . import fock
 # reduced Planck and Boltzmann constants, J s and J/K: exact in the 2019 SI
 hbar = 6.62607015e-34 / (2 * math.pi)
 k_B = 1.380649e-23
-
-# weighted block mass that may be silently dropped when densifying
-DENSIFY_TAIL = 1e-14
 
 # mass allowed to touch the moving window's edges before the walk aborts
 EDGE_TOL = 1e-10
@@ -44,7 +43,6 @@ class ProtocolParams:
     N:   mean thermal phonon number
     nu:  mechanical angular frequency, rad/s
     d_b: phonon truncation; None resolves via the thermal tail rule
-    d_a: field truncation for dense objects; None resolves per block
     """
 
     A: float
@@ -52,7 +50,6 @@ class ProtocolParams:
     N: float
     nu: float
     d_b: int | None = None
-    d_a: int | None = None
 
     def __post_init__(self):
         for name in ("A", "r", "N", "nu"):
@@ -68,8 +65,6 @@ class ProtocolParams:
             raise ValueError("mechanical frequency nu must be > 0")
         if self.d_b is not None and self.d_b < 1:
             raise ValueError("d_b must be >= 1")
-        if self.d_a is not None and self.d_a < 2:
-            raise ValueError("d_a must be >= 2")
 
     def phonon_dim(self):
         return self.d_b if self.d_b is not None else fock.thermal_dim(self.N)
@@ -80,13 +75,13 @@ class CompositeState:
     """Phonon-blocked two-mode state: weights plus windowed field vectors.
 
     blocks[n] lives on Fock levels [offsets[n], offsets[n] + len(blocks[n])).
-    params records the ProtocolParams that built the state, when known.
+    params records the ProtocolParams that built the state.
     """
 
     pn: np.ndarray
     offsets: tuple
     blocks: tuple
-    params: ProtocolParams | None = None
+    params: ProtocolParams
 
     def phonon_marginal(self):
         norms = np.array([np.vdot(b, b).real for b in self.blocks])
@@ -115,105 +110,24 @@ class FieldMoments:
 # ---------------------------------------------------------------------------
 # states
 
-def initial_state(p):
-    """thermal(N) on the phonon mode, vacuum on the field mode."""
+def evolve_pulse(p):
+    """The pulse output: thermal(N) weights, block n holding D(inA) S(r)|0>."""
     pn = fock.thermal_pn(p.N, p.phonon_dim())
-    one = np.ones(1, dtype=complex)
-    return CompositeState(pn=pn, offsets=(0,) * len(pn),
-                          blocks=tuple(one.copy() for _ in pn), params=p)
+    offs, vecs = _displacement_chain(p.A, p.r, len(pn) - 1)
+    return CompositeState(pn=pn, offsets=tuple(offs), blocks=tuple(vecs), params=p)
 
 
-def evolve_pulse(rho0, p):
-    """Apply the pulse pair blockwise: psi_n -> D(inA) S(r) psi_n.
-
-    Vacuum-seeded inputs take the windowed chain (its truncation policy is
-    the moving window with edge-mass guards); other block vectors take the
-    general route on levels [0, dim), which enforces the headroom rules
-    (see _dense_block_dim) for every n.
-    """
-    n_top = len(rho0.pn) - 1
-    if all(off == 0 and b.shape == (1,)
-           for off, b in zip(rho0.offsets, rho0.blocks)):
-        offs, vecs = _displacement_chain(p.A, p.r, n_top)
-        vecs = tuple(rho0.blocks[n][0] * vecs[n] for n in range(n_top + 1))
-        return CompositeState(pn=rho0.pn.copy(), offsets=tuple(offs),
-                              blocks=vecs, params=p)
-    blocks = []
-    for n in range(n_top + 1):
-        off, vec = rho0.offsets[n], rho0.blocks[n]
-        dim = _dense_block_dim(n, p, off + len(vec))
-        psi = np.zeros(dim, dtype=complex)
-        psi[off:off + len(vec)] = vec
-        psi = fock.ladder_exp(psi, 0.5 * p.r, 2)
-        blocks.append(fock.ladder_exp(psi, 1j * n * p.A, 1))
-    return CompositeState(pn=rho0.pn.copy(), offsets=(0,) * (n_top + 1),
-                          blocks=tuple(blocks), params=p)
-
-
-def conditioned_state(rho_tau, m, d_a=None):
+def conditioned_state(rho_tau, m):
     """Project on phonon outcome m and return the normalized field state."""
     if not 0 <= m < len(rho_tau.pn) or rho_tau.pn[m] <= 1e-12:
         raise ValueError("phonon outcome %r out of support" % m)
     p = rho_tau.params
-    if p is None:
-        raise ValueError("conditioning needs a state built by this module")
     off, vec = rho_tau.offsets[m], rho_tau.blocks[m]
-    dim = off + len(vec) if d_a is None else d_a
-    psi = _embed(vec, off, dim, weight=rho_tau.pn[m])
-    psi = psi / np.linalg.norm(psi)
+    psi = np.zeros(off + len(vec), dtype=complex)
+    psi[off:] = vec / np.linalg.norm(vec)
     return ConditionedFieldState(m=m, alpha_m=1j * m * p.A, r=p.r,
                                  weight=float(rho_tau.pn[m]),
                                  state=np.outer(psi, psi.conj()))
-
-
-def to_dense(state, d_a):
-    """Full (d_b * d_a)-dimensional density matrix of a CompositeState."""
-    d_b = len(state.pn)
-    out = np.zeros((d_b * d_a, d_b * d_a), dtype=complex)
-    for n in range(d_b):
-        v = _embed(state.blocks[n], state.offsets[n], d_a,
-                   weight=state.pn[n])
-        out[n * d_a:(n + 1) * d_a, n * d_a:(n + 1) * d_a] = \
-            state.pn[n] * np.outer(v, v.conj())
-    return out
-
-
-def field_state_dense(state, d_a):
-    """Field marginal sum_n P(n) |psi_n><psi_n| as a dense matrix."""
-    out = np.zeros((d_a, d_a), dtype=complex)
-    for n in range(len(state.pn)):
-        if state.pn[n] == 0.0:
-            continue
-        v = _embed(state.blocks[n], state.offsets[n], d_a,
-                   weight=state.pn[n])
-        out += state.pn[n] * np.outer(v, v.conj())
-    return out
-
-
-def _embed(vec, off, dim, weight=1.0):
-    """Place a windowed vector into a size-dim array, policing lost mass."""
-    out = np.zeros(dim, dtype=complex)
-    hi = min(dim, off + len(vec))
-    if hi > off:
-        out[off:hi] = vec[:hi - off]
-    lost = weight * (np.vdot(vec, vec).real - np.vdot(out, out).real)
-    if lost > DENSIFY_TAIL:
-        raise fock.TruncationError(
-            "block mass %.3g outside field dimension %d" % (lost, dim))
-    return out
-
-
-def _dense_block_dim(n, p, floor):
-    """Field dimension of block n on the general route: it holds the input
-    vector (floor), |nA|^2 <= dim/4 and e^{2r} <= dim/8, or raises."""
-    need = max(fock.displacement_dim(n * p.A), fock.squeeze_dim(p.r), floor)
-    if p.d_a is None:
-        return 2 * need + 16
-    if p.d_a < need:
-        raise fock.TruncationError(
-            "d_a = %d is below the %d levels block %d needs (input vector, "
-            "|nA|^2 <= d_a/4, e^{2r} <= d_a/8)" % (p.d_a, need, n))
-    return p.d_a
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +183,7 @@ def N_from_temperature(T, nu):
 
 def field_moments_numeric(p):
     """Quadrature moments of the traced field state, via the block walk."""
-    state = evolve_pulse(initial_state(p), p)
-    return composite_field_moments(state)
+    return composite_field_moments(evolve_pulse(p))
 
 
 def composite_field_moments(state):

@@ -3,7 +3,8 @@
 The library applies every exponential of a ladder operator as an action,
 fock.ladder_exp. These build the operators themselves with scipy's dense
 expm of the truncated generator, an independent route to check it against.
-The three-level trajectory, which the library samples from one
+The protocol's blocked pulse output is densified here, with its mass
+policed. The three-level trajectory, which the library samples from one
 eigendecomposition, is stepped here with the dense expm propagator, and
 its field moments come from per-sample dense traces.
 """
@@ -15,6 +16,9 @@ from qndsim import fock, threelevel
 
 # top-of-ladder levels excluded from unitarity checks
 GUARD_BAND = 5
+
+# weighted block mass that may be silently dropped when densifying
+DENSIFY_TAIL = 1e-14
 
 
 def ladder_generator(z, k, dim, k0=0):
@@ -51,6 +55,49 @@ def unitarity_defect(u, guard_band=GUARD_BAND):
     k = u.shape[0] - guard_band
     g = u.conj().T @ u - np.eye(u.shape[0])
     return float(np.abs(g[:k, :k]).max())
+
+
+def to_dense(state, d_a):
+    """Full (d_b * d_a)-dimensional density matrix of a CompositeState."""
+    d_b = len(state.pn)
+    out = np.zeros((d_b * d_a, d_b * d_a), dtype=complex)
+    for n in range(d_b):
+        v = _embed(state.blocks[n], state.offsets[n], d_a,
+                   weight=state.pn[n])
+        out[n * d_a:(n + 1) * d_a, n * d_a:(n + 1) * d_a] = \
+            state.pn[n] * np.outer(v, v.conj())
+    return out
+
+
+def field_state_dense(state, d_a):
+    """Field marginal sum_n P(n) |psi_n><psi_n| as a dense matrix."""
+    out = np.zeros((d_a, d_a), dtype=complex)
+    for n in range(len(state.pn)):
+        if state.pn[n] == 0.0:
+            continue
+        v = _embed(state.blocks[n], state.offsets[n], d_a,
+                   weight=state.pn[n])
+        out += state.pn[n] * np.outer(v, v.conj())
+    return out
+
+
+def _embed(vec, off, dim, weight=1.0):
+    """Place a windowed vector into a size-dim array, policing lost mass."""
+    out = np.zeros(dim, dtype=complex)
+    hi = min(dim, off + len(vec))
+    if hi > off:
+        out[off:hi] = vec[:hi - off]
+    lost = weight * (np.vdot(vec, vec).real - np.vdot(out, out).real)
+    if lost > DENSIFY_TAIL:
+        raise fock.TruncationError(
+            "block mass %.3g outside field dimension %d" % (lost, dim))
+    return out
+
+
+def threelevel_state_at(q, t, initial=None):
+    """One dense propagator expm(-i H t) applied to the initial state."""
+    psi = threelevel.initial_vacuum_i(q) if initial is None else initial
+    return expm(-1j * t * threelevel.build_full_hamiltonian(q)) @ psi
 
 
 def evolve_threelevel(q, t_final, steps, initial=None):

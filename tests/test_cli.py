@@ -1,6 +1,7 @@
 """CLI checks: config validation, determinism, exit codes, manifest round trip."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qndsim import cli
+from qndsim import cli, protocol
 
 NU = 2 * math.pi * 1e9
 
@@ -295,6 +296,68 @@ def test_unloadable_config_exits_2(tmp_path, capsys, text):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["moments", "sample", "wigner"])
+def test_protocol_d_a_key_exits_2(tmp_path, capsys, experiment):
+    # the pulse output has no field truncation knob; the key is refused
+    out = tmp_path / "out"
+    config = copy.deepcopy(VALID[experiment])
+    config["params"]["d_a"] = 64
+    cfg = write_config(tmp_path, {**config, "output_dir": str(out)})
+    assert cli.main([experiment, "--config", cfg]) == 2
+    assert "'d_a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_jj_propagator_defect_exits_2(tmp_path, capsys):
+    # past what the eigendecomposition holds to PROPAGATOR_TOL over t_final
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"seed": 1, "params": JJ_PARAMS, "t_final": 1e8,
+                                  "steps": 10, "output_dir": str(out)})
+    assert cli.main(["validate-jj", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_final = 1e+08: eigendecomposition defect")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def non_echo_outputs(out):
+    """Every artifact but the manifest, JSON ones without their params echo."""
+    blobs = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "manifest.json":
+            continue
+        if path.suffix == ".json":
+            blobs[path.name] = {k: v for k, v in read_json(path).items() if k != "params"}
+        else:
+            blobs[path.name] = path.read_bytes()
+    return blobs
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(protocol.ProtocolParams)])
+def test_every_protocol_param_changes_an_output(tmp_path, field):
+    """Each ProtocolParams field is a live knob: changing it changes the
+    non-echo output of at least one protocol experiment."""
+    for experiment in ("moments", "sample", "wigner"):
+        base = copy.deepcopy(VALID[experiment])
+        moved = copy.deepcopy(base)
+        if field == "r":
+            del moved["params"]["e2r"]
+            moved["params"]["r"] = 1.0
+        elif field in moved["params"]:
+            moved["params"][field] *= 1.5
+        else:
+            moved["params"][field] = 40  # an optional truncation, above the tail rule
+        outputs = []
+        for name, config in (("base", base), ("moved", moved)):
+            out = tmp_path / experiment / name
+            cfg = write_config(tmp_path, {**config, "output_dir": str(out)})
+            assert cli.main([experiment, "--config", cfg]) == 0
+            outputs.append(non_echo_outputs(out))
+        if outputs[0] != outputs[1]:
+            return
+    pytest.fail(f"params.{field} changes no protocol experiment's output")
+
+
 # ---------------------------------------------------------------------------
 # property: every config that is invalid by construction exits 2, writes nothing
 
@@ -339,7 +402,6 @@ PROTOCOL_FIELDS = {
     ("params", "N"): (float, NEGATIVE, True),
     ("params", "nu"): (float, NOT_POSITIVE, True),
     ("params", "d_b"): (int, below(1), False),
-    ("params", "d_a"): (int, below(2), False),
 }
 FIELDS = {
     "moments": {**PROTOCOL_FIELDS, ("tolerance",): (float, NOT_POSITIVE, False)},

@@ -117,25 +117,31 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 # states
 
+def dense_initial_state(p, d_a):
+    """thermal(N) on the phonon mode (x) vacuum on the field mode."""
+    vacuum = np.outer(fock.basis(d_a), fock.basis(d_a))
+    return fock.tensor(fock.thermal_state(p.N, p.phonon_dim()), vacuum)
+
+
 def test_initial_state_examples():
-    s = protocol.initial_state(params(N=0))
+    # the pulse output carries the initial thermal weights
+    s = protocol.evolve_pulse(params(N=0))
     assert s.pn[0] == pytest.approx(1.0, abs=1e-15)
     assert np.abs(s.pn[1:]).max() == 0.0
 
-    s1 = protocol.initial_state(params(N=1))
+    s1 = protocol.evolve_pulse(params(N=1))
     assert np.allclose(s1.pn[:8], 0.5 ** (np.arange(8) + 1), rtol=1e-9)
 
-    # field marginal is vacuum for any N (product structure)
-    p = params(N=0.02, d_b=6, d_a=8)
-    dense = protocol.to_dense(protocol.initial_state(p), 8)
-    rho_a = fock.partial_trace(dense, (6, 8), 1)
+    # the input's field marginal is vacuum for any N (product structure)
+    p = params(N=0.02, d_b=6)
+    rho_a = fock.partial_trace(dense_initial_state(p, 8), (6, 8), 1)
     assert rho_a[0, 0].real == pytest.approx(1.0, abs=1e-12)
     assert np.abs(rho_a - np.diag([1] + [0] * 7)).max() <= 1e-12
 
 
 def test_evolve_vacuum_block_is_squeezed_vacuum():
     p = params(A=1.0, r=0.7, N=0)
-    s = protocol.evolve_pulse(protocol.initial_state(p), p)
+    s = protocol.evolve_pulse(p)
     m = protocol.composite_field_moments(s)
     assert m.mean_y == pytest.approx(0.0, abs=1e-10)
     assert m.var_y == pytest.approx(math.exp(-1.4), rel=1e-9)
@@ -145,7 +151,7 @@ def test_evolve_vacuum_block_is_squeezed_vacuum():
 def test_evolve_block1_r0_is_coherent_i():
     # A=1, r=0: block n=1 must be the coherent state |i>, <Y> = 2
     p = params(A=1.0, r=0.0, N=1.0)
-    s = protocol.evolve_pulse(protocol.initial_state(p), p)
+    s = protocol.evolve_pulse(p)
     off, vec = s.offsets[1], s.blocks[1]
     amps = np.zeros(off + len(vec), dtype=complex)
     amps[off:] = vec
@@ -160,20 +166,19 @@ def test_evolve_block1_r0_is_coherent_i():
 def test_qnd_phonon_marginal_invariant():
     for A, N, e2r in ((0.25, 0.5, 1.0), (1.0, 1.0, 50.0), (2.0, 3.0, 50.0)):
         p = params(A=A, r=0.5 * math.log(e2r), N=N)
-        s0 = protocol.initial_state(p)
-        s1 = protocol.evolve_pulse(s0, p)
-        assert np.abs(s1.phonon_marginal() - s0.phonon_marginal()).max() <= 1e-12
+        s1 = protocol.evolve_pulse(p)
+        pn = fock.thermal_pn(p.N, p.phonon_dim())
+        assert np.abs(s1.phonon_marginal() - pn).max() <= 1e-12
 
 
 def test_block_path_agrees_with_dense_propagator():
     A, r, N = 0.3, 0.5 * math.log(2.0), 0.02
     d_b, d_a = 6, 144
-    p = params(A=A, r=r, N=N, d_b=d_b, d_a=d_a)
-    s0 = protocol.initial_state(p)
-    s1 = protocol.evolve_pulse(s0, p)
+    p = params(A=A, r=r, N=N, d_b=d_b)
+    s1 = protocol.evolve_pulse(p)
     u = dense_pulse_unitary(A, r, d_b, d_a)
-    dense1 = u @ protocol.to_dense(s0, d_a) @ u.conj().T
-    assert np.abs(dense1 - protocol.to_dense(s1, d_a)).max() <= 1e-12
+    dense1 = u @ dense_initial_state(p, d_a) @ u.conj().T
+    assert np.abs(dense1 - oracles.to_dense(s1, d_a)).max() <= 1e-12
     marg = np.diag(fock.partial_trace(dense1, (d_b, d_a), 0)).real
     assert np.abs(marg - s1.phonon_marginal()).max() <= 1e-12
     rho_a = fock.partial_trace(dense1, (d_b, d_a), 1)
@@ -183,27 +188,9 @@ def test_block_path_agrees_with_dense_propagator():
     assert m.var_y == pytest.approx(vy, abs=1e-12)
 
 
-def test_general_blocks_take_dense_route():
-    # non-vacuum input blocks: same unitary, applied per dense block
-    d_b, d_a = 4, 64
-    rng = np.random.default_rng(5)
-    pn = np.array([0.4, 0.3, 0.2, 0.1])
-    blocks = []
-    for _ in range(d_b):
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        blocks.append(v / np.linalg.norm(v))
-    rho0 = protocol.CompositeState(pn=pn, offsets=(0,) * d_b,
-                                   blocks=tuple(blocks))
-    p = params(A=0.4, r=0.3, N=1.0, d_b=d_b, d_a=d_a)
-    s1 = protocol.evolve_pulse(rho0, p)
-    u = dense_pulse_unitary(0.4, 0.3, d_b, d_a)
-    dense1 = u @ protocol.to_dense(rho0, d_a) @ u.conj().T
-    assert np.abs(dense1 - protocol.to_dense(s1, d_a)).max() <= 1e-10
-
-
 def test_conditioned_state_examples():
     p = params(A=1.0, r=R50, N=1.0)
-    s = protocol.evolve_pulse(protocol.initial_state(p), p)
+    s = protocol.evolve_pulse(p)
 
     c0 = protocol.conditioned_state(s, 0)
     ey, vy = dense_y_moments(c0.state, c0.state.shape[0])
@@ -248,18 +235,18 @@ def test_mixture_consistency_and_total_variance():
 
 def test_chain_norm_drift_and_embed_policing():
     p = params(A=2.0, r=R50, N=3.0)
-    s = protocol.evolve_pulse(protocol.initial_state(p), p)
+    s = protocol.evolve_pulse(p)
     norms = np.array([np.linalg.norm(b) for b in s.blocks])
     assert np.abs(norms - 1.0).max() <= 1e-12
     with pytest.raises(fock.TruncationError):
-        protocol.to_dense(s, 16)
+        oracles.to_dense(s, 16)
 
 
 def test_chain_against_sparse_exponential_route():
     # independent route: full-ladder Taylor exp(iAX) steps, no windowing
     A, r, n_top = 1.0, 0.5 * math.log(10.0), 20
     p = params(A=A, r=r, N=0.2, d_b=n_top + 1)
-    s = protocol.evolve_pulse(protocol.initial_state(p), p)
+    s = protocol.evolve_pulse(p)
     dim = 1024
     psi = np.zeros(dim, dtype=complex)
     seed_dim = fock.squeeze_dim(r) * 4

@@ -146,11 +146,17 @@ def test_evolve_input_validation():
 
 
 def test_norm_preserved_and_step_size_converged():
+    # every sample comes from one eigendecomposition, so halving the step
+    # must reproduce each coarse sample at its own time, and the final state
+    # must match one dense propagator over the whole run
     q = params()
     coarse = tl.evolve_full(q, 31.25, 100)
     fine = tl.evolve_full(q, 31.25, 200)
     assert coarse.norm_drift() <= 1e-8
-    assert np.max(np.abs(coarse.states[-1] - fine.states[-1])) <= 1e-8
+    assert np.array_equal(coarse.times, fine.times[::2])
+    assert np.max(np.abs(coarse.states - fine.states[::2])) <= 1e-12
+    dense = oracles.threelevel_state_at(q, 31.25)
+    assert np.max(np.abs(coarse.states[-1] - dense)) <= 1e-11
 
 
 def test_eigen_trajectory_matches_dense_expm_oracle():

@@ -192,8 +192,7 @@ def test_numeric_rejects_bad_operators():
 
 def test_protocol_path_matches_generic():
     p = params(A=0.36, r=0.5 * math.log(2.0), N=0.02)
-    state = protocol.evolve_pulse(protocol.initial_state(p), p)
-    rho_a = protocol.field_state_dense(state, 160)
+    rho_a = oracles.field_state_dense(protocol.evolve_pulse(p), 160)
     spec = wigner.GridSpec(-1.6, 1.6, 17, -0.18, 1.98, 37)
     direct = wigner.wigner_numeric(rho_a, spec)
     fast = wigner.wigner_numeric_protocol(p, spec, tail_sigmas=8.0)
