@@ -252,11 +252,17 @@ def resolve_config(experiment, raw):
         path = f"config.sweep[{k}]" if "sweep" in cfg else "config.params"
         try:
             q = cls(**point)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             _fail(path, str(exc))
         if experiment == "validate-jj" and cfg["t_final"] is None:
             if q.gamma_eff_predicted <= 0.0:
                 _fail(path, "t_final is required when the predicted rate is zero")
+        if experiment == "wigner":  # the run's TV reference: thermal_pn over the bins
+            try:
+                bins = wigner.histogram_bins(cfg["grid"]["im_max"], cfg["spacing"] or q.A)
+                fock.check_thermal_tail(q.N, bins, "bins")
+            except (OverflowError, fock.TruncationError) as exc:
+                _fail("config.grid.im_max", f"too low for the thermal law of {path}: {exc}")
     return cfg
 
 

@@ -1,6 +1,6 @@
 """Truncated Fock-space engine: ladder operators, the one action kernel for
-exponentials of ladder operators, thermal states, and two-mode composite
-algebra.
+exponentials of ladder operators, the quadrature stencil, headroom rules,
+the thermal law with its tail budget, and the CSV renderer.
 
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
@@ -131,55 +131,27 @@ def thermal_dim(N, tail=THERMAL_TAIL):
     return max(2, d)
 
 
-def thermal_pn(N, dim):
-    """Occupation probabilities P(n) = N^n/(N+1)^{n+1}, renormalized.
-
-    The truncated tail mass (N/(N+1))^dim must not exceed THERMAL_TAIL.
-    """
+def check_thermal_tail(N, dim, name="dim"):
+    """Raise TruncationError when the thermal mass beyond the first dim
+    levels, (N/(N+1))^dim (all of it when dim < 1), exceeds THERMAL_TAIL;
+    name is the truncation's name in the message."""
     if N < 0:
         raise ValueError("mean occupation must be >= 0, got %r" % N)
-    tail = (N / (N + 1.0)) ** dim if N > 0 else 0.0
+    tail = (N / (N + 1.0)) ** max(dim, 0)  # 0.0 ** 0 is 1: no level keeps all
     if tail > THERMAL_TAIL:
         raise TruncationError(
-            "thermal tail mass %.3g exceeds %.3g at dim %d; need dim >= %d"
-            % (tail, THERMAL_TAIL, dim, thermal_dim(N)))
+            "thermal tail mass %.3g exceeds %.3g at %s %d; need %s >= %d"
+            % (tail, THERMAL_TAIL, name, dim, name, thermal_dim(N) if N else 1))
+
+
+def thermal_pn(N, dim):
+    """Occupation probabilities P(n) = N^n/(N+1)^{n+1}, renormalized, under
+    check_thermal_tail."""
+    check_thermal_tail(N, dim)
     n = np.arange(dim)
     p = np.exp(n * np.log(N / (N + 1.0)) - np.log(N + 1.0)) if N > 0 else \
         np.concatenate(([1.0], np.zeros(dim - 1)))
     return p / p.sum()
-
-
-def thermal_state(N, dim):
-    """Diagonal thermal density operator with mean occupation N."""
-    return np.diag(thermal_pn(N, dim)).astype(complex)
-
-
-def tensor(a, b):
-    return np.kron(a, b)
-
-
-def partial_trace(rho, dims, keep):
-    """Reduced state of subsystem `keep` (0 or 1) of a bipartite matrix.
-
-    dims is the ordered pair of subsystem dimensions.
-    """
-    d0, d1 = dims
-    if rho.shape != (d0 * d1, d0 * d1):
-        raise ValueError("state shape %r does not match dims %r"
-                         % (rho.shape, dims))
-    r = rho.reshape(d0, d1, d0, d1)
-    if keep == 0:
-        return np.einsum("ijkj->ik", r)
-    if keep == 1:
-        return np.einsum("ijil->jl", r)
-    raise ValueError("keep must be 0 or 1, got %r" % keep)
-
-
-def expectation(rho, op):
-    """tr(op rho)."""
-    if rho.shape != op.shape:
-        raise ValueError("dimension mismatch: %r vs %r" % (rho.shape, op.shape))
-    return complex(np.einsum("ij,ji->", op, rho))
 
 
 def write_csv(fh, header, *columns):

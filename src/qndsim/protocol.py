@@ -42,7 +42,8 @@ class ProtocolParams:
     r:   dimensionless squeeze parameter (rate times squeeze duration)
     N:   mean thermal phonon number
     nu:  mechanical angular frequency, rad/s
-    d_b: phonon truncation; None resolves via the thermal tail rule
+    d_b: phonon truncation, held to the thermal tail budget; None resolves
+         via the thermal tail rule
     """
 
     A: float
@@ -63,8 +64,8 @@ class ProtocolParams:
             raise ValueError("thermal occupation N must be >= 0")
         if self.nu <= 0:
             raise ValueError("mechanical frequency nu must be > 0")
-        if self.d_b is not None and self.d_b < 1:
-            raise ValueError("d_b must be >= 1")
+        if self.d_b is not None:
+            fock.check_thermal_tail(self.N, self.d_b, "d_b")
 
     def phonon_dim(self):
         return self.d_b if self.d_b is not None else fock.thermal_dim(self.N)

@@ -45,7 +45,6 @@ frame and carried only as provenance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -379,11 +378,6 @@ def report_json_dict(report: SqueezeValidationReport) -> dict:
         "varY_full": [float(v) for v in report.varY_full],
         "varY_effective": [float(v) for v in report.varY_effective],
     }
-
-
-def write_report_json(report: SqueezeValidationReport, fh) -> None:
-    json.dump(report_json_dict(report), fh, indent=2)
-    fh.write("\n")
 
 
 def write_report_csv(report: SqueezeValidationReport, fh) -> None:

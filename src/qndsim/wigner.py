@@ -10,21 +10,21 @@ Two Wigner conventions are exposed side by side:
 
 ``standard-numeric``
     The displaced-parity definition W(alpha) = (2/pi) tr[D(alpha) P
-    D(alpha)^dag rho], evaluated numerically for an arbitrary density
-    operator. Vacuum peaks at 2/pi and quadrature variances are
-    exp(+-2r)/4.
+    D(alpha)^dag rho] (Royer, Phys. Rev. A 15, 449 (1977)) of the pulse
+    output, evaluated numerically by one walk of its squeezed-vacuum
+    patch. Vacuum peaks at 2/pi and quadrature variances are exp(+-2r)/4.
 
 Both conventions place the peak centers at n*A in these coordinates; they
 differ in peak width and overall value scale. Reconstruction therefore
 bins the Im-axis marginal around the shared centers, which makes the two
 paths directly comparable without rescaling the axis.
 
-The numeric path walks the grid with single-step displacement actions
-(fock.ladder_exp) instead of building D(alpha) per point: one line of
-states along Re, then the whole line, as one block of vectors, steps
-along Im. Each step is unitary, so the evaluation cannot overflow
-even for strongly squeezed states where a normally ordered expansion of
-D(alpha) would exceed double range.
+The walk takes single-step displacement actions (fock.ladder_exp)
+instead of building D(alpha) per point: one line of states along Re, then
+the whole line, as one block of vectors, steps along Im. Each step is
+unitary, so the evaluation cannot overflow even for strongly squeezed
+states where a normally ordered expansion of D(alpha) would exceed double
+range.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ PAPER = "paper-closed-form"
 STANDARD = "standard-numeric"
 
 COVERAGE_SIGMAS = 5.0
-RANK_TOL = 1e-13
-BLOCK_ENTRIES = 1 << 20
 
 
 class OverlapWarning(UserWarning):
@@ -87,10 +85,6 @@ class WignerGrid:
     im_axis: np.ndarray
     values: np.ndarray
     convention: str
-
-    def integral(self) -> float:
-        inner = np.trapezoid(self.values, self.re_axis, axis=1)
-        return float(np.trapezoid(inner, self.im_axis))
 
 
 @dataclass(frozen=True)
@@ -146,15 +140,6 @@ def wigner_paper(params: protocol.ProtocolParams, spec: GridSpec) -> WignerGrid:
     return WignerGrid(re, im, values, PAPER)
 
 
-def _check_headroom(re: np.ndarray, im: np.ndarray, dim: int) -> None:
-    extreme = np.max(np.abs(re)) ** 2 + np.max(np.abs(im)) ** 2
-    if 4.0 * extreme > dim:
-        raise fock.TruncationError(
-            f"grid extreme |alpha|^2 = {extreme:.3g} exceeds the displacement "
-            f"headroom dim/4 = {dim / 4:.3g}"
-        )
-
-
 def _check_walk_budget(top: float, dim: int) -> None:
     if top > protocol.EDGE_TOL:
         raise fock.TruncationError(
@@ -164,70 +149,28 @@ def _check_walk_budget(top: float, dim: int) -> None:
 
 
 def _displaced_parity_walk(
-    vecs: np.ndarray, weights: np.ndarray, re: np.ndarray, im: np.ndarray
+    psi: np.ndarray, re: np.ndarray, im: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Weighted parity sums of D(-alpha) vecs[:, s] on the grid, and the
-    largest mass a walked state holds in its top EDGE_LEVELS levels.
+    """Parities of D(-alpha) psi on the grid, and the largest mass a walked
+    state holds in its top EDGE_LEVELS levels.
 
-    The corner state steps along Re to a line of states, and then the
-    whole line steps as one block along Im, one grid row per step.
+    The state steps along Re to a line of states, and then the whole line
+    steps as one block along Im, one grid row per step.
     """
-    dim, width = vecs.shape
-    line = [fock.ladder_exp(vecs, -complex(re[0], im[0]), 1)]
+    line = [fock.ladder_exp(psi, -complex(re[0], im[0]), 1)]
     for _ in range(re.size - 1):
         line.append(fock.ladder_exp(line[-1], -(re[1] - re[0]), 1))
-    block = np.concatenate(line, axis=1)
-    parity = 1.0 - 2.0 * (np.arange(dim) % 2)
+    block = np.stack(line, axis=1)
+    parity = 1.0 - 2.0 * (np.arange(len(psi)) % 2)
     out = np.empty((im.size, re.size))
     top = 0.0
     for i in range(im.size):
         if i:
             block = fock.ladder_exp(block, -1j * (im[1] - im[0]), 1)
         prob = block.real**2 + block.imag**2
-        out[i] = (parity @ prob).reshape(re.size, width) @ weights
+        out[i] = parity @ prob
         top = max(top, float(prob[-protocol.EDGE_LEVELS:].sum(axis=0).max()))
     return out, top
-
-
-def wigner_numeric(rho: np.ndarray, spec: GridSpec) -> WignerGrid:
-    """Displaced-parity Wigner map of an arbitrary state.
-
-    Accepts a density matrix or a pure-state vector. Mixed states are
-    expanded in their eigenbasis and each eigenvector is walked across the
-    grid once. Raises TruncationError when a walked state holds more than
-    protocol.EDGE_TOL of its mass in its top protocol.EDGE_LEVELS levels.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    re = spec.re_axis()
-    im = spec.im_axis()
-
-    if rho.ndim == 1:
-        vecs, weights = rho[:, None], np.ones(1)
-        dim = rho.shape[0]
-    elif rho.ndim == 2 and rho.shape[0] == rho.shape[1]:
-        dim = rho.shape[0]
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
-            raise ValueError("density operator must be Hermitian")
-        vals, vecs = np.linalg.eigh(rho)
-        if vals.min() < -1e-9 * max(vals.max(), 1.0):
-            raise ValueError("density operator has a negative eigenvalue")
-        keep = vals > RANK_TOL * max(vals.max(), 0.0)
-        vecs, weights = vecs[:, keep], vals[keep]
-    else:
-        raise ValueError("expected a state vector or a square density matrix")
-
-    _check_headroom(re, im, dim)
-    # Walk the eigenvectors in chunks of about BLOCK_ENTRIES amplitudes
-    # per block, so that memory does not grow with the rank.
-    per = max(1, BLOCK_ENTRIES // (dim * re.size))
-    values = np.zeros((im.size, re.size))
-    top = 0.0
-    for s in range(0, weights.size, per):
-        walk, chunk_top = _displaced_parity_walk(vecs[:, s : s + per], weights[s : s + per], re, im)
-        values += walk
-        top = max(top, chunk_top)
-    _check_walk_budget(top, dim)
-    return WignerGrid(re, im, values * (2.0 / math.pi), STANDARD)
 
 
 def wigner_numeric_protocol(
@@ -272,7 +215,7 @@ def wigner_numeric_protocol(
     dim = max(fock.squeeze_dim(params.r), fock.displacement_dim(reach),
               int(math.ceil(spread))) + 64
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * params.r, 2)
-    walk, top = _displaced_parity_walk(psi[:, None], np.ones(1), re, dn)
+    walk, top = _displaced_parity_walk(psi, re, dn)
     _check_walk_budget(top, dim)
     patch = (2.0 / math.pi) * walk
 
@@ -297,6 +240,12 @@ def marginal_P(grid: WignerGrid) -> Marginal:
     return Marginal(grid.im_axis, density / raw, grid.convention, raw)
 
 
+def histogram_bins(im_max: float, spacing: float) -> int:
+    """Bins of reconstruct_pn: n = 0 up to the last center n * spacing at
+    most half a spacing below im_max."""
+    return max(int(math.floor(im_max / spacing + 0.5)), 0) + 1
+
+
 def reconstruct_pn(
     marginal: Marginal,
     params: protocol.ProtocolParams,
@@ -316,8 +265,7 @@ def reconstruct_pn(
     axis = marginal.im_axis
     y = marginal.density  # scipy's cumulative_trapezoid(y, axis, initial=0.0)
     cum = np.concatenate(([0.0], np.cumsum(np.diff(axis) * (y[1:] + y[:-1]) / 2.0)))
-    n_max = max(int(math.floor(axis[-1] / s + 0.5)), 0)
-    edges = (np.arange(n_max + 2) - 0.5) * s
+    edges = (np.arange(histogram_bins(axis[-1], s) + 1) - 0.5) * s
     edges[0] = axis[0]
     edge_mass = np.interp(edges, axis, cum)
     masses = np.clip(np.diff(edge_mass), 0.0, None)
@@ -337,15 +285,6 @@ def reconstruct_pn(
             stacklevel=2,
         )
     return PhononHistogram(masses / total, "marginal-integration", leak)
-
-
-def direct_histogram(m: np.ndarray, length: int | None = None) -> PhononHistogram:
-    """Empirical phonon histogram from integer assignments."""
-    m = np.asarray(m)
-    if m.size == 0:
-        raise ValueError("need at least one assignment")
-    counts = np.bincount(m, minlength=length or 0).astype(float)
-    return PhononHistogram(counts / counts.sum(), "direct", 0.0)
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:

@@ -1,12 +1,16 @@
-"""Dense test oracles for the ladder exponentials and the three-level model.
+"""Dense test oracles for the ladder exponentials, the pulse output, its
+Wigner map and the three-level model.
 
 The library applies every exponential of a ladder operator as an action,
 fock.ladder_exp. These build the operators themselves with scipy's dense
 expm of the truncated generator, an independent route to check it against.
 The protocol's blocked pulse output is densified here, with its mass
-policed. The three-level trajectory, which the library samples from one
-eigendecomposition, is stepped here with the dense expm propagator, and
-its field moments come from per-sample dense traces.
+policed, and reduced with partial_trace. The library's Wigner map walks one
+squeezed-vacuum patch; wigner_dense evaluates the displaced-parity trace of
+any density matrix with dense displacements instead. The three-level
+trajectory, which the library samples from one eigendecomposition, is
+stepped here with the dense expm propagator, and its field moments come
+from per-sample dense traces.
 """
 
 import numpy as np
@@ -48,6 +52,49 @@ def displacement(alpha, dim):
 def squeeze(r, dim):
     """S(r) = expm((r/2)(a'^2 - a^2)); on vacuum Var(Y) = e^{-2r}."""
     return expm(ladder_generator(0.5 * r, 2, dim))
+
+
+def wigner_dense(rho, spec):
+    """(2/pi) tr[D(alpha) P D(alpha)' rho] on the grid of a GridSpec, P the
+    parity, as values[i, j] at alpha = re[j] + i im[i].
+
+    D(alpha) = e^{-i re im} D(i im) D(re): the Weyl phase cancels in the
+    conjugation, so each point is one trace of D(re) P D(re)' against
+    D(i im)' rho D(i im). Displacements along one axis commute, so each
+    axis is one dense expm at its first node times powers of the expm of
+    its spacing.
+    """
+    dim = rho.shape[0]
+    parity = np.diag(1.0 - 2.0 * (np.arange(dim) % 2))
+    flips = [d @ parity @ d.conj().T for d in _displacement_line(spec.re_axis(), dim)]
+    moved = [d.conj().T @ rho @ d for d in _displacement_line(1j * spec.im_axis(), dim)]
+    return (2.0 / np.pi) * np.einsum("jab,iba->ij", flips, moved).real
+
+
+def _displacement_line(alphas, dim):
+    """D(alpha) at the evenly spaced, collinear alphas."""
+    line = [displacement(alphas[0], dim)]
+    step = displacement(alphas[1] - alphas[0], dim)
+    for _ in alphas[1:]:
+        line.append(line[-1] @ step)
+    return line
+
+
+def partial_trace(rho, dims, keep):
+    """Reduced state of subsystem `keep` (0 or 1) of a bipartite matrix.
+
+    dims is the ordered pair of subsystem dimensions.
+    """
+    d0, d1 = dims
+    if rho.shape != (d0 * d1, d0 * d1):
+        raise ValueError("state shape %r does not match dims %r"
+                         % (rho.shape, dims))
+    r = rho.reshape(d0, d1, d0, d1)
+    if keep == 0:
+        return np.einsum("ijkj->ik", r)
+    if keep == 1:
+        return np.einsum("ijil->jl", r)
+    raise ValueError("keep must be 0 or 1, got %r" % keep)
 
 
 def unitarity_defect(u, guard_band=GUARD_BAND):

@@ -167,6 +167,36 @@ def test_wigner_coverage_error_leaves_no_files(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_d_b_below_the_thermal_tail_rule_exits_2_before_any_point(tmp_path, capsys, monkeypatch):
+    # N = 0 keeps all its mass in one level
+    cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(tmp_path / "vacuum"),
+                                  "params": {**PROTOCOL_PARAMS, "N": 0.0, "d_b": 1}})
+    assert cli.main(["moments", "--config", cfg]) == 0
+
+    monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("a point was computed"))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(out), "params": PROTOCOL_PARAMS,
+                                  "sweep": [{"N": 0.5}, {"d_b": 5}]})
+    assert cli.main(["moments", "--config", cfg]) == 2
+    assert "config.sweep[1]: thermal tail mass 0.0312 exceeds 1e-10 at d_b 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wigner_grid_short_of_the_thermal_law_exits_2_before_the_map(tmp_path, capsys, monkeypatch):
+    # nine histogram bins up to Im 4.0 at A = 0.5 drop 5.1e-5 of the N = 0.5 law
+    monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("the map was computed"))
+    out = tmp_path / "out"
+    grid = {"re_min": -4.0, "re_max": 4.0, "re_count": 17,
+            "im_min": -0.5, "im_max": 4.0, "im_count": 46}
+    cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(out), "convention": "standard",
+                                  "params": {"A": 0.5, "e2r": 10.0, "N": 0.5, "nu": NU},
+                                  "grid": grid})
+    assert cli.main(["wigner", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config.grid.im_max" in err and "at bins 9; need bins >= 21" in err
+    assert not out.exists()
+
+
 def test_start_up_and_validate_jj_load_no_scipy(tmp_path):
     # scipy is imported inside the functions that use it, on first use
     cfg = write_config(tmp_path, {"seed": 3, "output_dir": str(tmp_path / "out"),
@@ -276,6 +306,7 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     ("moments", {"sweep": [{"e2r": -(10**400)}]}, "config.sweep[0].e2r"),
     ("validate-jj", {"params": {**JJ_PARAMS, "Delta": 1e308}, "sweep": [{"beta": 1.0}]},
      "config.sweep[0]: Delta = 1e+308"),
+    ("moments", {"params": {**PROTOCOL_PARAMS, "d_b": 10**400}}, "config.params: int too large"),
 ])
 def test_unhashable_and_overflowing_values_exit_2(tmp_path, capsys, experiment, patch, key):
     out = tmp_path / "out"

@@ -22,14 +22,14 @@ def params(A=1.0, r=R50, N=1.0, **kw):
 
 def dense_pulse_unitary(A, r, d_b, d_a):
     """Literal composite propagator exp(iA n(x)X) (I(x)S(r))."""
-    inter = fock.tensor(fock.number(d_b), oracles.quadrature_x(d_a))
-    return expm(1j * A * inter) @ fock.tensor(np.eye(d_b), oracles.squeeze(r, d_a))
+    inter = np.kron(fock.number(d_b), oracles.quadrature_x(d_a))
+    return expm(1j * A * inter) @ np.kron(np.eye(d_b), oracles.squeeze(r, d_a))
 
 
 def dense_y_moments(rho, dim):
     y = oracles.quadrature_y(dim)
-    ey = fock.expectation(rho, y).real
-    return ey, fock.expectation(rho, y @ y).real - ey ** 2
+    ey = np.trace(y @ rho).real
+    return ey, np.trace(y @ y @ rho).real - ey ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,13 @@ def test_params_validation():
         params(N=-1.0)
     with pytest.raises(ValueError):
         protocol.ProtocolParams(A=1, r=0, N=0, nu=0.0)
+    # d_b is held to the thermal tail budget that fock.thermal_pn enforces
+    with pytest.raises(ValueError, match="d_b 5; need d_b >= 34"):
+        params(N=1.0, d_b=5)
+    with pytest.raises(ValueError, match="d_b 0; need d_b >= 1"):
+        params(N=0.0, d_b=0)
+    assert params(N=0.0, d_b=1).phonon_dim() == 1
+    assert params(N=1.0, d_b=34).phonon_dim() == 34
     with pytest.raises(ValueError):
         params(A=math.inf)
 
@@ -120,7 +127,7 @@ def test_params_validation():
 def dense_initial_state(p, d_a):
     """thermal(N) on the phonon mode (x) vacuum on the field mode."""
     vacuum = np.outer(fock.basis(d_a), fock.basis(d_a))
-    return fock.tensor(fock.thermal_state(p.N, p.phonon_dim()), vacuum)
+    return np.kron(np.diag(fock.thermal_pn(p.N, p.phonon_dim())), vacuum)
 
 
 def test_initial_state_examples():
@@ -134,7 +141,7 @@ def test_initial_state_examples():
 
     # the input's field marginal is vacuum for any N (product structure)
     p = params(N=0.02, d_b=6)
-    rho_a = fock.partial_trace(dense_initial_state(p, 8), (6, 8), 1)
+    rho_a = oracles.partial_trace(dense_initial_state(p, 8), (6, 8), 1)
     assert rho_a[0, 0].real == pytest.approx(1.0, abs=1e-12)
     assert np.abs(rho_a - np.diag([1] + [0] * 7)).max() <= 1e-12
 
@@ -179,9 +186,9 @@ def test_block_path_agrees_with_dense_propagator():
     u = dense_pulse_unitary(A, r, d_b, d_a)
     dense1 = u @ dense_initial_state(p, d_a) @ u.conj().T
     assert np.abs(dense1 - oracles.to_dense(s1, d_a)).max() <= 1e-12
-    marg = np.diag(fock.partial_trace(dense1, (d_b, d_a), 0)).real
+    marg = np.diag(oracles.partial_trace(dense1, (d_b, d_a), 0)).real
     assert np.abs(marg - s1.phonon_marginal()).max() <= 1e-12
-    rho_a = fock.partial_trace(dense1, (d_b, d_a), 1)
+    rho_a = oracles.partial_trace(dense1, (d_b, d_a), 1)
     ey, vy = dense_y_moments(rho_a, d_a)
     m = protocol.composite_field_moments(s1)
     assert m.mean_y == pytest.approx(ey, abs=1e-12)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from qndsim import threelevel as tl
@@ -270,6 +271,31 @@ def test_block_diagonalised_two_photon_coefficient_is_dressed_kappa():
             assert q.gamma_eff_predicted == pytest.approx(2.0 * kappa_d, rel=1e-12)
 
 
+COUPLING = st.floats(0.05, 1.0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(g1=COUPLING, g2=COUPLING, G3=COUPLING, decades=st.floats(0.0, 1.0),
+       x=st.floats(-0.6, 0.6))
+def test_dressed_kappa_property_over_couplings(g1, g2, G3, decades, x):
+    """Over couplings, log-uniform detunings and pumps of either sign up to
+    |x| = 0.6, the |i>-manifold a'^2 coefficient is kappa_d = kappa/(1 - x^2)
+    within 12 (g/Delta)^2 / (1 - x^2)^2: the next order grows as the pump
+    doublet nears its singularity. At x near 0, where kappa_d vanishes, the
+    eigendecomposition's backward error, a few eps ||H||, is the floor.
+
+    |x| stops at 0.6 because at g/Delta = 0.05 and |x| above 0.63 the
+    dressed |i, 7> keeps less than 0.9 of its weight in |i>, which the
+    manifold selection refuses."""
+    Delta = 20.0 * 10.0**decades
+    q = tl.ThreeLevelParams(g1=g1, g2=g2, G3=G3, Delta=Delta, beta=x * Delta / G3, d_a=8)
+    kappa_d = dressed_kappa(q)
+    c = two_photon_coefficient(i_manifold_hamiltonian(q))
+    bound = 12.0 * (max(g1, g2) / Delta) ** 2 / (1.0 - x * x) ** 2
+    floor = 16.0 * np.finfo(float).eps * np.linalg.norm(tl.build_full_hamiltonian(q), 2)
+    assert abs(c - kappa_d) <= bound * abs(kappa_d) + floor
+
+
 def test_default_pump_sits_on_dressed_two_photon_resonance():
     for Delta, beta in [(50.0, 10.0), (100.0, 40.0)]:
         q = params(Delta=Delta, beta=beta, d_a=8)
@@ -314,9 +340,7 @@ def test_report_serialization():
     q = tl.ThreeLevelParams(g1=1.0, g2=1.0, G3=1.0, Delta=50.0, beta=0.0, d_a=8)
     report = tl.validate_effective_gamma(q, 1.0, steps=4)
 
-    buf = io.StringIO()
-    tl.write_report_json(report, buf)
-    payload = json.loads(buf.getvalue())
+    payload = json.loads(json.dumps(tl.report_json_dict(report)))
     assert payload["params"]["Delta"] == 50.0
     assert payload["params"]["pump_detuning"] == pytest.approx(2.0 * q.delta_small)
     assert payload["gamma_eff_predicted"] == 0.0

@@ -22,14 +22,6 @@ def params(A=1.0, r=R50, N=1.0, **kw):
     return protocol.ProtocolParams(A=A, r=r, N=N, nu=NU, **kw)
 
 
-def coherent_amps(gamma, dim):
-    c = np.empty(dim, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(gamma) ** 2)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * gamma / math.sqrt(n)
-    return c
-
-
 def demo_im_spec(re_half, re_count):
     # Lattice with spacing 1/60 whose nodes include every center 0..33.
     return wigner.GridSpec(-re_half, re_half, re_count, -0.75, 34.05, 2089)
@@ -61,7 +53,7 @@ def test_paper_vacuum_value_and_normalization():
     assert grid.convention == wigner.PAPER
     assert grid.values[55, 55] == pytest.approx(INV_2PI, rel=1e-12)
     assert grid.values.min() >= 0.0
-    assert grid.integral() == pytest.approx(1.0, abs=2e-3)
+    assert wigner.marginal_P(grid).raw_integral == pytest.approx(1.0, abs=2e-3)
 
 
 def test_paper_demo_center_value():
@@ -76,7 +68,7 @@ def test_paper_demo_center_value():
 def test_paper_demo_normalization_nonneg():
     grid = wigner.wigner_paper(params(), demo_im_spec(36.0, 145))
     assert grid.values.min() >= 0.0
-    assert grid.integral() == pytest.approx(1.0, abs=2e-3)
+    assert wigner.marginal_P(grid).raw_integral == pytest.approx(1.0, abs=2e-3)
 
 
 def test_paper_coverage_error():
@@ -90,74 +82,53 @@ def test_paper_coverage_error():
 # displaced-parity numerics
 
 def test_numeric_vacuum_gaussian():
-    # Dimension well beyond the dim/4 headroom floor so the displaced
-    # state's ladder tail sits below the 1e-10 comparison level.
-    rho = np.zeros((96, 96), dtype=complex)
-    rho[0, 0] = 1.0
+    # N = 0 and r = 0: the pulse output's field is the vacuum.
     spec = wigner.GridSpec(-2.4, 2.4, 49, -2.4, 2.4, 49)
-    grid = wigner.wigner_numeric(rho, spec)
+    grid = wigner.wigner_numeric_protocol(params(r=0.0, N=0.0), spec)
     assert grid.convention == wigner.STANDARD
     re = grid.re_axis[None, :]
     im = grid.im_axis[:, None]
     exact = TWO_OVER_PI * np.exp(-2.0 * (re**2 + im**2))
     assert np.max(np.abs(grid.values - exact)) < 1e-10
     assert grid.values[24, 24] == pytest.approx(TWO_OVER_PI, rel=1e-12)
-    assert grid.integral() == pytest.approx(1.0, abs=2e-3)
+    assert wigner.marginal_P(grid).raw_integral == pytest.approx(1.0, abs=2e-3)
 
 
-def squeezed_coherent_mixture(dim):
-    sq = oracles.squeeze(0.4, dim)[:, 0]
-    coh = coherent_amps(0.5 - 0.3j, dim)
-    return 0.7 * np.outer(sq, sq.conj()) + 0.3 * np.outer(coh, coh.conj())
+def squeezed_coherent(dim):
+    return oracles.displacement(0.5 - 0.3j, dim) @ oracles.squeeze(0.3, dim)[:, 0]
 
 
 def test_numeric_matches_expm_displaced_parity():
     # One-shot exp(alpha a^dag - conj(alpha) a) per point against the walk.
-    # At d = 80 the walked states hold 6.4e-12 of their mass in their top
-    # EDGE_LEVELS levels (3.3e-9 at d = 72, which the budget refuses).
+    # At d = 80 the walked states hold 4.2e-12 of their mass in their top
+    # EDGE_LEVELS levels (4.4e-9 at d = 72, which the budget refuses).
     dim = 80
-    rho = squeezed_coherent_mixture(dim)
+    psi = squeezed_coherent(dim)
     spec = wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)
-    grid = wigner.wigner_numeric(rho, spec)
+    walk, top = wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
+    assert top <= protocol.EDGE_TOL
+    rho = np.outer(psi, psi.conj())
     parity = np.diag(1.0 - 2.0 * (np.arange(dim) % 2.0)).astype(complex)
-    for i, y in enumerate(grid.im_axis):
-        for j, x in enumerate(grid.re_axis):
+    for i, y in enumerate(spec.im_axis()):
+        for j, x in enumerate(spec.re_axis()):
             d = oracles.displacement(complex(x, y), dim)
             w = (2.0 / math.pi) * np.trace(d @ parity @ d.conj().T @ rho).real
-            assert grid.values[i, j] == pytest.approx(w, abs=1e-11)
+            assert (2.0 / math.pi) * walk[i, j] == pytest.approx(w, abs=1e-11)
 
 
-def test_numeric_mixture_of_coherent_states(monkeypatch):
-    dim = 112
-    vac = np.zeros(dim, dtype=complex)
-    vac[0] = 1.0
-    coh = coherent_amps(1j, dim)
-    rho = 0.5 * np.outer(vac, vac.conj()) + 0.5 * np.outer(coh, coh.conj())
-    spec = wigner.GridSpec(-2.5, 2.5, 41, -2.0, 3.0, 41)
-    grid = wigner.wigner_numeric(rho, spec)
-    re = grid.re_axis[None, :]
-    im = grid.im_axis[:, None]
-    exact = 0.5 * TWO_OVER_PI * (
-        np.exp(-2.0 * (re**2 + im**2)) + np.exp(-2.0 * (re**2 + (im - 1.0) ** 2))
-    )
-    assert np.max(np.abs(grid.values - exact)) < 1e-9
-    # one eigenvector per walked block gives the same map
-    monkeypatch.setattr(wigner, "BLOCK_ENTRIES", 1)
-    chunked = wigner.wigner_numeric(rho, spec)
-    assert np.max(np.abs(chunked.values - grid.values)) < 1e-14
+def test_numeric_mixture_of_coherent_states():
+    # r = 0: the pulse output's field is the thermal mixture of |inA>.
+    p = params(r=0.0)
+    grid = wigner.wigner_numeric_protocol(p, wigner.GridSpec(-2.5, 2.5, 41, -2.0, 3.0, 41))
+    assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 1e-9
 
 
 SQUEEZED_SPEC = wigner.GridSpec(-7.2, 7.2, 97, -0.8, 0.8, 49)
 
 
 def test_numeric_squeezed_marginal_variances():
-    # At d = 352 the walked states hold 1.9e-11 of their mass in their top
-    # EDGE_LEVELS levels (3.0e-5 at d = 224, which the budget refuses).
-    r = 0.5 * math.log(10.0)
-    dim = 352
-    psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
-    grid = wigner.wigner_numeric(psi, SQUEEZED_SPEC)
-    assert grid.integral() == pytest.approx(1.0, abs=2e-3)
+    grid = wigner.wigner_numeric_protocol(params(r=0.5 * math.log(10.0), N=0.0), SQUEEZED_SPEC)
+    assert wigner.marginal_P(grid).raw_integral == pytest.approx(1.0, abs=2e-3)
     w_re = np.trapezoid(grid.values, grid.im_axis, axis=0)
     w_im = np.trapezoid(grid.values, grid.re_axis, axis=1)
     var_re = np.trapezoid(w_re * grid.re_axis**2, grid.re_axis) / np.trapezoid(w_re, grid.re_axis)
@@ -167,37 +138,25 @@ def test_numeric_squeezed_marginal_variances():
 
 
 def test_numeric_walk_budget_refuses_short_truncations():
+    # Walked on these grids, the e^{2r} = 10 squeezed vacuum on 224 levels
+    # holds 3.0e-5 of its mass in its top EDGE_LEVELS levels, and the
+    # squeezed coherent state on 72 levels 4.4e-9.
     squeezed = fock.ladder_exp(fock.basis(224), 0.25 * math.log(10.0), 2)
-    with pytest.raises(fock.TruncationError, match="top"):
-        wigner.wigner_numeric(squeezed, SQUEEZED_SPEC)
-    with pytest.raises(fock.TruncationError, match="top"):
-        wigner.wigner_numeric(squeezed_coherent_mixture(72),
-                              wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5))
-
-
-def test_numeric_rejects_grid_beyond_headroom():
-    rho = np.zeros((16, 16), dtype=complex)
-    rho[0, 0] = 1.0
-    with pytest.raises(fock.TruncationError):
-        wigner.wigner_numeric(rho, wigner.GridSpec(-3.0, 3.0, 7, -3.0, 3.0, 7))
-
-
-def test_numeric_rejects_bad_operators():
-    with pytest.raises(ValueError):
-        wigner.wigner_numeric(np.ones((3, 4)), wigner.GridSpec(-1, 1, 3, -1, 1, 3))
-    skew = np.array([[0.5, 0.5], [-0.5, 0.5]], dtype=complex)
-    with pytest.raises(ValueError):
-        wigner.wigner_numeric(skew, wigner.GridSpec(-1, 1, 3, -1, 1, 3))
+    for psi, spec in ((squeezed, SQUEEZED_SPEC),
+                      (squeezed_coherent(72), wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5))):
+        _, top = wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
+        assert top > protocol.EDGE_TOL
+        with pytest.raises(fock.TruncationError, match="top"):
+            wigner._check_walk_budget(top, len(psi))
 
 
 def test_protocol_path_matches_generic():
     p = params(A=0.36, r=0.5 * math.log(2.0), N=0.02)
     rho_a = oracles.field_state_dense(protocol.evolve_pulse(p), 160)
     spec = wigner.GridSpec(-1.6, 1.6, 17, -0.18, 1.98, 37)
-    direct = wigner.wigner_numeric(rho_a, spec)
     fast = wigner.wigner_numeric_protocol(p, spec, tail_sigmas=8.0)
     assert fast.convention == wigner.STANDARD
-    assert np.max(np.abs(direct.values - fast.values)) < 1e-7
+    assert np.max(np.abs(oracles.wigner_dense(rho_a, spec) - fast.values)) < 1e-7
 
 
 def standard_closed_form(p, grid):
@@ -226,7 +185,7 @@ def test_protocol_path_walk_budget(monkeypatch):
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
     re = np.linspace(-12.0, 12.0, 49)
     dn = np.arange(-51, 52) / 60.0
-    _, top = wigner._displaced_parity_walk(psi[:, None], np.ones(1), re, dn)
+    _, top = wigner._displaced_parity_walk(psi, re, dn)
     assert top > 1e-5
     monkeypatch.setattr(protocol, "EDGE_TOL", 0.0)
     with pytest.raises(fock.TruncationError, match="top"):
@@ -326,16 +285,10 @@ def test_convention_bridge_demo_params():
 # ---------------------------------------------------------------------------
 # histograms and exports
 
-def test_direct_histogram_and_tv():
-    hist = wigner.direct_histogram(np.array([0, 0, 1, 2, 0]))
-    assert hist.method == "direct"
-    assert hist.probabilities.tolist() == [0.6, 0.2, 0.2]
-    assert hist.leakage == 0.0
-    padded = wigner.direct_histogram(np.array([0]), length=3)
-    assert padded.probabilities.tolist() == [1.0, 0.0, 0.0]
+def test_total_variation_pads_the_shorter_histogram():
     assert tv(np.array([1.0]), np.array([0.5, 0.5])) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        wigner.direct_histogram(np.array([], dtype=int))
+    assert tv(np.array([0.5, 0.5]), np.array([1.0])) == pytest.approx(0.5)
+    assert tv(np.array([1.0]), np.array([1.0, 0.0, 0.0])) == 0.0
 
 
 def test_export_formats():
