@@ -215,6 +215,8 @@ def _schema(params, **keys):
     }
 
 
+_CONVENTIONS = {"paper": wigner.PAPER, "standard": wigner.STANDARD}
+
 _SCHEMAS = {
     "moments": _schema(_protocol_params, tolerance=(_POSITIVE, 1e-6)),
     "sample": _schema(_protocol_params, shots=(_integer(2), _REQUIRED)),
@@ -222,7 +224,6 @@ _SCHEMAS = {
         _protocol_params,
         grid=(_grid, _REQUIRED),
         convention=(_one_of("paper", "standard"), "paper"),
-        spacing=(_or_null(_POSITIVE), None),
         tolerance=(_or_null(_POSITIVE), None),
     ),
     "validate-jj": _schema(
@@ -257,25 +258,20 @@ def resolve_config(experiment, raw):
         if experiment == "validate-jj" and cfg["t_final"] is None:
             if q.gamma_eff_predicted <= 0.0:
                 _fail(path, "t_final is required when the predicted rate is zero")
-        if experiment == "wigner":  # the run's TV reference: thermal_pn over the bins
-            try:
-                bins = wigner.histogram_bins(cfg["grid"]["im_max"], cfg["spacing"] or q.A)
-                fock.check_thermal_tail(q.N, bins, "bins")
+        if experiment == "wigner":
+            spec = wigner.GridSpec(**cfg["grid"])
+            try:  # the map's grid, then the run's TV reference: thermal_pn over the bins
+                wigner.check_grid(q, spec, _CONVENTIONS[cfg["convention"]])
+                fock.check_thermal_tail(q.N, wigner.histogram_bins(spec.im_max, q.A), "bins")
+            except wigner.GridError as exc:
+                _fail(f"config.grid.{exc.field}", f"{exc.reason} for {path}")
             except (OverflowError, fock.TruncationError) as exc:
                 _fail("config.grid.im_max", f"too low for the thermal law of {path}: {exc}")
     return cfg
 
 
 def _point_param_dicts(cfg):
-    base = cfg["params"]
-    if "sweep" not in cfg:
-        return [dict(base)]
-    out = []
-    for override in cfg["sweep"]:
-        merged = dict(base)
-        merged.update(override)
-        out.append(merged)
-    return out
+    return [{**cfg["params"], **override} for override in cfg.get("sweep", [{}])]
 
 
 def _point_seeds(seed, n_points):
@@ -359,7 +355,7 @@ def _run_wigner(cfg, point, point_seed):
     marg = wigner.marginal_P(grid)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        hist = wigner.reconstruct_pn(marg, p, spacing=cfg["spacing"])
+        hist = wigner.reconstruct_pn(marg, p)
     overlap = any(issubclass(w.category, wigner.OverlapWarning) for w in caught)
     tv = wigner.total_variation(
         hist.probabilities, fock.thermal_pn(p.N, len(hist.probabilities)))
@@ -424,10 +420,6 @@ _RUNNERS = {
 }
 
 
-def _compute_point(experiment, cfg, point, point_seed):
-    return _RUNNERS[experiment](cfg, point, point_seed)
-
-
 def _suffixed(name, index, sweep):
     if not sweep:
         return name
@@ -444,12 +436,11 @@ def run(experiment, cfg, jobs=1):
 
     if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            futures = [pool.submit(_compute_point, experiment, cfg, pt, s)
+            futures = [pool.submit(_RUNNERS[experiment], cfg, pt, s)
                        for pt, s in zip(points, seeds)]
             outcomes = [f.result() for f in futures]
     else:
-        outcomes = [_compute_point(experiment, cfg, pt, s)
-                    for pt, s in zip(points, seeds)]
+        outcomes = [_RUNNERS[experiment](cfg, pt, s) for pt, s in zip(points, seeds)]
 
     artifacts = {}
     results = []

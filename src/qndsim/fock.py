@@ -46,12 +46,10 @@ def quadrature_action(psi, k0=0):
     return xpsi, ypsi
 
 
-def basis(dim, n=0):
-    """Fock basis column vector |n>."""
-    if not 0 <= n < dim:
-        raise ValueError("basis index %r outside dimension %r" % (n, dim))
+def basis(dim):
+    """Fock vacuum |0> as a column vector of length dim."""
     v = np.zeros(dim, dtype=complex)
-    v[n] = 1.0
+    v[0] = 1.0
     return v
 
 
@@ -116,18 +114,13 @@ def displacement_dim(alpha):
     return max(2, int(np.ceil(4.0 * abs(alpha) ** 2)))
 
 
-def squeeze_dim(r):
-    """Smallest dimension satisfying the squeeze headroom rule."""
-    return max(2, int(np.ceil(8.0 * np.exp(2 * abs(r)))))
-
-
-def thermal_dim(N, tail=THERMAL_TAIL):
-    """Smallest dimension with truncated thermal tail mass <= tail."""
+def thermal_dim(N):
+    """Smallest dimension with truncated thermal tail mass <= THERMAL_TAIL."""
     if N < 0:
         raise ValueError("mean occupation must be >= 0, got %r" % N)
     if N == 0:
         return 2
-    d = int(np.ceil(np.log(tail) / np.log(N / (N + 1.0))))
+    d = int(np.ceil(np.log(THERMAL_TAIL) / np.log(N / (N + 1.0))))
     return max(2, d)
 
 

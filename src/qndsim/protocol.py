@@ -42,15 +42,12 @@ class ProtocolParams:
     r:   dimensionless squeeze parameter (rate times squeeze duration)
     N:   mean thermal phonon number
     nu:  mechanical angular frequency, rad/s
-    d_b: phonon truncation, held to the thermal tail budget; None resolves
-         via the thermal tail rule
     """
 
     A: float
     r: float
     N: float
     nu: float
-    d_b: int | None = None
 
     def __post_init__(self):
         for name in ("A", "r", "N", "nu"):
@@ -64,11 +61,6 @@ class ProtocolParams:
             raise ValueError("thermal occupation N must be >= 0")
         if self.nu <= 0:
             raise ValueError("mechanical frequency nu must be > 0")
-        if self.d_b is not None:
-            fock.check_thermal_tail(self.N, self.d_b, "d_b")
-
-    def phonon_dim(self):
-        return self.d_b if self.d_b is not None else fock.thermal_dim(self.N)
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ class FieldMoments:
 
 def evolve_pulse(p):
     """The pulse output: thermal(N) weights, block n holding D(inA) S(r)|0>."""
-    pn = fock.thermal_pn(p.N, p.phonon_dim())
+    pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
     offs, vecs = _displacement_chain(p.A, p.r, len(pn) - 1)
     return CompositeState(pn=pn, offsets=tuple(offs), blocks=tuple(vecs), params=p)
 

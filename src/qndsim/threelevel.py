@@ -39,8 +39,7 @@ unitarity defect, and the field moments come from the banded stencil
 fock.quadrature_action applied to all samples at once.
 
 Everything is expressed in angular-frequency units of the couplings; the
-bare field and level frequencies (omega, omega_i) are absorbed by the
-frame and carried only as provenance.
+bare field and level frequencies are absorbed by the frame.
 """
 
 from __future__ import annotations
@@ -55,6 +54,8 @@ from . import fock
 LEVELS = {"g": 0, "i": 1, "e": 2}
 
 LEAKAGE_BAND_FACTOR = 10.0
+
+RATIO_MIN = 20.0  # least Delta / max(g) for the adiabatic elimination
 
 PROPAGATOR_TOL = 1e-8  # bound on evolve_full's eigendecomposition defect
 ROW_BLOCK = 512  # samples per block of states and observables
@@ -74,10 +75,7 @@ class ThreeLevelParams:
     G3: float
     Delta: float
     beta: float
-    omega: float = 0.0
-    omega_i: float = 0.0
     d_a: int = 32
-    ratio_min: float = 20.0
     pump_detuning: float | None = None
 
     def __post_init__(self) -> None:
@@ -90,13 +88,11 @@ class ThreeLevelParams:
             raise ValueError("Delta must be positive")
         if self.d_a < 2:
             raise ValueError("d_a must be at least 2")
-        if self.ratio_min <= 0.0:
-            raise ValueError("ratio_min must be positive")
         g_max = max(self.g1, self.g2, self.G3)
-        if g_max > 0.0 and self.Delta < self.ratio_min * g_max:
+        if g_max > 0.0 and self.Delta < RATIO_MIN * g_max:
             raise ValueError(
-                f"Delta = {self.Delta:g} violates Delta >= ratio_min * max(g) "
-                f"= {self.ratio_min * g_max:g}"
+                f"Delta = {self.Delta:g} violates Delta >= {RATIO_MIN:g} * max(g) "
+                f"= {RATIO_MIN * g_max:g}"
             )
         if self.G3 * abs(self.beta) >= self.Delta:
             raise ValueError(
@@ -328,7 +324,6 @@ def validate_effective_gamma(
     q: ThreeLevelParams,
     t_final: float,
     steps: int = 100,
-    initial: np.ndarray | None = None,
 ) -> SqueezeValidationReport:
     """Compare full-model Var(Y)(t) against exp(-2 gamma_eff_predicted t).
 
@@ -339,7 +334,7 @@ def validate_effective_gamma(
     prediction so a normalization discrepancy shows up as a large value
     instead of being absorbed into the fit.
     """
-    traj = evolve_full(q, t_final, steps, initial)
+    traj = evolve_full(q, t_final, steps)
     pops, n_mean, _, v_full = _field_moments(traj)
     v_eff = np.exp(-2.0 * q.gamma_eff_predicted * traj.times)
     max_rel = float(np.max(np.abs(v_full - v_eff) / v_eff))

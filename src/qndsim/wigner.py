@@ -16,8 +16,10 @@ Two Wigner conventions are exposed side by side:
 
 Both conventions place the peak centers at n*A in these coordinates; they
 differ in peak width and overall value scale. Reconstruction therefore
-bins the Im-axis marginal around the shared centers, which makes the two
-paths directly comparable without rescaling the axis.
+bins the Im-axis marginal around the shared centers, bin n on n*A, which
+makes the two paths directly comparable without rescaling the axis.
+check_grid states what each convention needs of the grid; both maps call
+it, and the CLI calls it for every point before any map is computed.
 
 The walk takes single-step displacement actions (fock.ladder_exp)
 instead of building D(alpha) per point: one line of states along Re, then
@@ -104,31 +106,49 @@ class PhononHistogram:
     leakage: float
 
 
-def wigner_paper(params: protocol.ProtocolParams, spec: GridSpec) -> WignerGrid:
-    """Closed-form Wigner map of the pulse output (``paper-closed-form``).
+class GridError(ValueError):
+    """The grid cannot hold the map; field names the GridSpec field at fault."""
 
-    The grid must cover every populated peak center plus COVERAGE_SIGMAS
-    standard deviations on both axes, otherwise the marginal would be
-    silently truncated.
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"grid {field} {reason}")
+        self.field, self.reason = field, reason
+
+
+def check_grid(params: protocol.ProtocolParams, spec: GridSpec, convention: str) -> None:
+    """Raise GridError unless spec can hold the map of this convention.
+
+    ``paper-closed-form`` needs every populated peak center plus
+    COVERAGE_SIGMAS standard deviations on both axes, or the marginal would
+    be silently truncated. ``standard-numeric`` needs an Im axis that is a
+    lattice holding the peak centers: its spacing divides A and im_min is a
+    multiple of it.
     """
-    pn = fock.thermal_pn(params.N, params.phonon_dim())
-    n_top = int(np.max(np.nonzero(pn > 0.0)[0]))
-    sig_im = math.exp(-params.r)
-    sig_re = math.exp(params.r)
-    eps = 1e-9
-    bounds = (
-        (spec.re_min <= -COVERAGE_SIGMAS * sig_re + eps, "re_min"),
-        (spec.re_max >= COVERAGE_SIGMAS * sig_re - eps, "re_max"),
-        (spec.im_min <= -COVERAGE_SIGMAS * sig_im + eps, "im_min"),
-        (spec.im_max >= n_top * params.A + COVERAGE_SIGMAS * sig_im - eps, "im_max"),
-    )
-    for ok, name in bounds:
+    if convention == PAPER:
+        top = (fock.thermal_dim(params.N) - 1 if params.N else 0) * params.A
+        reach_re = COVERAGE_SIGMAS * math.exp(params.r)
+        reach_im = COVERAGE_SIGMAS * math.exp(-params.r)
+        reason = f"does not cover the peak centers plus {COVERAGE_SIGMAS:g} standard deviations"
+        bounds = ((spec.re_min <= -reach_re + 1e-9, "re_min", reason),
+                  (spec.re_max >= reach_re - 1e-9, "re_max", reason),
+                  (spec.im_min <= -reach_im + 1e-9, "im_min", reason),
+                  (spec.im_max >= top + reach_im - 1e-9, "im_max", reason))
+    else:
+        h = (spec.im_max - spec.im_min) / (spec.im_count - 1)
+        ratio, base = params.A / h, -spec.im_min / h
+        bounds = ((abs(ratio - round(ratio)) <= 1e-9, "im_count",
+                   f"gives an Im lattice spacing {h:g} that does not divide A = {params.A:g}"),
+                  (abs(base - round(base)) <= 1e-9, "im_min",
+                   f"is off the Im lattice of spacing {h:g} that holds the peak centers"))
+    for ok, field, reason in bounds:
         if not ok:
-            raise ValueError(
-                f"grid {name} does not cover the peak centers plus "
-                f"{COVERAGE_SIGMAS:g} standard deviations"
-            )
+            raise GridError(field, reason)
 
+
+def wigner_paper(params: protocol.ProtocolParams, spec: GridSpec) -> WignerGrid:
+    """Closed-form Wigner map of the pulse output (``paper-closed-form``),
+    on a grid that passes check_grid."""
+    check_grid(params, spec, PAPER)
+    pn = fock.thermal_pn(params.N, fock.thermal_dim(params.N))
     re = spec.re_axis()
     im = spec.im_axis()
     g_re = np.exp(-0.5 * math.exp(-2.0 * params.r) * re**2)
@@ -188,20 +208,16 @@ def wigner_numeric_protocol(
     center with its thermal weight, which keeps the field dimension
     independent of the phonon occupation.
 
-    The Im axis must be a lattice that contains the peak centers: its
-    spacing must divide A and im_min must be a multiple of the spacing.
-    Each peak is patched out to tail_sigmas standard deviations.
+    The grid must pass check_grid: its Im axis is a lattice that contains
+    the peak centers. Each peak is patched out to tail_sigmas standard
+    deviations.
     """
+    check_grid(params, spec, STANDARD)
     re = spec.re_axis()
     im = spec.im_axis()
     h = (spec.im_max - spec.im_min) / (spec.im_count - 1)
-    ratio = params.A / h
-    base = -spec.im_min / h
-    if abs(ratio - round(ratio)) > 1e-9 or abs(base - round(base)) > 1e-9:
-        raise ValueError(
-            "im axis must be a lattice containing the peak centers: the "
-            "spacing must divide A and im_min must be a multiple of it"
-        )
+    step = int(round(params.A / h))
+    base = int(round(-spec.im_min / h))
 
     sig = math.exp(-params.r) / 2.0
     half_rows = int(math.ceil(tail_sigmas * sig / h))
@@ -212,17 +228,15 @@ def wigner_numeric_protocol(
     # that reaches the top levels anyway.
     reach = math.hypot(np.max(np.abs(re)), dn[-1])
     spread = (reach + math.sqrt(18.0) * math.exp(params.r)) ** 2
-    dim = max(fock.squeeze_dim(params.r), fock.displacement_dim(reach),
-              int(math.ceil(spread))) + 64
+    dim = max(fock.displacement_dim(reach), int(math.ceil(spread))) + 64
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * params.r, 2)
     walk, top = _displaced_parity_walk(psi, re, dn)
     _check_walk_budget(top, dim)
     patch = (2.0 / math.pi) * walk
 
-    pn = fock.thermal_pn(params.N, params.phonon_dim())
     values = np.zeros((im.size, re.size))
-    for n, weight in enumerate(pn):
-        center = int(round(base)) + n * int(round(ratio))
+    for n, weight in enumerate(fock.thermal_pn(params.N, fock.thermal_dim(params.N))):
+        center = base + n * step
         lo = max(0, center - half_rows)
         hi = min(im.size, center + half_rows + 1)
         if lo >= hi:
@@ -240,32 +254,27 @@ def marginal_P(grid: WignerGrid) -> Marginal:
     return Marginal(grid.im_axis, density / raw, grid.convention, raw)
 
 
-def histogram_bins(im_max: float, spacing: float) -> int:
-    """Bins of reconstruct_pn: n = 0 up to the last center n * spacing at
-    most half a spacing below im_max."""
-    return max(int(math.floor(im_max / spacing + 0.5)), 0) + 1
+def histogram_bins(im_max: float, A: float) -> int:
+    """Bins of reconstruct_pn: n = 0 up to the last center n * A at most
+    half a spacing A below im_max."""
+    return max(int(math.floor(im_max / A + 0.5)), 0) + 1
 
 
-def reconstruct_pn(
-    marginal: Marginal,
-    params: protocol.ProtocolParams,
-    spacing: float | None = None,
-) -> PhononHistogram:
+def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> PhononHistogram:
     """Bin the Im marginal around the peak centers into phonon weights.
 
-    Bin n is [(n - 1/2) s, (n + 1/2) s] with s = spacing (default A); the
-    n = 0 bin extends down to the grid bottom. Warns with OverlapWarning
-    when the peaks are not distinguishable at these parameters.
+    Bin n is [(n - 1/2) A, (n + 1/2) A], centred where both conventions
+    put peak n; the n = 0 bin extends down to the grid bottom. Warns with
+    OverlapWarning when the peaks are not distinguishable at these
+    parameters.
     """
     from scipy.special import erfc  # on first use, as in sampler
 
-    s = params.A if spacing is None else float(spacing)
-    if s <= 0.0:
-        raise ValueError("spacing must be positive")
+    A = params.A
     axis = marginal.im_axis
     y = marginal.density  # scipy's cumulative_trapezoid(y, axis, initial=0.0)
     cum = np.concatenate(([0.0], np.cumsum(np.diff(axis) * (y[1:] + y[:-1]) / 2.0)))
-    edges = (np.arange(histogram_bins(axis[-1], s) + 1) - 0.5) * s
+    edges = (np.arange(histogram_bins(axis[-1], A) + 1) - 0.5) * A
     edges[0] = axis[0]
     edge_mass = np.interp(edges, axis, cum)
     masses = np.clip(np.diff(edge_mass), 0.0, None)
@@ -275,11 +284,11 @@ def reconstruct_pn(
 
     sig_conv = math.exp(-params.r) if marginal.convention == PAPER else math.exp(-params.r) / 2.0
     p0 = 1.0 / (params.N + 1.0)
-    leak = (1.0 - 0.5 * p0) * float(erfc(s / (2.0 * math.sqrt(2.0) * sig_conv)))
+    leak = (1.0 - 0.5 * p0) * float(erfc(A / (2.0 * math.sqrt(2.0) * sig_conv)))
     if not protocol.is_distinguishable(params):
         warnings.warn(
             OverlapWarning(
-                f"peaks at spacing {s:g} are not distinguishable at r = "
+                f"peaks at spacing {A:g} are not distinguishable at r = "
                 f"{params.r:g}; estimated leaked mass {leak:.3g}"
             ),
             stacklevel=2,

@@ -131,7 +131,7 @@ def test_criterion_4_squeezed_vacuum_variance():
 def test_criterion_5_qnd_phonon_marginal_invariance(grid_pass):
     worst = 0.0
     for p, _, marginal in grid_pass[0]:
-        pn = fock.thermal_pn(p.N, p.phonon_dim())
+        pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
         worst = max(worst, float(np.abs(marginal - pn).max()))
     ok = worst <= 1e-12
     _report(5, ok, f"max phonon-marginal change {worst:.2e} (gate 1e-12)")

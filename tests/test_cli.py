@@ -3,9 +3,11 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qndsim import cli, protocol
+from qndsim import cli, protocol, threelevel
 
 NU = 2 * math.pi * 1e9
 
@@ -167,21 +169,6 @@ def test_wigner_coverage_error_leaves_no_files(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_d_b_below_the_thermal_tail_rule_exits_2_before_any_point(tmp_path, capsys, monkeypatch):
-    # N = 0 keeps all its mass in one level
-    cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(tmp_path / "vacuum"),
-                                  "params": {**PROTOCOL_PARAMS, "N": 0.0, "d_b": 1}})
-    assert cli.main(["moments", "--config", cfg]) == 0
-
-    monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("a point was computed"))
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(out), "params": PROTOCOL_PARAMS,
-                                  "sweep": [{"N": 0.5}, {"d_b": 5}]})
-    assert cli.main(["moments", "--config", cfg]) == 2
-    assert "config.sweep[1]: thermal tail mass 0.0312 exceeds 1e-10 at d_b 5" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_wigner_grid_short_of_the_thermal_law_exits_2_before_the_map(tmp_path, capsys, monkeypatch):
     # nine histogram bins up to Im 4.0 at A = 0.5 drop 5.1e-5 of the N = 0.5 law
     monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("the map was computed"))
@@ -194,6 +181,29 @@ def test_wigner_grid_short_of_the_thermal_law_exits_2_before_the_map(tmp_path, c
     assert cli.main(["wigner", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config.grid.im_max" in err and "at bins 9; need bins >= 21" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("convention, params, sweep, grid, message", [
+    # A = 1.01 moves every center off the 1/60 Im lattice that A = 1 sits on
+    ("standard", {"A": 1.0, "e2r": 10.0, "N": 1.0, "nu": NU}, [{}, {"A": 1.01}],
+     {"re_min": -6.0, "re_max": 6.0, "re_count": 13,
+      "im_min": -0.75, "im_max": 34.05, "im_count": 2089},
+     "config.grid.im_count: gives an Im lattice spacing 0.0166667 that does not divide A = 1.01"),
+    # e^{2r} = 4 widens the Im peaks to 5 e^{-r} = 2.5 below the n = 0 center
+    ("paper", {"A": 1.0, "e2r": 10.0, "N": 0.5, "nu": NU}, [{}, {"e2r": 4.0}],
+     {"re_min": -16.0, "re_max": 16.0, "re_count": 65,
+      "im_min": -2.0, "im_max": 22.0, "im_count": 97},
+     "config.grid.im_min: does not cover the peak centers plus 5 standard deviations"),
+])
+def test_wigner_grid_that_cannot_hold_a_point_exits_2_before_any_map(
+        tmp_path, capsys, monkeypatch, convention, params, sweep, grid, message):
+    monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("a map was computed"))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(out), "convention": convention,
+                                  "params": params, "sweep": sweep, "grid": grid})
+    assert cli.main(["wigner", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message} for config.sweep[1]\n"
     assert not out.exists()
 
 
@@ -306,7 +316,6 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     ("moments", {"sweep": [{"e2r": -(10**400)}]}, "config.sweep[0].e2r"),
     ("validate-jj", {"params": {**JJ_PARAMS, "Delta": 1e308}, "sweep": [{"beta": 1.0}]},
      "config.sweep[0]: Delta = 1e+308"),
-    ("moments", {"params": {**PROTOCOL_PARAMS, "d_b": 10**400}}, "config.params: int too large"),
 ])
 def test_unhashable_and_overflowing_values_exit_2(tmp_path, capsys, experiment, patch, key):
     out = tmp_path / "out"
@@ -327,16 +336,33 @@ def test_unloadable_config_exits_2(tmp_path, capsys, text):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment", ["moments", "sample", "wigner"])
+# removed keys, each with a value its experiment once accepted: the pulse
+# output has no field or phonon truncation knob, the histogram bins sit at
+# the pulse area, and the three-level bare frequencies and detuning ratio
+# changed no computed number
+REMOVED_KEYS = {
+    "moments": {("params", "d_a"): 64, ("params", "d_b"): 40},
+    "sample": {("params", "d_a"): 64, ("params", "d_b"): 40},
+    "wigner": {("params", "d_a"): 64, ("params", "d_b"): 40, ("spacing",): 1.0},
+    "validate-jj": {("params", "omega"): 3.0, ("params", "omega_i"): 7.0,
+                    ("params", "ratio_min"): 30.0},
+}
+
+
+@pytest.mark.parametrize("experiment", ["moments", "sample", "wigner", "validate-jj"])
 def test_protocol_d_a_key_exits_2(tmp_path, capsys, experiment):
-    # the pulse output has no field truncation knob; the key is refused
-    out = tmp_path / "out"
-    config = copy.deepcopy(VALID[experiment])
-    config["params"]["d_a"] = 64
-    cfg = write_config(tmp_path, {**config, "output_dir": str(out)})
-    assert cli.main([experiment, "--config", cfg]) == 2
-    assert "'d_a'" in capsys.readouterr().err
-    assert not out.exists()
+    """d_a and every other removed key is refused by name, writing nothing."""
+    for path, value in REMOVED_KEYS[experiment].items():
+        out = tmp_path / "out"
+        config = copy.deepcopy(VALID[experiment])
+        node = config
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        cfg = write_config(tmp_path, {**config, "output_dir": str(out)})
+        assert cli.main([experiment, "--config", cfg]) == 2
+        assert f"unknown key(s) '{path[-1]}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_validate_jj_propagator_defect_exits_2(tmp_path, capsys):
@@ -364,6 +390,16 @@ def non_echo_outputs(out):
     return blobs
 
 
+def changes_an_output(tmp_path, experiment, base, moved):
+    outputs = []
+    for name, config in (("base", base), ("moved", moved)):
+        out = tmp_path / experiment / name
+        cfg = write_config(tmp_path, {**config, "output_dir": str(out)})
+        assert cli.main([experiment, "--config", cfg]) == 0
+        outputs.append(non_echo_outputs(out))
+    return outputs[0] != outputs[1]
+
+
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(protocol.ProtocolParams)])
 def test_every_protocol_param_changes_an_output(tmp_path, field):
     """Each ProtocolParams field is a live knob: changing it changes the
@@ -374,19 +410,24 @@ def test_every_protocol_param_changes_an_output(tmp_path, field):
         if field == "r":
             del moved["params"]["e2r"]
             moved["params"]["r"] = 1.0
-        elif field in moved["params"]:
-            moved["params"][field] *= 1.5
         else:
-            moved["params"][field] = 40  # an optional truncation, above the tail rule
-        outputs = []
-        for name, config in (("base", base), ("moved", moved)):
-            out = tmp_path / experiment / name
-            cfg = write_config(tmp_path, {**config, "output_dir": str(out)})
-            assert cli.main([experiment, "--config", cfg]) == 0
-            outputs.append(non_echo_outputs(out))
-        if outputs[0] != outputs[1]:
+            moved["params"][field] *= 1.5
+        if changes_an_output(tmp_path, experiment, base, moved):
             return
     pytest.fail(f"params.{field} changes no protocol experiment's output")
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(threelevel.ThreeLevelParams)])
+def test_every_threelevel_param_changes_an_output(tmp_path, field):
+    """Each ThreeLevelParams field, moved within its bounds, changes the
+    non-echo output of validate-jj."""
+    base = {k: v for k, v in VALID["validate-jj"].items() if k != "sweep"}  # it sets beta
+    moved = copy.deepcopy(base)
+    value = base["params"].get(field)
+    # a field left at its default moves to 0.1: the pump detuning resolves to 1/12 here
+    moved["params"][field] = 0.1 if value is None else type(value)(1.5 * value)
+    assert changes_an_output(tmp_path, "validate-jj", base, moved), \
+        f"params.{field} changes no validate-jj output"
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +444,7 @@ VALID = {
     "moments": {"seed": 1, "params": SMALL_PARAMS, "tolerance": 1e-6},
     "sample": {"seed": 1, "shots": 100, "params": SMALL_PARAMS, "sweep": [{"e2r": 2.0}]},
     "wigner": {"seed": 1, "params": {**SMALL_PARAMS, "e2r": 1.0, "N": 0.0}, "grid": SMALL_GRID,
-               "convention": "paper", "spacing": 1.0, "tolerance": 0.5},
+               "convention": "paper", "tolerance": 0.5},
     "validate-jj": {"seed": 1, "params": JJ_PARAMS, "sweep": [{"beta": 5.0}],
                     "t_final": 1.0, "steps": 10, "tolerance": 0.05, "reference": "fit"},
 }
@@ -432,7 +473,6 @@ PROTOCOL_FIELDS = {
     ("params", "e2r"): (float, NOT_POSITIVE, True),
     ("params", "N"): (float, NEGATIVE, True),
     ("params", "nu"): (float, NOT_POSITIVE, True),
-    ("params", "d_b"): (int, below(1), False),
 }
 FIELDS = {
     "moments": {**PROTOCOL_FIELDS, ("tolerance",): (float, NOT_POSITIVE, False)},
@@ -449,7 +489,6 @@ FIELDS = {
         ("grid", "re_count"): (int, below(2), True),
         ("grid", "im_max"): (float, None, True),
         ("convention",): (str, outside("paper", "standard"), False),
-        ("spacing",): (float, NOT_POSITIVE, False),
         ("tolerance",): (float, NOT_POSITIVE, False),
     },
     "validate-jj": {
@@ -458,7 +497,6 @@ FIELDS = {
         ("params", "Delta"): (float, NOT_POSITIVE, True),
         ("params", "beta"): (float, None, True),
         ("params", "d_a"): (int, below(2), False),
-        ("params", "ratio_min"): (float, NOT_POSITIVE, False),
         ("sweep",): (list, None, False),
         ("sweep", 0, "Delta"): (float, NOT_POSITIVE, False),
         ("t_final",): (float, NOT_POSITIVE, False),
@@ -530,3 +568,25 @@ def test_invalid_config_exits_2_without_output(experiment, data):
         cfg.write_text(json.dumps({**config, "output_dir": str(out)}))
         assert cli.main([experiment, "--config", str(cfg)]) == 2
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the README's config tables list exactly the keys the schema accepts
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table_keys(header):
+    """Back-ticked names in the first column of the README table whose
+    header row starts with header."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith(header)) + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    return {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+
+
+def test_readme_config_tables_match_the_schema():
+    assert readme_table_keys("| Key |") == {key for schema in cli._SCHEMAS.values() for key in schema}
+    fields = {f.name for cls in (protocol.ProtocolParams, threelevel.ThreeLevelParams)
+              for f in dataclasses.fields(cls)}
+    assert readme_table_keys("| `params` key |") == fields | {"e2r"}

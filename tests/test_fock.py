@@ -153,13 +153,6 @@ def test_squeeze_minimum_uncertainty():
     assert vx * vy == pytest.approx(1.0, abs=1e-8)
 
 
-def test_squeeze_headroom_policing():
-    # e^{2r} <= dim/8: e^{2r} = 50 needs 400 levels
-    r = 0.5 * math.log(50.0)
-    assert fock.squeeze_dim(r) == 400
-    assert fock.squeeze_dim(-r) == 400
-
-
 def test_unitarity_guard_banded():
     eye = np.eye(64)
     for z, k in ((1.5j, 1), (2.0 - 1.0j, 1), (0.45, 2), (-0.35, 2)):

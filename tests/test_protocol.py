@@ -16,8 +16,8 @@ R50 = 0.5 * math.log(50.0)
 NU = 2 * math.pi * 1e9
 
 
-def params(A=1.0, r=R50, N=1.0, **kw):
-    return protocol.ProtocolParams(A=A, r=r, N=N, nu=NU, **kw)
+def params(A=1.0, r=R50, N=1.0):
+    return protocol.ProtocolParams(A=A, r=r, N=N, nu=NU)
 
 
 def dense_pulse_unitary(A, r, d_b, d_a):
@@ -110,13 +110,6 @@ def test_params_validation():
         params(N=-1.0)
     with pytest.raises(ValueError):
         protocol.ProtocolParams(A=1, r=0, N=0, nu=0.0)
-    # d_b is held to the thermal tail budget that fock.thermal_pn enforces
-    with pytest.raises(ValueError, match="d_b 5; need d_b >= 34"):
-        params(N=1.0, d_b=5)
-    with pytest.raises(ValueError, match="d_b 0; need d_b >= 1"):
-        params(N=0.0, d_b=0)
-    assert params(N=0.0, d_b=1).phonon_dim() == 1
-    assert params(N=1.0, d_b=34).phonon_dim() == 34
     with pytest.raises(ValueError):
         params(A=math.inf)
 
@@ -127,7 +120,7 @@ def test_params_validation():
 def dense_initial_state(p, d_a):
     """thermal(N) on the phonon mode (x) vacuum on the field mode."""
     vacuum = np.outer(fock.basis(d_a), fock.basis(d_a))
-    return np.kron(np.diag(fock.thermal_pn(p.N, p.phonon_dim())), vacuum)
+    return np.kron(np.diag(fock.thermal_pn(p.N, fock.thermal_dim(p.N))), vacuum)
 
 
 def test_initial_state_examples():
@@ -140,7 +133,7 @@ def test_initial_state_examples():
     assert np.allclose(s1.pn[:8], 0.5 ** (np.arange(8) + 1), rtol=1e-9)
 
     # the input's field marginal is vacuum for any N (product structure)
-    p = params(N=0.02, d_b=6)
+    p = params(N=0.02)  # six phonon levels hold the thermal law
     rho_a = oracles.partial_trace(dense_initial_state(p, 8), (6, 8), 1)
     assert rho_a[0, 0].real == pytest.approx(1.0, abs=1e-12)
     assert np.abs(rho_a - np.diag([1] + [0] * 7)).max() <= 1e-12
@@ -174,14 +167,14 @@ def test_qnd_phonon_marginal_invariant():
     for A, N, e2r in ((0.25, 0.5, 1.0), (1.0, 1.0, 50.0), (2.0, 3.0, 50.0)):
         p = params(A=A, r=0.5 * math.log(e2r), N=N)
         s1 = protocol.evolve_pulse(p)
-        pn = fock.thermal_pn(p.N, p.phonon_dim())
+        pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
         assert np.abs(s1.phonon_marginal() - pn).max() <= 1e-12
 
 
 def test_block_path_agrees_with_dense_propagator():
     A, r, N = 0.3, 0.5 * math.log(2.0), 0.02
-    d_b, d_a = 6, 144
-    p = params(A=A, r=r, N=N, d_b=d_b)
+    d_b, d_a = fock.thermal_dim(N), 144
+    p = params(A=A, r=r, N=N)
     s1 = protocol.evolve_pulse(p)
     u = dense_pulse_unitary(A, r, d_b, d_a)
     dense1 = u @ dense_initial_state(p, d_a) @ u.conj().T
@@ -232,10 +225,12 @@ def test_moment_grid_sample_matches_closed_forms():
 
 
 def test_mixture_consistency_and_total_variance():
-    # d_b far beyond the tail rule so the truncated mixture reconstructs the
-    # exact closed forms at the stated absolute tolerances
-    p = params(A=0.5, r=0.5 * math.log(10.0), N=1.0, d_b=70)
-    m = protocol.field_moments_numeric(p)
+    # 70 phonon levels, far beyond the tail rule, so the truncated mixture
+    # reconstructs the exact closed forms at the stated absolute tolerances
+    A, r = 0.5, 0.5 * math.log(10.0)
+    p = params(A=A, r=r, N=1.0)
+    state = protocol.CompositeState(fock.thermal_pn(1.0, 70), *protocol._displacement_chain(A, r, 69), p)
+    m = protocol.composite_field_moments(state)
     assert abs(m.mean_y - protocol.mean_Y(p)) <= 1e-10
     assert abs(m.var_y - protocol.var_Y(p)) <= 1e-8
 
@@ -252,16 +247,15 @@ def test_chain_norm_drift_and_embed_policing():
 def test_chain_against_sparse_exponential_route():
     # independent route: full-ladder Taylor exp(iAX) steps, no windowing
     A, r, n_top = 1.0, 0.5 * math.log(10.0), 20
-    p = params(A=A, r=r, N=0.2, d_b=n_top + 1)
-    s = protocol.evolve_pulse(p)
+    offsets, blocks = protocol._displacement_chain(A, r, n_top)
     dim = 1024
     psi = np.zeros(dim, dtype=complex)
-    seed_dim = fock.squeeze_dim(r) * 4
+    seed_dim = 320  # four times 8 e^{2r}
     psi[:seed_dim] = oracles.squeeze(r, seed_dim) @ fock.basis(seed_dim)
     ks = np.sqrt(np.arange(1, dim))
     x = diags([ks, ks], [1, -1], format="csc")
     for n in range(n_top + 1):
-        off, vec = s.offsets[n], s.blocks[n]
+        off, vec = offsets[n], blocks[n]
         chain = np.zeros(dim, dtype=complex)
         chain[off:off + len(vec)] = vec
         assert abs(np.vdot(psi, chain)) == pytest.approx(1.0, abs=1e-9)

@@ -61,7 +61,7 @@ def dressed_kappa(q):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="ratio_min"):
+    with pytest.raises(ValueError, match="Delta >= 20"):
         tl.ThreeLevelParams(g1=1.0, g2=1.0, G3=1.0, Delta=10.0, beta=1.0)
     with pytest.raises(ValueError, match="positive"):
         tl.ThreeLevelParams(g1=0.0, g2=0.0, G3=0.0, Delta=-1.0, beta=0.0)

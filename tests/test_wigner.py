@@ -161,7 +161,7 @@ def test_protocol_path_matches_generic():
 
 def standard_closed_form(p, grid):
     """(2/pi) sum_n P(n) exp(-2 Re^2 e^{-2r} - 2 (Im - nA)^2 e^{2r})."""
-    pn = fock.thermal_pn(p.N, p.phonon_dim())
+    pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
     re = grid.re_axis[None, :]
     im = grid.im_axis[:, None]
     return TWO_OVER_PI * sum(
@@ -194,8 +194,12 @@ def test_protocol_path_walk_budget(monkeypatch):
 
 def test_protocol_path_requires_center_lattice():
     p = params(A=0.36, r=0.5 * math.log(2.0), N=0.02)
-    with pytest.raises(ValueError, match="lattice"):
+    with pytest.raises(wigner.GridError, match="lattice") as spacing:
         wigner.wigner_numeric_protocol(p, wigner.GridSpec(-1.6, 1.6, 17, -0.2, 2.0, 23))
+    assert spacing.value.field == "im_count"
+    with pytest.raises(wigner.GridError, match="lattice") as offset:
+        wigner.wigner_numeric_protocol(p, wigner.GridSpec(-1.6, 1.6, 17, -0.2, 2.44, 23))
+    assert offset.value.field == "im_min"
 
 
 # ---------------------------------------------------------------------------
