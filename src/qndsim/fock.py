@@ -5,7 +5,10 @@ the thermal law with its tail budget, and the CSV renderer.
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
 
-All matrices are plain complex numpy arrays; all functions are pure.
+All matrices are plain complex numpy arrays; all functions are pure. The
+module needs numpy alone: the action kernel is a Chebyshev series whose
+Bessel coefficients come from Miller's backward recurrence and whose
+three-term recurrence runs as in-place numpy ufuncs, so no run loads scipy.
 """
 
 import numpy as np
@@ -15,6 +18,9 @@ THERMAL_TAIL = 1e-10
 
 # rows rendered per slice by write_csv
 CSV_CHUNK = 65536
+
+# real entries per slab of block columns in ladder_exp's recurrence
+SLAB = 1 << 15
 
 
 class TruncationError(ValueError):
@@ -56,16 +62,60 @@ def basis(dim):
 def chebyshev_coefficients(tau):
     """Coefficients of exp(i tau x) = sum_m c_m T_m(x) on [-1, 1]:
     c_0 = J_0(tau), c_m = 2 i^m J_m(tau), kept up to the last m whose tail
-    sum of |c_m| is above double precision (at least two terms)."""
-    from scipy.special import jv  # on first use, as every scipy import here
+    sum of |c_m| is above double precision (at least two terms).
 
-    m = np.arange(int(2.0 * tau) + 64)  # J_m(tau) is negligible long before
-    bessel = jv(m, tau)
+    J_m(tau) comes from Miller's backward recurrence on the ratios
+    r_m = J_m / J_{m-1} = tau / (2m - tau r_{m+1}), normalised by
+    J_0 + 2 sum_k J_2k = 1 (Gautschi, SIAM Rev. 9, 24 (1967)). It starts
+    from r = 0 past the Airy transition at m ~ tau, where J_m(tau) < 1e-22;
+    starting it later changes no returned bit (checked up to tau = 1e5).
+    On ratios, unlike on rescaled J_m, tiny tau is safe: r_m ~ tau / 2m,
+    and the J_m underflow to zero without an overflow or a division by
+    zero, down to tau ~ 1e-300.
+    """
+    top = int(tau + 16.0 * tau ** (1.0 / 3.0) + 40.0)
+    ratios = np.empty(top + 1)
+    r = s = 0.0  # r_{m+1} and sum_{k > m} of the even J_k / J_m, times two
+    for m in range(top, 0, -1):
+        r = tau / (2.0 * m - tau * r)
+        s = r * ((0.0 if m % 2 else 2.0) + s)
+        ratios[m] = r
+    ratios[0] = 1.0 / (1.0 + s)
+    bessel = np.cumprod(ratios)
     tail = np.cumsum(np.abs(bessel[::-1]))[::-1]
     count = max(2, int(np.count_nonzero(2.0 * tail > np.finfo(float).eps)))
-    coef = 2.0 * np.array([1, 1j, -1, -1j])[m[:count] % 4] * bessel[:count]
+    coef = 2.0 * np.array([1, 1j, -1, -1j])[np.arange(count) % 4] * bessel[:count]
     coef[0] *= 0.5
     return coef
+
+
+def _chebyshev_sums(seed, lift, shift, c):
+    """Even-m and odd-m parts of sum_m c_m T_m(x) seed for one slab.
+
+    seed holds one row of real entries per Fock level, flattened, so a
+    shift of k levels is `shift` entries; lift is the ladder of 2x
+    repeated along a row. 2x takes lift times entry j + shift into entry j
+    and lift times entry j into entry j + shift. T_{m+1} = 2x T_m - T_{m-1}
+    overwrites T_{m-1}: two rotating buffers and a scratch, no allocation
+    per term.
+    """
+    nk = lift.size
+    scratch = np.empty_like(seed)
+    prev, cur = np.zeros_like(seed), seed  # a zero T_{-1}: the first step is 2x T_0
+    sums = (c[0] * seed, np.zeros_like(seed))
+    for m in range(1, len(c)):
+        # T_m = 2x T_{m-1} - T_{m-2}, written over T_{m-2}
+        np.multiply(lift, cur[shift:], out=scratch[:nk])
+        np.subtract(scratch[:nk], prev[:nk], out=prev[:nk])
+        np.negative(prev[nk:], out=prev[nk:])
+        np.multiply(lift, cur[:nk], out=scratch[:nk])
+        np.add(prev[shift:], scratch[:nk], out=prev[shift:])
+        if m == 1:
+            prev *= 0.5  # T_1 = x T_0
+        np.multiply(prev, c[m], out=scratch)
+        np.add(sums[m % 2], scratch, out=sums[m % 2])
+        prev, cur = cur, prev
+    return sums
 
 
 def ladder_exp(psi, z, k, k0=0):
@@ -78,35 +128,35 @@ def ladder_exp(psi, z, k, k0=0):
     R = exp(i (arg z - pi/2) n / k). exp(i|z| X) is the Chebyshev series of
     exp(i tau x) in x = X / (2 L), with L the window's top ladder entry, so
     ||x|| <= 1 (Gershgorin) and tau = 2 |z| L (Tal-Ezer & Kosloff 1984).
+    x is real, so the series runs on the real and imaginary parts of R' psi
+    side by side as one real block, with numpy ufuncs on flat buffers. The
+    block's columns go through the recurrence in slabs of at most SLAB real
+    entries (or one column, if that is larger), which keeps the buffers
+    cache-resident; each column's entries are computed elementwise from its
+    own, so the slabs change no bit.
     """
-    from scipy.linalg.blas import daxpy as axpy
-    from scipy.sparse import diags  # on first use: no CLI start-up pays for it
-
     if k not in (1, 2):
         raise ValueError("ladder power k must be 1 or 2, got %r" % k)
     psi = np.asarray(psi, dtype=complex)
-    levels = np.arange(k0, k0 + len(psi), dtype=float)
-    ladder = np.sqrt(levels[1:len(psi) - k + 1] if k == 1
-                     else levels[1:len(psi) - 1] * levels[2:])
+    n = len(psi)
+    levels = np.arange(k0, k0 + n, dtype=float)
+    ladder = np.sqrt(levels[1:n - k + 1] if k == 1 else levels[1:n - 1] * levels[2:])
     if z == 0 or not ladder.size:
         return psi.copy()
-    shape = (-1,) + (1,) * (psi.ndim - 1)
-    phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) / k * levels).reshape(shape)
-    # real and imaginary parts side by side: x is real, so the series is too
-    real = np.ascontiguousarray(phase.conj() * psi).view(float).reshape(len(psi), -1)
-    lift = ladder / ladder[-1]
-    two_x = diags([lift, lift], [-k, k], format="csr")
+    phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) / k * levels)[:, None]
     coef = chebyshev_coefficients(2.0 * abs(z) * ladder[-1])
     c = coef.real + coef.imag  # i^m is real at even m, imaginary at odd m
-    tm1, t0 = real, 0.5 * (two_x @ real)
-    sums = [c[0] * tm1, c[1] * t0]
-    for m in range(2, len(c)):
-        t1 = two_x @ t0
-        axpy(tm1.ravel(), t1.ravel(), a=-1.0)  # axpy updates y in place
-        axpy(t1.ravel(), sums[m % 2].ravel(), a=c[m])
-        tm1, t0 = t0, t1
-    out = sums[0].view(complex) + 1j * sums[1].view(complex)
-    return phase * out.reshape(psi.shape)
+    lift = ladder / ladder[-1]
+    block = psi.reshape(n, -1)
+    out = np.empty_like(block)
+    width = max(1, SLAB // (2 * n))  # complex columns per slab
+    for a in range(0, block.shape[1], width):
+        seed = np.ascontiguousarray(np.conj(phase) * block[:, a:a + width])
+        w = seed.shape[1]
+        even, odd = _chebyshev_sums(seed.view(float).ravel(), np.repeat(lift, 2 * w),
+                                    2 * k * w, c)
+        out[:, a:a + w] = phase * (even.view(complex) + 1j * odd.view(complex)).reshape(n, w)
+    return out.reshape(psi.shape)
 
 
 def displacement_dim(alpha):

@@ -76,10 +76,6 @@ class CompositeState:
     blocks: tuple
     params: ProtocolParams
 
-    def phonon_marginal(self):
-        norms = np.array([np.vdot(b, b).real for b in self.blocks])
-        return self.pn * norms
-
 
 @dataclass(frozen=True)
 class ConditionedFieldState:

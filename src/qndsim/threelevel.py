@@ -140,10 +140,6 @@ class Trajectory:
     states: np.ndarray
     params: ThreeLevelParams
 
-    def norm_drift(self) -> float:
-        norms = np.linalg.norm(self.states, axis=1)
-        return float(np.max(np.abs(norms - 1.0)))
-
 
 @dataclass(frozen=True)
 class AdiabaticReport:

@@ -268,8 +268,6 @@ def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> Phono
     OverlapWarning when the peaks are not distinguishable at these
     parameters.
     """
-    from scipy.special import erfc  # on first use, as in sampler
-
     A = params.A
     axis = marginal.im_axis
     y = marginal.density  # scipy's cumulative_trapezoid(y, axis, initial=0.0)
@@ -284,7 +282,7 @@ def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> Phono
 
     sig_conv = math.exp(-params.r) if marginal.convention == PAPER else math.exp(-params.r) / 2.0
     p0 = 1.0 / (params.N + 1.0)
-    leak = (1.0 - 0.5 * p0) * float(erfc(A / (2.0 * math.sqrt(2.0) * sig_conv)))
+    leak = (1.0 - 0.5 * p0) * math.erfc(A / (2.0 * math.sqrt(2.0) * sig_conv))  # see sampler's erfc
     if not protocol.is_distinguishable(params):
         warnings.warn(
             OverlapWarning(

@@ -5,12 +5,14 @@ The library applies every exponential of a ladder operator as an action,
 fock.ladder_exp. These build the operators themselves with scipy's dense
 expm of the truncated generator, an independent route to check it against.
 The protocol's blocked pulse output is densified here, with its mass
-policed, and reduced with partial_trace. The library's Wigner map walks one
+policed, and reduced with partial_trace; phonon_marginal reads its phonon
+law from the block norms. The library's Wigner map walks one
 squeezed-vacuum patch; wigner_dense evaluates the displaced-parity trace of
 any density matrix with dense displacements instead. The three-level
 trajectory, which the library samples from one eigendecomposition, is
-stepped here with the dense expm propagator, and its field moments come
-from per-sample dense traces.
+stepped here with the dense expm propagator, its field moments come from
+per-sample dense traces, and norm_drift measures how far its samples
+leave the unit sphere.
 """
 
 import numpy as np
@@ -104,6 +106,11 @@ def unitarity_defect(u, guard_band=GUARD_BAND):
     return float(np.abs(g[:k, :k]).max())
 
 
+def phonon_marginal(state):
+    """Phonon-number law P(n) <psi_n|psi_n> of a CompositeState."""
+    return state.pn * np.array([np.vdot(b, b).real for b in state.blocks])
+
+
 def to_dense(state, d_a):
     """Full (d_b * d_a)-dimensional density matrix of a CompositeState."""
     d_b = len(state.pn)
@@ -155,6 +162,11 @@ def evolve_threelevel(q, t_final, steps, initial=None):
     for _ in range(steps):
         states.append(u @ states[-1])
     return np.array(states)
+
+
+def norm_drift(traj):
+    """max |1 - ||psi(t)||| over the samples of a three-level Trajectory."""
+    return float(np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)))
 
 
 def threelevel_traces(states, d_a):

@@ -50,7 +50,7 @@ def grid_pass():
     points = []
     for p in _moment_grid():
         state = protocol.evolve_pulse(p)
-        points.append((p, protocol.composite_field_moments(state), state.phonon_marginal()))
+        points.append((p, protocol.composite_field_moments(state), oracles.phonon_marginal(state)))
     return points, time.perf_counter() - t0
 
 

@@ -208,18 +208,29 @@ def test_wigner_grid_that_cannot_hold_a_point_exits_2_before_any_map(
 
 
 def test_start_up_and_validate_jj_load_no_scipy(tmp_path):
-    # scipy is imported inside the functions that use it, on first use
-    cfg = write_config(tmp_path, {"seed": 3, "output_dir": str(tmp_path / "out"),
-                                  "params": JJ_PARAMS, "steps": 20})
+    # scipy is a test dependency only: start-up and a run of every
+    # experiment, one after another in one fresh interpreter, load none of it
+    params = {"A": 1.0, "e2r": 10.0, "N": 0.5, "nu": NU}
+    grid = {"re_min": -4.0, "re_max": 4.0, "re_count": 9,
+            "im_min": -1.0, "im_max": 21.0, "im_count": 221}
+    runs = [("sample", {"shots": 1000, "params": params}),
+            ("moments", {"params": params, "sweep": [{}, {"N": 1.0}]}),
+            ("wigner", {"convention": "standard", "params": params, "grid": grid}),
+            ("validate-jj", {"params": JJ_PARAMS, "steps": 20})]
+    argvs = [[experiment, "--config",
+              write_config(tmp_path, {"seed": 3, "output_dir": str(tmp_path / experiment),
+                                      **payload}, f"{experiment}.json")]
+             for experiment, payload in runs]
     code = ("import sys, qndsim.cli as cli\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
-            f"print(cli.main(['validate-jj', '--config', {cfg!r}]), loaded())\n")
+            f"for argv in {argvs!r}:\n"
+            "    print(argv[0], cli.main(argv), loaded())\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.splitlines() == ["[]", "0 []"]
+    assert proc.stdout.splitlines() == ["[]"] + [f"{experiment} 0 []" for experiment, _ in runs]
 
 
 def test_validate_jj_fit_reference_passes(tmp_path):

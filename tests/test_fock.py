@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.special import jv
 
 import oracles
 from qndsim import fock
@@ -165,6 +166,8 @@ BLOCKS = st.tuples(st.integers(2, 24), st.sampled_from([(), (1,), (3,)]))
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(re=st.floats(-2.0, 2.0), im=st.floats(-2.0, 2.0), k=st.sampled_from([1, 2]),
        k0=st.integers(0, 30), shape=BLOCKS, seed=st.integers(0, 2**32 - 1))
+# tau ~ 1e-83: a Bessel recurrence on rescaled values, not ratios, overflows here
+@example(re=0.0, im=2.69357048162982e-84, k=1, k0=0, shape=(24, (3,)), seed=0)
 def test_ladder_exp_property_against_dense_expm(re, im, k, k0, shape, seed):
     """Any z, k, window offset and vector or block: the kernel equals the
     dense expm of the same truncated generator and keeps every norm."""
@@ -178,6 +181,35 @@ def test_ladder_exp_property_against_dense_expm(re, im, k, k0, shape, seed):
     assert got.shape == psi.shape
     assert np.abs(got - want).max() <= 1e-12 * scale.max()
     assert np.abs(np.linalg.norm(got, axis=0) - scale).max() <= 1e-12 * scale.max()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(log_tau=st.floats(math.log(1e-300), math.log(4000.0)))
+def test_chebyshev_coefficients_are_normalised_bessel_values(log_tau):
+    """Miller's recurrence against scipy's jv, whose own error at tau ~ 4000
+    is about 5e-14, and against the identity J_0^2 + 2 sum_m J_m^2 = 1."""
+    tau = math.exp(log_tau)
+    coef = fock.chebyshev_coefficients(tau)
+    m = np.arange(len(coef))
+    bessel = (np.array([1, -1j, -1, 1j])[m % 4] * coef).real / np.where(m, 2.0, 1.0)
+    assert np.all(np.isfinite(coef))
+    assert np.abs(bessel - jv(m, tau)).max() <= 1e-13
+    assert abs(bessel[0] ** 2 + 2.0 * np.sum(bessel[1:] ** 2) - 1.0) <= 1e-13
+
+
+def test_ladder_exp_block_equals_its_columns_bit_for_bit(monkeypatch):
+    """A block's columns go through the recurrence in slabs of at most
+    fock.SLAB real entries; no slab size changes a bit of any column."""
+    rng = np.random.default_rng(11)
+    cases = (((1831, 49), -1j / 60.0, 1, 0), ((700, 40), 0.02 - 0.01j, 2, 120))
+    for slab in (fock.SLAB, 5 * 1831):
+        monkeypatch.setattr(fock, "SLAB", slab)
+        for (dim, cols), z, k, k0 in cases:
+            block = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+            got = fock.ladder_exp(block, z, k, k0)
+            for j in range(cols):
+                assert np.array_equal(got[:, j], fock.ladder_exp(block[:, j], z, k, k0))
 
 
 def test_thermal_vacuum():

@@ -15,15 +15,23 @@ DECLARED = {
     "N_from_temperature": "paper concept: the occupation at a temperature",
     "check_adiabatic_coherences": "paper concept: validity of the adiabatic elimination",
     "field_var_y": "benchmark hook: perfbench/run.py totals its spans",
+    "AdiabaticReport.max_rel_residual": "paper concept: the headline figure of the "
+                                        "check_adiabatic_coherences report",
 }
 
 
 def public_definitions():
-    """(module, name) of every public top-level function and class."""
+    """(module, name) of every public top-level function and class, and
+    (module, Class.name) of every public method and property of those
+    classes."""
     for path in LIBRARY:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield path.stem, node.name
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield path.stem, node.name
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            yield from ((path.stem, f"{node.name}.{m.name}") for m in members
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
 
 
 def library_references():
@@ -41,9 +49,11 @@ def library_references():
 def test_every_public_name_is_used_by_the_library_or_declared():
     used = library_references()
     defined = dict((name, module) for module, name in public_definitions())
+    # a method or property counts as used when library code reads its attribute name
+    called = {name for name in defined if name.rpartition(".")[2] in used}
     idle = sorted(f"{module}.{name}" for name, module in defined.items()
-                  if name not in used and name not in DECLARED)
+                  if name not in called and name not in DECLARED)
     assert idle == [], "used only outside src/: move it to tests/oracles.py or declare it"
     # the list stays true: every declared name exists and still has no caller
     assert sorted(set(DECLARED) - set(defined)) == []
-    assert sorted(set(DECLARED) & used) == []
+    assert sorted(set(DECLARED) & called) == []

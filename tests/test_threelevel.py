@@ -153,7 +153,7 @@ def test_norm_preserved_and_step_size_converged():
     q = params()
     coarse = tl.evolve_full(q, 31.25, 100)
     fine = tl.evolve_full(q, 31.25, 200)
-    assert coarse.norm_drift() <= 1e-8
+    assert oracles.norm_drift(coarse) <= 1e-8
     assert np.array_equal(coarse.times, fine.times[::2])
     assert np.max(np.abs(coarse.states - fine.states[::2])) <= 1e-12
     dense = oracles.threelevel_state_at(q, 31.25)
