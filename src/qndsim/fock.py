@@ -1,11 +1,12 @@
-"""Truncated Fock-space engine: ladder operators, the one action kernel for
-exponentials of ladder operators, the quadrature stencil, headroom rules,
-the thermal law with its tail budget, and the CSV renderer.
+"""Truncated Fock-space engine: the one action kernel for exponentials of
+ladder operators, the quadrature stencil, headroom rules, the thermal law
+with its tail budget, and the CSV renderer. Every operator acts on state
+vectors through its sqrt(n) bands; no dense Fock matrix is built.
 
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
 
-All matrices are plain complex numpy arrays; all functions are pure. The
+All states are plain complex numpy arrays; all functions are pure. The
 module needs numpy alone: the action kernel is a Chebyshev series whose
 Bessel coefficients come from Miller's backward recurrence and whose
 three-term recurrence runs as in-place numpy ufuncs, so no run loads scipy.
@@ -25,17 +26,6 @@ SLAB = 1 << 15
 
 class TruncationError(ValueError):
     """Construction refused: not enough truncation headroom or tail mass."""
-
-
-def annihilation(dim):
-    """Ladder operator with entries a[n-1, n] = sqrt(n)."""
-    if dim < 2:
-        raise ValueError("operator dimension must be >= 2, got %r" % dim)
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def number(dim):
-    return np.diag(np.arange(dim, dtype=complex))
 
 
 def quadrature_action(psi, k0=0):

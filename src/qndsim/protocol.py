@@ -79,13 +79,15 @@ class CompositeState:
 
 @dataclass(frozen=True)
 class ConditionedFieldState:
-    """Field state conditioned on a phonon-number outcome m."""
+    """Field state conditioned on a phonon-number outcome m: the normalised
+    vector on the Fock levels [offset, offset + len(vector))."""
 
     m: int
     alpha_m: complex
     r: float
     weight: float
-    state: np.ndarray
+    offset: int
+    vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -107,16 +109,15 @@ def evolve_pulse(p):
 
 
 def conditioned_state(rho_tau, m):
-    """Project on phonon outcome m and return the normalized field state."""
+    """Project on phonon outcome m: the normalised field state on block m's window."""
     if not 0 <= m < len(rho_tau.pn) or rho_tau.pn[m] <= 1e-12:
         raise ValueError("phonon outcome %r out of support" % m)
     p = rho_tau.params
-    off, vec = rho_tau.offsets[m], rho_tau.blocks[m]
-    psi = np.zeros(off + len(vec), dtype=complex)
-    psi[off:] = vec / np.linalg.norm(vec)
+    vec = rho_tau.blocks[m]
     return ConditionedFieldState(m=m, alpha_m=1j * m * p.A, r=p.r,
                                  weight=float(rho_tau.pn[m]),
-                                 state=np.outer(psi, psi.conj()))
+                                 offset=rho_tau.offsets[m],
+                                 vector=vec / np.linalg.norm(vec))
 
 
 # ---------------------------------------------------------------------------

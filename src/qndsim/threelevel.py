@@ -30,11 +30,13 @@ with kappa = g1 g2 G3 beta / Delta^2 and x = G3 beta / Delta:
   which ThreeLevelParams rejects.
 * gamma_eff_predicted = 2 kappa_d, and the default pump detuning is the
   dressed two-photon resonance dp = 2 delta / (1 - x^2). Block
-  diagonalising build_full_hamiltonian onto the |i> manifold (in the
-  tests) reproduces the a^dag^2 coefficient kappa_d up to O((g/Delta)^2).
+  diagonalising the dense H onto the |i> manifold (in the tests)
+  reproduces the a^dag^2 coefficient kappa_d up to O((g/Delta)^2).
 
-H is time-independent and Hermitian, so evolve_full samples the whole
-trajectory from one eigendecomposition, checked by its eigen-residual and
+H keeps the parity of n + [atom in {g, e}], and each parity sector is one
+tridiagonal chain (_parity_chain). H is time-independent and Hermitian, so
+evolve_full samples the whole trajectory from one eigendecomposition per
+chain the initial state touches, checked by its eigen-residual and
 unitarity defect, and the field moments come from the banded stencil
 fock.quadrature_action applied to all samples at once.
 
@@ -59,13 +61,6 @@ RATIO_MIN = 20.0  # least Delta / max(g) for the adiabatic elimination
 
 PROPAGATOR_TOL = 1e-8  # bound on evolve_full's eigendecomposition defect
 ROW_BLOCK = 512  # samples per block of states and observables
-
-
-def sigma(row: str, col: str) -> np.ndarray:
-    """Qutrit basis operator |row><col| in the fixed (g, i, e) ordering."""
-    m = np.zeros((3, 3), dtype=complex)
-    m[LEVELS[row], LEVELS[col]] = 1.0
-    return m
 
 
 @dataclass(frozen=True)
@@ -170,22 +165,21 @@ class SqueezeValidationReport:
     leakage_ok: bool
 
 
-def build_full_hamiltonian(q: ThreeLevelParams) -> np.ndarray:
-    """Time-independent qutrit (x) field Hamiltonian, qutrit factor first."""
-    a = fock.annihilation(q.d_a)
-    id_f = np.eye(q.d_a, dtype=complex)
-    dp = q.pump
-    h = -q.Delta * np.kron(sigma("e", "e") + sigma("g", "g"), id_f)
-    h -= 0.5 * dp * (
-        np.kron(np.eye(3, dtype=complex), fock.number(q.d_a))
-        + np.kron(sigma("g", "g") - sigma("e", "e"), id_f)
-    )
-    v = (
-        q.g1 * np.kron(sigma("g", "i"), a)
-        + q.g2 * np.kron(sigma("i", "e"), a)
-        + 1j * q.beta * q.G3 * np.kron(sigma("g", "e"), id_f)
-    )
-    return h + v + v.conj().T
+def _parity_chain(q: ThreeLevelParams, parity: int):
+    """Indices into the (3, d_a) state layout, diagonal and off-diagonal
+    (entry j couples states j and j + 1) of one parity sector of H: the
+    chain of triples |i, n>, |e, n + 1>, |g, n + 1> with links g2 sqrt(n + 1),
+    -i beta G3 and g1 sqrt(n + 2), for n = 0, 2, ... at parity 0 and for
+    n = -1, 1, ... (so from |e, 0>) at parity 1."""
+    j = np.arange(parity, 3 * q.d_a + parity)
+    n = 2 * (j // 3) + (j % 3 > 0) - parity
+    pos, n = j[n < q.d_a] % 3, n[n < q.d_a]  # the atom is in i, e, g at pos 0, 1, 2
+    level = np.array([LEVELS["i"], LEVELS["e"], LEVELS["g"]])[pos]
+    shift = np.array([0.0, -1.0, 1.0])[pos]  # sigma_gg - sigma_ee
+    diag = -q.Delta * (pos > 0) - 0.5 * q.pump * (n + shift)
+    ladder = np.array([q.g2, 0.0, q.g1])[pos[:-1]] * np.sqrt(n[1:])
+    off = np.where(pos[:-1] == 1, -1j * q.beta * q.G3, ladder)
+    return level * q.d_a + n, diag, off
 
 
 def initial_vacuum_i(q: ThreeLevelParams) -> np.ndarray:
@@ -202,13 +196,14 @@ def evolve_full(
 ) -> Trajectory:
     """Unitary evolution sampled at steps + 1 equally spaced times.
 
-    H is time-independent and Hermitian, so one eigendecomposition
-    H V = V E gives every sample as psi(t) = V exp(-i E t) V' psi(0), with
-    no error accumulated over steps (the eigenvector method, well
-    conditioned for normal matrices; Moler & Van Loan, SIAM Rev. 45, 3
-    (2003)). The decomposition is checked first: the eigen-residual over
-    the run, t_final max|HV - VE|, plus the unitarity defect max|V'V - I|
-    must stay below PROPAGATOR_TOL, or RuntimeError is raised.
+    H is time-independent and Hermitian, so on each parity chain the
+    initial state touches, one eigendecomposition H V = V E gives every
+    sample as psi(t) = V exp(-i E t) V' psi(0), with no error accumulated
+    over steps (the eigenvector method, well conditioned for normal
+    matrices; Moler & Van Loan, SIAM Rev. 45, 3 (2003)). Each decomposition
+    is checked first: the eigen-residual over the run, t_final max|HV - VE|,
+    plus the unitarity defect max|V'V - I| must stay below PROPAGATOR_TOL,
+    or RuntimeError is raised.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -217,23 +212,26 @@ def evolve_full(
     psi = initial_vacuum_i(q) if initial is None else np.asarray(initial, dtype=complex)
     if psi.shape != (3 * q.d_a,):
         raise ValueError(f"initial state must have length {3 * q.d_a}")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("initial state must be normalized")
-
-    h = build_full_hamiltonian(q)
-    energies, vecs = np.linalg.eigh(h)
-    defect = (t_final * np.max(np.abs(h @ vecs - vecs * energies))
-              + np.max(np.abs(vecs.conj().T @ vecs - np.eye(psi.size))))
-    if not defect <= PROPAGATOR_TOL:
-        raise RuntimeError(f"eigendecomposition defect {defect:.3g} > {PROPAGATOR_TOL:g}")
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
+        raise ValueError("initial state must be finite and normalized")
 
     times = np.linspace(0.0, t_final, steps + 1)
-    coef = vecs.conj().T @ psi
-    states = np.empty((steps + 1, psi.size), dtype=complex)
+    states = np.zeros((steps + 1, psi.size), dtype=complex)
+    for parity in (0, 1):
+        idx, diag, off = _parity_chain(q, parity)
+        if not psi[idx].any():
+            continue
+        h = np.diag(diag) + np.diag(off, 1) + np.diag(off.conj(), -1)
+        energies, vecs = np.linalg.eigh(h)
+        defect = (t_final * np.max(np.abs(h @ vecs - vecs * energies))
+                  + np.max(np.abs(vecs.conj().T @ vecs - np.eye(idx.size))))
+        if not defect <= PROPAGATOR_TOL:
+            raise RuntimeError(f"eigendecomposition defect {defect:.3g} > {PROPAGATOR_TOL:g}")
+        coef = vecs.conj().T @ psi[idx]
+        for lo in range(1, steps + 1, ROW_BLOCK):
+            t = times[lo:lo + ROW_BLOCK, None]
+            states[lo:lo + ROW_BLOCK, idx] = (np.exp(-1j * energies * t) * coef) @ vecs.T
     states[0] = psi  # exactly the initial vector, not V V' psi
-    for lo in range(1, steps + 1, ROW_BLOCK):
-        t = times[lo:lo + ROW_BLOCK, None]
-        states[lo:lo + ROW_BLOCK] = (np.exp(-1j * energies * t) * coef) @ vecs.T
     return Trajectory(times, states, q)
 
 

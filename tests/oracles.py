@@ -1,18 +1,22 @@
 """Dense test oracles for the ladder exponentials, the pulse output, its
 Wigner map and the three-level model.
 
-The library applies every exponential of a ladder operator as an action,
-fock.ladder_exp. These build the operators themselves with scipy's dense
-expm of the truncated generator, an independent route to check it against.
-The protocol's blocked pulse output is densified here, with its mass
-policed, and reduced with partial_trace; phonon_marginal reads its phonon
-law from the block norms. The library's Wigner map walks one
-squeezed-vacuum patch; wigner_dense evaluates the displaced-parity trace of
-any density matrix with dense displacements instead. The three-level
-trajectory, which the library samples from one eigendecomposition, is
-stepped here with the dense expm propagator, its field moments come from
-per-sample dense traces, and norm_drift measures how far its samples
-leave the unit sphere.
+The library builds no dense Fock operator: it applies every operator
+through its sqrt(n) bands. Here the ladder and number matrices are dense,
+and the exponentials of ladder operators are scipy's dense expm of the
+truncated generator, an independent route to check fock.ladder_exp
+against. The protocol's blocked pulse output is densified here, with its
+mass policed, and reduced with partial_trace; phonon_marginal reads its
+phonon law from the block norms, and conditioned_dense turns a windowed
+conditioned field state into its density matrix. The library's Wigner map
+walks one squeezed-vacuum patch; wigner_dense evaluates the
+displaced-parity trace of any density matrix with dense displacements
+instead. The three-level Hamiltonian is built here as the dense qutrit (x)
+field matrix from Kronecker products, which the library's parity chains
+are checked against; the trajectory, which the library samples from one
+eigendecomposition per chain, is stepped here with the dense expm
+propagator, its field moments come from per-sample dense traces, and
+norm_drift measures how far its samples leave the unit sphere.
 """
 
 import numpy as np
@@ -27,6 +31,17 @@ GUARD_BAND = 5
 DENSIFY_TAIL = 1e-14
 
 
+def annihilation(dim):
+    """Ladder operator with entries a[n-1, n] = sqrt(n)."""
+    if dim < 2:
+        raise ValueError("operator dimension must be >= 2, got %r" % dim)
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+
+
+def number(dim):
+    return np.diag(np.arange(dim, dtype=complex))
+
+
 def ladder_generator(z, k, dim, k0=0):
     """z a'^k - z* a^k truncated to the Fock levels [k0, k0 + dim)."""
     a = np.diag(np.sqrt(np.arange(k0 + 1, k0 + dim, dtype=float)), k=1)
@@ -36,13 +51,13 @@ def ladder_generator(z, k, dim, k0=0):
 
 def quadrature_x(dim):
     """X = a + a' as a dense matrix."""
-    a = fock.annihilation(dim)
+    a = annihilation(dim)
     return a + a.conj().T
 
 
 def quadrature_y(dim):
     """Y = i(a' - a) as a dense matrix."""
-    a = fock.annihilation(dim)
+    a = annihilation(dim)
     return 1j * (a.conj().T - a)
 
 
@@ -123,6 +138,13 @@ def to_dense(state, d_a):
     return out
 
 
+def conditioned_dense(c):
+    """Density matrix of a ConditionedFieldState on the Fock levels
+    [0, offset + len(vector))."""
+    psi = _embed(c.vector, c.offset, c.offset + len(c.vector))
+    return np.outer(psi, psi.conj())
+
+
 def field_state_dense(state, d_a):
     """Field marginal sum_n P(n) |psi_n><psi_n| as a dense matrix."""
     out = np.zeros((d_a, d_a), dtype=complex)
@@ -148,16 +170,41 @@ def _embed(vec, off, dim, weight=1.0):
     return out
 
 
+def sigma(row, col):
+    """Qutrit basis operator |row><col| in the fixed (g, i, e) ordering."""
+    m = np.zeros((3, 3), dtype=complex)
+    m[threelevel.LEVELS[row], threelevel.LEVELS[col]] = 1.0
+    return m
+
+
+def build_full_hamiltonian(q):
+    """Time-independent qutrit (x) field Hamiltonian, qutrit factor first."""
+    a = annihilation(q.d_a)
+    id_f = np.eye(q.d_a, dtype=complex)
+    dp = q.pump
+    h = -q.Delta * np.kron(sigma("e", "e") + sigma("g", "g"), id_f)
+    h -= 0.5 * dp * (
+        np.kron(np.eye(3, dtype=complex), number(q.d_a))
+        + np.kron(sigma("g", "g") - sigma("e", "e"), id_f)
+    )
+    v = (
+        q.g1 * np.kron(sigma("g", "i"), a)
+        + q.g2 * np.kron(sigma("i", "e"), a)
+        + 1j * q.beta * q.G3 * np.kron(sigma("g", "e"), id_f)
+    )
+    return h + v + v.conj().T
+
+
 def threelevel_state_at(q, t, initial=None):
     """One dense propagator expm(-i H t) applied to the initial state."""
     psi = threelevel.initial_vacuum_i(q) if initial is None else initial
-    return expm(-1j * t * threelevel.build_full_hamiltonian(q)) @ psi
+    return expm(-1j * t * build_full_hamiltonian(q)) @ psi
 
 
 def evolve_threelevel(q, t_final, steps, initial=None):
     """States after every step of the dense propagator expm(-i H dt)."""
     psi = threelevel.initial_vacuum_i(q) if initial is None else initial
-    u = expm(-1j * (t_final / steps) * threelevel.build_full_hamiltonian(q))
+    u = expm(-1j * (t_final / steps) * build_full_hamiltonian(q))
     states = [psi]
     for _ in range(steps):
         states.append(u @ states[-1])
@@ -173,7 +220,7 @@ def threelevel_traces(states, d_a):
     """Per-sample atom populations, field <n>, <a> and Var(Y), each a dense
     trace against the field density matrix sum_r |b_r><b_r|, where b_r is
     the field vector of atom level r."""
-    a, n_op, y = fock.annihilation(d_a), fock.number(d_a), quadrature_y(d_a)
+    a, n_op, y = annihilation(d_a), number(d_a), quadrature_y(d_a)
     pops, n_mean, a_mean, var_y = [], [], [], []
     for psi in states:
         b = psi.reshape(3, d_a)

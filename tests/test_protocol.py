@@ -22,7 +22,7 @@ def params(A=1.0, r=R50, N=1.0):
 
 def dense_pulse_unitary(A, r, d_b, d_a):
     """Literal composite propagator exp(iA n(x)X) (I(x)S(r))."""
-    inter = np.kron(fock.number(d_b), oracles.quadrature_x(d_a))
+    inter = np.kron(oracles.number(d_b), oracles.quadrature_x(d_a))
     return expm(1j * A * inter) @ np.kron(np.eye(d_b), oracles.squeeze(r, d_a))
 
 
@@ -159,7 +159,8 @@ def test_evolve_block1_r0_is_coherent_i():
                        for n in range(len(amps))])
     assert np.abs(amps - oracle).max() <= 1e-10
     c = protocol.conditioned_state(s, 1)
-    ey, _ = dense_y_moments(c.state, c.state.shape[0])
+    rho = oracles.conditioned_dense(c)
+    ey, _ = dense_y_moments(rho, rho.shape[0])
     assert ey == pytest.approx(2.0, abs=1e-10)
 
 
@@ -193,7 +194,8 @@ def test_conditioned_state_examples():
     s = protocol.evolve_pulse(p)
 
     c0 = protocol.conditioned_state(s, 0)
-    ey, vy = dense_y_moments(c0.state, c0.state.shape[0])
+    rho0 = oracles.conditioned_dense(c0)
+    ey, vy = dense_y_moments(rho0, rho0.shape[0])
     assert ey == pytest.approx(0.0, abs=1e-8)
     assert vy == pytest.approx(0.02, abs=1e-8)
 
@@ -202,12 +204,27 @@ def test_conditioned_state_examples():
     assert c1.alpha_m == 1j
 
     c2 = protocol.conditioned_state(s, 2)
-    ey2, vy2 = dense_y_moments(c2.state, c2.state.shape[0])
+    assert (c2.offset, len(c2.vector)) == (s.offsets[2], len(s.blocks[2]))
+    assert np.linalg.norm(c2.vector) == pytest.approx(1.0, abs=1e-15)
+    rho2 = oracles.conditioned_dense(c2)
+    ey2, vy2 = dense_y_moments(rho2, rho2.shape[0])
     assert ey2 == pytest.approx(4.0, abs=1e-8)
     assert vy2 == pytest.approx(0.02, abs=1e-8)
 
     with pytest.raises(ValueError):
         protocol.conditioned_state(s, len(s.pn) + 5)
+
+
+def test_conditioned_state_stays_on_its_window():
+    # m = 80 at A = 2, e^{2r} = 50, N = 3 passes the support check
+    # (P = 2.5e-11) with its window at levels 25238..26909: a dense state
+    # from level 0 would take (26910 levels)^2 x 16 bytes = 11.6 GB
+    s = protocol.evolve_pulse(params(A=2.0, N=3.0))
+    c = protocol.conditioned_state(s, 80)
+    assert c.weight == s.pn[80] > 1e-12
+    assert c.offset == s.offsets[80] > 25000
+    assert len(c.vector) == len(s.blocks[80]) < 2000
+    assert np.linalg.norm(c.vector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moment_grid_sample_matches_closed_forms():

@@ -41,7 +41,7 @@ def i_manifold_hamiltonian(q):
     Hamiltonian's restriction written in that basis.
     """
     d, i = q.d_a, tl.LEVELS["i"]
-    energies, vecs = np.linalg.eigh(tl.build_full_hamiltonian(q))
+    energies, vecs = np.linalg.eigh(oracles.build_full_hamiltonian(q))
     block = vecs[i * d:(i + 1) * d]
     keep = np.argsort(np.sum(np.abs(block) ** 2, axis=0))[-d:]
     assert np.min(np.sum(np.abs(block[:, keep]) ** 2, axis=0)) > 0.9
@@ -88,21 +88,22 @@ def test_derived_rates():
 
 def test_hamiltonian_hermitian():
     q = tl.ThreeLevelParams(g1=0.7, g2=1.1, G3=0.9, Delta=60.0, beta=3.0, d_a=7)
-    h = tl.build_full_hamiltonian(q)
+    h = oracles.build_full_hamiltonian(q)
     assert h.shape == (21, 21)
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 def test_zero_couplings_leave_bare_splitting():
     q = tl.ThreeLevelParams(g1=0.0, g2=0.0, G3=0.0, Delta=40.0, beta=0.0, d_a=5)
-    h = tl.build_full_hamiltonian(q)
-    bare = -40.0 * np.kron(tl.sigma("e", "e") + tl.sigma("g", "g"), np.eye(5, dtype=complex))
+    h = oracles.build_full_hamiltonian(q)
+    bare = -40.0 * np.kron(oracles.sigma("e", "e") + oracles.sigma("g", "g"),
+                           np.eye(5, dtype=complex))
     np.testing.assert_array_equal(h, bare)
 
 
 def test_matrix_element_bookkeeping():
     q = tl.ThreeLevelParams(g1=0.7, g2=1.1, G3=0.9, Delta=60.0, beta=3.0, d_a=6)
-    h = tl.build_full_hamiltonian(q)
+    h = oracles.build_full_hamiltonian(q)
     d = q.d_a
     g, i, e = tl.LEVELS["g"], tl.LEVELS["i"], tl.LEVELS["e"]
     dp = q.pump
@@ -144,6 +145,8 @@ def test_evolve_input_validation():
         tl.evolve_full(q, 1.0, 10, initial=np.zeros(5, dtype=complex))
     with pytest.raises(ValueError, match="normalized"):
         tl.evolve_full(q, 1.0, 10, initial=np.zeros(3 * q.d_a, dtype=complex))
+    with pytest.raises(ValueError, match="normalized"):
+        tl.evolve_full(q, 1.0, 10, initial=np.full(3 * q.d_a, np.nan, dtype=complex))
 
 
 def test_norm_preserved_and_step_size_converged():
@@ -162,7 +165,8 @@ def test_norm_preserved_and_step_size_converged():
 
 def test_eigen_trajectory_matches_dense_expm_oracle():
     for q, initial in [(params(), None), (params(Delta=100.0, beta=40.0), None),
-                       (params(), coherent_seed(params()))]:
+                       (params(), coherent_seed(params())),
+                       (params(d_a=35), coherent_seed(params(d_a=35)))]:
         traj = tl.evolve_full(q, 31.25, 5000, initial=initial)
         dense = oracles.evolve_threelevel(q, 31.25, 5000, initial=initial)
         assert np.array_equal(traj.states[0], dense[0])
@@ -186,6 +190,23 @@ def test_corrupted_eigenpair_raises(monkeypatch, corrupt):
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
     with pytest.raises(RuntimeError, match="defect"):
         tl.evolve_full(q, 1.0, 10)
+
+
+def test_default_start_diagonalises_only_the_even_chain(monkeypatch):
+    eigh = np.linalg.eigh
+    shapes = []
+
+    def recorded(h):
+        shapes.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    tl.evolve_full(params(d_a=36), 1.0, 10)
+    assert shapes == [(54, 54)]
+    shapes.clear()
+    q = params(d_a=9)
+    tl.evolve_full(q, 1.0, 10, initial=coherent_seed(q))
+    assert shapes == [(13, 13), (14, 14)]
 
 
 def test_vectorised_observables_match_dense_traces():
@@ -292,8 +313,29 @@ def test_dressed_kappa_property_over_couplings(g1, g2, G3, decades, x):
     kappa_d = dressed_kappa(q)
     c = two_photon_coefficient(i_manifold_hamiltonian(q))
     bound = 12.0 * (max(g1, g2) / Delta) ** 2 / (1.0 - x * x) ** 2
-    floor = 16.0 * np.finfo(float).eps * np.linalg.norm(tl.build_full_hamiltonian(q), 2)
+    floor = 16.0 * np.finfo(float).eps * np.linalg.norm(oracles.build_full_hamiltonian(q), 2)
     assert abs(c - kappa_d) <= bound * abs(kappa_d) + floor
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(g1=COUPLING, g2=COUPLING, G3=COUPLING, decades=st.floats(0.0, 1.0),
+       x=st.floats(-0.9, 0.9), pump_detuning=st.none() | st.floats(-1.0, 1.0),
+       d_a=st.integers(2, 12))
+def test_parity_chains_are_the_dense_hamiltonian(g1, g2, G3, decades, x, pump_detuning, d_a):
+    """The two chains partition the (3, d_a) layout, each chain's
+    tridiagonal matrix is the dense Hamiltonian restricted to its states,
+    and the dense Hamiltonian couples no state of one chain to the other."""
+    Delta = 20.0 * 10.0**decades
+    q = tl.ThreeLevelParams(g1=g1, g2=g2, G3=G3, Delta=Delta, beta=x * Delta / G3,
+                            d_a=d_a, pump_detuning=pump_detuning)
+    h = oracles.build_full_hamiltonian(q)
+    chains = [tl._parity_chain(q, parity) for parity in (0, 1)]
+    even, odd = (idx for idx, _, _ in chains)
+    assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(3 * d_a))
+    for idx, diag, off in chains:
+        chain = np.diag(diag) + np.diag(off, 1) + np.diag(off.conj(), -1)
+        assert np.max(np.abs(chain - h[np.ix_(idx, idx)])) <= 1e-12 * np.max(np.abs(h))
+    assert not h[np.ix_(even, odd)].any()
 
 
 def test_default_pump_sits_on_dressed_two_photon_resonance():
