@@ -27,12 +27,6 @@ from . import fock
 hbar = 6.62607015e-34 / (2 * math.pi)
 k_B = 1.380649e-23
 
-# mass allowed to touch the moving window's edges before the walk aborts
-EDGE_TOL = 1e-10
-
-# levels at a window edge whose mass is held to EDGE_TOL
-EDGE_LEVELS = 40
-
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -225,16 +219,9 @@ def _displacement_chain(A, r, n_top):
         grown[k0 - lo1:k0 - lo1 + len(psi)] = psi
         psi, k0 = grown, lo1
         psi = fock.ladder_exp(psi, 1j * A, 1, k0)
-        edge = np.vdot(psi[-EDGE_LEVELS:], psi[-EDGE_LEVELS:]).real
-        if k0 > 0:
-            edge += np.vdot(psi[:EDGE_LEVELS], psi[:EDGE_LEVELS]).real
-        if edge > EDGE_TOL:
-            raise fock.TruncationError(
-                "window edge mass %.3g at block %d; widen the window"
-                % (edge, n + 1))
-        cum = np.cumsum(np.abs(psi) ** 2)
-        cut = int(np.searchsorted(cum, 1e-18))
-        if cut > EDGE_LEVELS:
-            psi = psi[cut - EDGE_LEVELS:]
-            k0 += cut - EDGE_LEVELS
+        prob = np.abs(psi) ** 2
+        fock.check_edge_mass(prob, "the window of block %d" % (n + 1), k0)
+        cut = int(np.searchsorted(np.cumsum(prob), 1e-18)) - fock.EDGE_LEVELS
+        if cut > 0:
+            psi, k0 = psi[cut:], k0 + cut
     return offs, vecs

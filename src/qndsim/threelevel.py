@@ -60,6 +60,7 @@ LEAKAGE_BAND_FACTOR = 10.0
 RATIO_MIN = 20.0  # least Delta / max(g) for the adiabatic elimination
 
 PROPAGATOR_TOL = 1e-8  # bound on evolve_full's eigendecomposition defect
+FIELD_TOL = 1e-6  # bound on the mass in the top two field levels over a validation run
 ROW_BLOCK = 512  # samples per block of states and observables
 
 
@@ -203,7 +204,7 @@ def evolve_full(
     matrices; Moler & Van Loan, SIAM Rev. 45, 3 (2003)). Each decomposition
     is checked first: the eigen-residual over the run, t_final max|HV - VE|,
     plus the unitarity defect max|V'V - I| must stay below PROPAGATOR_TOL,
-    or RuntimeError is raised.
+    or ValueError naming t_final is raised.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -226,7 +227,8 @@ def evolve_full(
         defect = (t_final * np.max(np.abs(h @ vecs - vecs * energies))
                   + np.max(np.abs(vecs.conj().T @ vecs - np.eye(idx.size))))
         if not defect <= PROPAGATOR_TOL:
-            raise RuntimeError(f"eigendecomposition defect {defect:.3g} > {PROPAGATOR_TOL:g}")
+            raise ValueError(f"t_final = {t_final:g}: eigendecomposition defect "
+                             f"{defect:.3g} > {PROPAGATOR_TOL:g}")
         coef = vecs.conj().T @ psi[idx]
         for lo in range(1, steps + 1, ROW_BLOCK):
             t = times[lo:lo + ROW_BLOCK, None]
@@ -249,10 +251,6 @@ def _field_moments(traj: Trajectory) -> list[np.ndarray]:
         parts.append((prob.sum(axis=2), prob.sum(axis=1) @ levels, 0.5 * (ex + 1j * ey),
                       (yb.real**2 + yb.imag**2).sum(axis=(1, 2)) - ey**2))
     return [np.concatenate(column) for column in zip(*parts)]
-
-
-def field_var_y(traj: Trajectory) -> np.ndarray:
-    return _field_moments(traj)[3]
 
 
 def check_adiabatic_coherences(
@@ -326,9 +324,16 @@ def validate_effective_gamma(
     module docstring. The fitted decay rate of the measured Var(Y) is
     reported alongside the prediction; max_rel_error is taken against the
     prediction so a normalization discrepancy shows up as a large value
-    instead of being absorbed into the fit.
+    instead of being absorbed into the fit. The field's top two levels (one
+    of each parity) must hold at most FIELD_TOL of the mass at every sample,
+    or fock.TruncationError naming t_final is raised.
     """
     traj = evolve_full(q, t_final, steps)
+    top = traj.states.reshape(traj.times.size, 3, q.d_a)[..., -2:]
+    top = np.max(np.sum(top.real**2 + top.imag**2, axis=(1, 2)))
+    if top > FIELD_TOL:
+        raise fock.TruncationError(f"t_final = {t_final:g}: the field holds {top:.3g} of its "
+                                   f"mass in its top two levels, above {FIELD_TOL:g}")
     pops, n_mean, _, v_full = _field_moments(traj)
     v_eff = np.exp(-2.0 * q.gamma_eff_predicted * traj.times)
     max_rel = float(np.max(np.abs(v_full - v_eff) / v_eff))

@@ -26,13 +26,14 @@ instead of building D(alpha) per point: one line of states along Re, then
 the whole line, as one block of vectors, steps along Im. Each step is
 unitary, so the evaluation cannot overflow even for strongly squeezed
 states where a normally ordered expansion of D(alpha) would exceed double
-range.
+range. Every walked state is held to fock's edge budget. Nothing here
+warns: whether neighbouring peaks overlap is protocol.is_distinguishable,
+and a histogram's leakage estimates the mass the overlap moves.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +44,6 @@ PAPER = "paper-closed-form"
 STANDARD = "standard-numeric"
 
 COVERAGE_SIGMAS = 5.0
-
-
-class OverlapWarning(UserWarning):
-    """Neighboring peaks overlap enough to leak mass between bins."""
 
 
 @dataclass(frozen=True)
@@ -160,19 +157,9 @@ def wigner_paper(params: protocol.ProtocolParams, spec: GridSpec) -> WignerGrid:
     return WignerGrid(re, im, values, PAPER)
 
 
-def _check_walk_budget(top: float, dim: int) -> None:
-    if top > protocol.EDGE_TOL:
-        raise fock.TruncationError(
-            f"walked states hold {top:.3g} of their mass in the top "
-            f"{protocol.EDGE_LEVELS} of {dim} levels"
-        )
-
-
-def _displaced_parity_walk(
-    psi: np.ndarray, re: np.ndarray, im: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Parities of D(-alpha) psi on the grid, and the largest mass a walked
-    state holds in its top EDGE_LEVELS levels.
+def _displaced_parity_walk(psi: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Parities of D(-alpha) psi on the grid, each walked state held to the
+    edge budget fock.check_edge_mass.
 
     The state steps along Re to a line of states, and then the whole line
     steps as one block along Im, one grid row per step.
@@ -183,14 +170,14 @@ def _displaced_parity_walk(
     block = np.stack(line, axis=1)
     parity = 1.0 - 2.0 * (np.arange(len(psi)) % 2)
     out = np.empty((im.size, re.size))
-    top = 0.0
+    where = f"a walked state on {len(psi)} levels"
     for i in range(im.size):
         if i:
             block = fock.ladder_exp(block, -1j * (im[1] - im[0]), 1)
         prob = block.real**2 + block.imag**2
         out[i] = parity @ prob
-        top = max(top, float(prob[-protocol.EDGE_LEVELS:].sum(axis=0).max()))
-    return out, top
+        fock.check_edge_mass(prob, where)
+    return out
 
 
 def wigner_numeric_protocol(
@@ -230,9 +217,7 @@ def wigner_numeric_protocol(
     spread = (reach + math.sqrt(18.0) * math.exp(params.r)) ** 2
     dim = max(fock.displacement_dim(reach), int(math.ceil(spread))) + 64
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * params.r, 2)
-    walk, top = _displaced_parity_walk(psi, re, dn)
-    _check_walk_budget(top, dim)
-    patch = (2.0 / math.pi) * walk
+    patch = (2.0 / math.pi) * _displaced_parity_walk(psi, re, dn)
 
     values = np.zeros((im.size, re.size))
     for n, weight in enumerate(fock.thermal_pn(params.N, fock.thermal_dim(params.N))):
@@ -264,9 +249,10 @@ def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> Phono
     """Bin the Im marginal around the peak centers into phonon weights.
 
     Bin n is [(n - 1/2) A, (n + 1/2) A], centred where both conventions
-    put peak n; the n = 0 bin extends down to the grid bottom. Warns with
-    OverlapWarning when the peaks are not distinguishable at these
-    parameters.
+    put peak n; the n = 0 bin extends down to the grid bottom. The
+    histogram's leakage estimates the mass overlapping neighbours move
+    between bins; no warning is raised when the peaks are not
+    distinguishable.
     """
     A = params.A
     axis = marginal.im_axis
@@ -283,14 +269,6 @@ def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> Phono
     sig_conv = math.exp(-params.r) if marginal.convention == PAPER else math.exp(-params.r) / 2.0
     p0 = 1.0 / (params.N + 1.0)
     leak = (1.0 - 0.5 * p0) * math.erfc(A / (2.0 * math.sqrt(2.0) * sig_conv))  # see sampler's erfc
-    if not protocol.is_distinguishable(params):
-        warnings.warn(
-            OverlapWarning(
-                f"peaks at spacing {A:g} are not distinguishable at r = "
-                f"{params.r:g}; estimated leaked mass {leak:.3g}"
-            ),
-            stacklevel=2,
-        )
     return PhononHistogram(masses / total, "marginal-integration", leak)
 
 

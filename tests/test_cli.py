@@ -377,15 +377,42 @@ def test_protocol_d_a_key_exits_2(tmp_path, capsys, experiment):
 
 
 def test_validate_jj_propagator_defect_exits_2(tmp_path, capsys):
-    # past what the eigendecomposition holds to PROPAGATOR_TOL over t_final
+    # past what the eigendecomposition holds to PROPAGATOR_TOL over t_final;
+    # beta = 0 keeps exp(-2 gamma_eff t_final) at 1, inside double range
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, {"seed": 1, "params": JJ_PARAMS, "t_final": 1e8,
-                                  "steps": 10, "output_dir": str(out)})
+    cfg = write_config(tmp_path, {"seed": 1, "params": {**JJ_PARAMS, "beta": 0.0},
+                                  "t_final": 1e8, "steps": 10, "output_dir": str(out)})
     assert cli.main(["validate-jj", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: t_final = 1e+08: eigendecomposition defect")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("patch, t_final, message", [
+    pytest.param({"beta": 10.0, "pump_detuning": 5.0}, 1e5,
+                 "config.t_final: exp(-2 gamma_eff t_final) = exp(-1667) is out of the normal "
+                 "double range for config.params", id="decay-underflows"),
+    pytest.param({"beta": -10.0, "pump_detuning": 5.0}, 1e5,
+                 "config.t_final: exp(-2 gamma_eff t_final) = exp(1667) is out of the normal "
+                 "double range for config.params", id="growth-overflows"),
+    pytest.param({}, 150.0, "t_final = 150: the field holds 0.0005 of its mass in its top two "
+                 "levels, above 1e-06", id="field-reaches-top-levels"),
+])
+def test_validate_jj_run_out_of_range_exits_2(tmp_path, capsys, patch, t_final, message):
+    # past double range, exp(-2 gamma_eff t_final) would put Infinity (NaN at
+    # beta < 0) into the JSON; a field at its truncation would give Var Y 40 % off
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"seed": 1, "params": {**JJ_PARAMS, **patch},
+                                  "t_final": t_final, "steps": 10, "output_dir": str(out)})
+    assert cli.main(["validate-jj", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_artifacts_refuse_non_json_numbers():
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli._render_json({"max_rel_error": math.inf})
 
 
 def non_echo_outputs(out):

@@ -14,7 +14,6 @@ DECLARED = {
     "relative_uncertainty": "paper concept: the sqrt(1 + 1/N) limit of the readout",
     "N_from_temperature": "paper concept: the occupation at a temperature",
     "check_adiabatic_coherences": "paper concept: validity of the adiabatic elimination",
-    "field_var_y": "benchmark hook: perfbench/run.py totals its spans",
     "AdiabaticReport.max_rel_residual": "paper concept: the headline figure of the "
                                         "check_adiabatic_coherences report",
 }
@@ -57,3 +56,17 @@ def test_every_public_name_is_used_by_the_library_or_declared():
     # the list stays true: every declared name exists and still has no caller
     assert sorted(set(DECLARED) - set(defined)) == []
     assert sorted(set(DECLARED) & called) == []
+
+
+def test_checks_raise_value_errors_and_warn_nothing():
+    """A check reports by raising ValueError (or a subclass) or by a value
+    returned to its caller: no module imports warnings or raises RuntimeError."""
+    for path in LIBRARY:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        raised = {name.id for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc
+                  for name in ast.walk(node.exc) if isinstance(name, ast.Name)}
+        assert "warnings" not in imported, path.name
+        assert "RuntimeError" not in raised, path.name

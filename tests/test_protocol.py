@@ -10,7 +10,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 
 import oracles
-from qndsim import fock, protocol, sampler
+from qndsim import fock, protocol, sampler, wigner
 
 R50 = 0.5 * math.log(50.0)
 NU = 2 * math.pi * 1e9
@@ -290,3 +290,14 @@ def test_window_holds_every_block(A, e2r, n_top):
     assert len(vecs) == n_top + 1 and min(offs) >= 0
     norms = np.array([np.linalg.norm(v) for v in vecs])
     assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+def test_one_edge_budget_holds_the_chain_and_the_walk(monkeypatch):
+    """fock.EDGE_TOL is the one edge budget: at zero, both the block chain
+    and the Wigner walk refuse the demo point."""
+    spec = wigner.GridSpec(-2.0, 2.0, 17, -0.75, 34.05, 2089)
+    monkeypatch.setattr(fock, "EDGE_TOL", 0.0)
+    with pytest.raises(fock.TruncationError, match="window of block 1"):
+        protocol.evolve_pulse(params())
+    with pytest.raises(fock.TruncationError, match="walked state"):
+        wigner.wigner_numeric_protocol(params(), spec)

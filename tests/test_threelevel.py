@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from qndsim import threelevel as tl
+from qndsim import fock, threelevel as tl
 
 
 def params(Delta=50.0, beta=10.0, d_a=36, **kw):
@@ -132,7 +132,7 @@ def test_zero_couplings_vacuum_is_stationary():
     traj = tl.evolve_full(q, 2.0, 20)
     psi0 = tl.initial_vacuum_i(q)
     assert np.max(np.abs(traj.states - psi0)) <= 1e-12
-    assert np.max(np.abs(tl.field_var_y(traj) - 1.0)) <= 1e-12
+    assert np.max(np.abs(tl._field_moments(traj)[3] - 1.0)) <= 1e-12
 
 
 def test_evolve_input_validation():
@@ -188,7 +188,7 @@ def test_corrupted_eigenpair_raises(monkeypatch, corrupt):
     q = params(d_a=8)
     tl.evolve_full(q, 1.0, 10)
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    with pytest.raises(RuntimeError, match="defect"):
+    with pytest.raises(ValueError, match="t_final = 1: eigendecomposition defect"):
         tl.evolve_full(q, 1.0, 10)
 
 
@@ -218,9 +218,18 @@ def test_vectorised_observables_match_dense_traces():
         for g, w in zip(got, want):
             assert g.shape == w.shape
             assert np.max(np.abs(g - w)) <= 1e-12 * max(1.0, np.max(np.abs(w)))
-        assert np.array_equal(tl.field_var_y(traj), got[3])
     report = tl.validate_effective_gamma(q, 31.25, steps=700)
     assert report.varY_full[0] == 1.0
+
+
+def test_field_truncation_budget_names_t_final():
+    # At d_a = 36 the squeezed field reaches its top two levels as the run
+    # grows: 1.9e-7 of the mass by t = 100, 5.0e-4 by t = 150, where the
+    # written Var Y would be 40 % off a d_a = 120 run.
+    q = params()
+    tl.validate_effective_gamma(q, 100.0, steps=100)
+    with pytest.raises(fock.TruncationError, match="t_final = 150: .* top two levels"):
+        tl.validate_effective_gamma(q, 150.0, steps=100)
 
 
 def test_variance_tracks_fitted_exponent():
@@ -254,8 +263,8 @@ def test_beta_zero_variance_stays_at_vacuum():
 def test_detuned_pump_squeezes_less():
     q = params()
     detuned = params(pump_detuning=q.pump + 10.0 * q.gamma_eff_predicted)
-    v_base = tl.field_var_y(tl.evolve_full(q, 31.25, 100))
-    v_det = tl.field_var_y(tl.evolve_full(detuned, 31.25, 100))
+    v_base = tl._field_moments(tl.evolve_full(q, 31.25, 100))[3]
+    v_det = tl._field_moments(tl.evolve_full(detuned, 31.25, 100))[3]
     assert 1.0 - v_base.min() >= 2.0 * (1.0 - v_det.min())
 
 

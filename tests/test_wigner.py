@@ -1,15 +1,15 @@
 """Wigner maps, marginals, and phonon-number reconstruction."""
 
 import io
+import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 import oracles
-from qndsim import fock, protocol, wigner
+from qndsim import cli, fock, protocol, wigner
 
 R50 = 0.5 * math.log(50.0)
 NU = 2 * math.pi * 1e9
@@ -101,12 +101,12 @@ def squeezed_coherent(dim):
 def test_numeric_matches_expm_displaced_parity():
     # One-shot exp(alpha a^dag - conj(alpha) a) per point against the walk.
     # At d = 80 the walked states hold 4.2e-12 of their mass in their top
-    # EDGE_LEVELS levels (4.4e-9 at d = 72, which the budget refuses).
+    # EDGE_LEVELS levels, inside fock.EDGE_TOL, so the walk's budget passes
+    # (4.4e-9 at d = 72, which it refuses).
     dim = 80
     psi = squeezed_coherent(dim)
     spec = wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)
-    walk, top = wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
-    assert top <= protocol.EDGE_TOL
+    walk = wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
     rho = np.outer(psi, psi.conj())
     parity = np.diag(1.0 - 2.0 * (np.arange(dim) % 2.0)).astype(complex)
     for i, y in enumerate(spec.im_axis()):
@@ -137,17 +137,19 @@ def test_numeric_squeezed_marginal_variances():
     assert var_im == pytest.approx(0.1 / 4.0, rel=1e-3)
 
 
-def test_numeric_walk_budget_refuses_short_truncations():
+def test_numeric_walk_budget_refuses_short_truncations(monkeypatch):
     # Walked on these grids, the e^{2r} = 10 squeezed vacuum on 224 levels
     # holds 3.0e-5 of its mass in its top EDGE_LEVELS levels, and the
     # squeezed coherent state on 72 levels 4.4e-9.
     squeezed = fock.ladder_exp(fock.basis(224), 0.25 * math.log(10.0), 2)
-    for psi, spec in ((squeezed, SQUEEZED_SPEC),
-                      (squeezed_coherent(72), wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5))):
-        _, top = wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
-        assert top > protocol.EDGE_TOL
-        with pytest.raises(fock.TruncationError, match="top"):
-            wigner._check_walk_budget(top, len(psi))
+    cases = ((squeezed, SQUEEZED_SPEC),
+             (squeezed_coherent(72), wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)))
+    for psi, spec in cases:
+        with pytest.raises(fock.TruncationError, match=f"walked state on {len(psi)} levels"):
+            wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
+    monkeypatch.setattr(fock, "EDGE_TOL", 1e-4)  # above both masses: the budget refused them
+    for psi, spec in cases:
+        wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
 
 
 def test_protocol_path_matches_generic():
@@ -179,17 +181,17 @@ def test_protocol_path_matches_closed_form_at_demo_point():
 
 def test_protocol_path_walk_budget(monkeypatch):
     # The walked states' top-level mass is measured: at a coherent-state
-    # dimension it is far above EDGE_TOL, and a zero budget always raises.
+    # dimension it is above 1e-5, far above fock.EDGE_TOL.
     r = R50
     dim = 643
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
     re = np.linspace(-12.0, 12.0, 49)
     dn = np.arange(-51, 52) / 60.0
-    _, top = wigner._displaced_parity_walk(psi, re, dn)
-    assert top > 1e-5
-    monkeypatch.setattr(protocol, "EDGE_TOL", 0.0)
-    with pytest.raises(fock.TruncationError, match="top"):
-        wigner.wigner_numeric_protocol(params(), demo_im_spec(2.0, 17))
+    with pytest.raises(fock.TruncationError, match="walked state on 643 levels"):
+        wigner._displaced_parity_walk(psi, re, dn)
+    monkeypatch.setattr(fock, "EDGE_TOL", 1e-5)
+    with pytest.raises(fock.TruncationError, match="walked state on 643 levels"):
+        wigner._displaced_parity_walk(psi, re, dn)
 
 
 def test_protocol_path_requires_center_lattice():
@@ -220,10 +222,8 @@ def test_reconstruct_demo_matches_geometric():
     p = params()
     spec = wigner.GridSpec(-36.0, 36.0, 145, -0.75, 34.05, 8353)
     marg = wigner.marginal_P(wigner.wigner_paper(p, spec))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hist = wigner.reconstruct_pn(marg, p)
-    assert not [w for w in caught if issubclass(w.category, wigner.OverlapWarning)]
+    hist = wigner.reconstruct_pn(marg, p)
+    assert protocol.is_distinguishable(p)
     assert hist.method == "marginal-integration"
     assert hist.probabilities.sum() == pytest.approx(1.0, abs=1e-3)
     assert hist.probabilities.min() >= 0.0
@@ -239,16 +239,22 @@ def test_reconstruct_vacuum():
     assert 0.0 < hist.leakage < 1e-3
 
 
-def test_reconstruct_below_threshold_warns():
-    p = params(A=0.25, r=0.0, N=1.0)
-    spec = wigner.GridSpec(-6.0, 6.0, 61, -5.0, 13.5, 371)
-    marg = wigner.marginal_P(wigner.wigner_paper(p, spec))
-    with pytest.warns(wigner.OverlapWarning):
-        hist = wigner.reconstruct_pn(marg, p)
-    assert hist.leakage > 0.1
-    assert hist.probabilities.sum() == pytest.approx(1.0, rel=1e-12)
+def test_reconstruct_below_threshold_warns(tmp_path):
+    # The manifest flags the overlap below the distinguishability threshold.
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 1, "output_dir": str(out), "params": {"A": 0.25, "r": 0.0, "N": 1.0, "nu": NU},
+        "grid": {"re_min": -6.0, "re_max": 6.0, "re_count": 61,
+                 "im_min": -5.0, "im_max": 13.5, "im_count": 371}}))
+    assert cli.main(["wigner", "--config", str(config)]) == 0
+    results = json.loads((out / "manifest.json").read_text())["results"]
+    assert results["overlap_warning"] is True
+    assert results["leakage"] > 0.1
     expected = (1.0 - 0.25) * erfc(0.25 / (2.0 * math.sqrt(2.0)))
-    assert hist.leakage == pytest.approx(expected, rel=1e-12)
+    assert results["leakage"] == pytest.approx(expected, rel=1e-12)
+    hist = np.loadtxt(out / "histogram.csv", delimiter=",", skiprows=1)
+    assert hist[:, 1].sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_reconstruct_tv_ladder_monotone():
@@ -278,11 +284,9 @@ def test_convention_bridge_demo_params():
     numeric = wigner.marginal_P(
         wigner.wigner_numeric_protocol(p, demo_im_spec(2.0, 17))
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        h_paper = wigner.reconstruct_pn(paper, p)
-        h_numeric = wigner.reconstruct_pn(numeric, p)
-    assert not [w for w in caught if issubclass(w.category, wigner.OverlapWarning)]
+    h_paper = wigner.reconstruct_pn(paper, p)
+    h_numeric = wigner.reconstruct_pn(numeric, p)
+    assert protocol.is_distinguishable(p)
     assert tv(h_paper.probabilities, h_numeric.probabilities) <= 0.01
 
 
