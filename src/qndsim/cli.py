@@ -24,12 +24,12 @@ Each experiment's keys, with type, bound and default, are declared once
 in _SCHEMAS; the params keys come from the dataclass fields. Unknown keys
 anywhere are rejected, and every parameter set (including each sweep
 point) is validated before any computation starts, so an invalid config
-never leaves partial output files. Artifacts are rendered in memory and
-written only after the whole run has succeeded, followed by manifest.json
-(config echo in canonical form, package version, wall time, sha256 of
-every artifact). The echoed config block is itself a valid config, and
---config accepts a manifest file directly, so any output can be
-regenerated from its manifest alone.
+never leaves partial output files. Artifacts are rendered once, as bytes,
+by the modules that own their data, and written only after the whole run
+has succeeded, followed by manifest.json (config echo in canonical form,
+package version, wall time, sha256 of every artifact). The echoed config
+block is itself a valid config, and --config accepts a manifest file
+directly, so any output can be regenerated from its manifest alone.
 
 Exit codes: 0 success, 2 on a validation error, 3 when a computed result
 misses the configured numerical tolerance (files are still written so the
@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -257,7 +256,8 @@ def resolve_config(experiment, raw):
             _fail(path, str(exc))
         if experiment == "validate-jj":
             if cfg["t_final"] is None and q.gamma_eff_predicted <= 0.0:
-                _fail(path, "t_final is required when the predicted rate is zero")
+                _fail(path, "t_final is required when the predicted rate "
+                      f"gamma_eff = {q.gamma_eff_predicted:.4g} is not positive")
             decay = 2.0 * q.gamma_eff_predicted * (cfg["t_final"] or 0.0)  # the default t_final gives 1
             if abs(decay) > _EXP_RANGE:
                 _fail("config.t_final", f"exp(-2 gamma_eff t_final) = exp({-decay:.4g}) "
@@ -290,12 +290,6 @@ def _point_seeds(seed, n_points):
 
 def _render_json(payload):
     return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
-
-
-def _render_csv(write, obj):
-    buf = io.StringIO()
-    write(obj, buf)
-    return buf.getvalue().encode()
 
 
 def _rel_or_abs(measured, target):
@@ -338,10 +332,10 @@ def _run_sample(cfg, point, point_seed):
     p = protocol.ProtocolParams(**point)
     record = sampler.sample_record(p, cfg["shots"], point_seed)
     report = sampler.estimate(record)
-    payload = {"params": point, **sampler.report_json_dict(report),
+    payload = {"params": point, **dataclasses.asdict(report),
                "misassign_predicted": sampler.misassignment_probability(p)}
     artifacts = {
-        "samples.csv": _render_csv(sampler.write_record_csv, record),
+        "samples.csv": sampler.write_record_csv(record),
         "estimate.json": _render_json(payload),
     }
     results = {k: payload[k] for k in
@@ -363,12 +357,12 @@ def _run_wigner(cfg, point, point_seed):
 
     meta = {"convention": grid.convention, "seed": point_seed, "params": point}
     artifacts = {
-        "wigner_grid.csv": _render_csv(wigner.write_grid_csv, grid),
+        "wigner_grid.csv": wigner.write_grid_csv(grid),
         "wigner_grid.meta.json": _render_json({"artifact": "wigner_grid.csv", **meta}),
-        "marginal.csv": _render_csv(wigner.write_marginal_csv, marg),
+        "marginal.csv": wigner.write_marginal_csv(marg),
         "marginal.meta.json": _render_json(
             {"artifact": "marginal.csv", "raw_integral": float(marg.raw_integral), **meta}),
-        "histogram.csv": _render_csv(wigner.write_histogram_csv, hist),
+        "histogram.csv": wigner.write_histogram_csv(hist),
         "histogram.meta.json": _render_json(
             {"artifact": "histogram.csv", "method": hist.method,
              "leakage": hist.leakage, **meta}),
@@ -396,7 +390,7 @@ def _run_validate_jj(cfg, point, point_seed):
                    tolerance=cfg["tolerance"], tolerance_ok=ok)
     artifacts = {
         "validate_report.json": _render_json(payload),
-        "validate_curve.csv": _render_csv(threelevel.write_report_csv, report),
+        "validate_curve.csv": threelevel.write_report_csv(report),
     }
     results = {
         "gamma_eff_predicted": report.gamma_eff_predicted,

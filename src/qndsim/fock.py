@@ -1,8 +1,9 @@
 """Truncated Fock-space engine: the one action kernel for exponentials of
 ladder operators, the quadrature stencil, headroom rules, the edge budget
 that every moving or walked window is held to, the thermal law with its
-tail budget, and the CSV renderer. Every operator acts on state vectors
-through its sqrt(n) bands; no dense Fock matrix is built.
+tail budget, and the CSV renderer, which returns an artifact's bytes.
+Every operator acts on state vectors through its sqrt(n) bands; no dense
+Fock matrix is built.
 
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
@@ -189,9 +190,9 @@ def thermal_dim(N):
     if N < 0:
         raise ValueError("mean occupation must be >= 0, got %r" % N)
     if N == 0:
-        return 2
+        return 1
     d = int(np.ceil(np.log(THERMAL_TAIL) / np.log(N / (N + 1.0))))
-    return max(2, d)
+    return max(1, d)
 
 
 def check_thermal_tail(N, dim, name="dim"):
@@ -204,7 +205,7 @@ def check_thermal_tail(N, dim, name="dim"):
     if tail > THERMAL_TAIL:
         raise TruncationError(
             "thermal tail mass %.3g exceeds %.3g at %s %d; need %s >= %d"
-            % (tail, THERMAL_TAIL, name, dim, name, thermal_dim(N) if N else 1))
+            % (tail, THERMAL_TAIL, name, dim, name, thermal_dim(N)))
 
 
 def thermal_pn(N, dim):
@@ -217,10 +218,12 @@ def thermal_pn(N, dim):
     return p / p.sum()
 
 
-def write_csv(fh, header, *columns):
-    """CSV rows of equal-length numpy columns, each value as repr of its
-    Python scalar (shortest round-trip floats), CSV_CHUNK rows at a time."""
-    fh.write(header + "\n")
+def write_csv(header, *columns):
+    """The CSV bytes of equal-length numpy columns, each value as repr of
+    its Python scalar (shortest round-trip floats). Each CSV_CHUNK rows are
+    encoded into one growing buffer, which is returned as it is: no copy."""
+    out = bytearray(header.encode() + b"\n")
     for start in range(0, len(columns[0]), CSV_CHUNK):
         cells = [map(repr, c[start:start + CSV_CHUNK].tolist()) for c in columns]
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        out += ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+    return out

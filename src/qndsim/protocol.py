@@ -173,8 +173,6 @@ def field_moments_numeric(p):
 def composite_field_moments(state):
     ex = ey = ex2 = ey2 = 0.0
     for w, off, psi in zip(state.pn, state.offsets, state.blocks):
-        if w == 0.0:
-            continue
         xpsi, ypsi = fock.quadrature_action(psi, off)
         ex += w * np.vdot(psi, xpsi).real
         ey += w * np.vdot(psi, ypsi).real

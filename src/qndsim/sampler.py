@@ -29,10 +29,10 @@ class MeasurementRecord:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    N_hat: float
-    N_stderr: float
-    T_hat: float | None
-    T_stderr: float | None
+    n_hat: float
+    n_stderr: float
+    t_hat_kelvin: float | None
+    t_stderr_kelvin: float | None
     misassign_rate: float
     shots: int
     seed: int
@@ -103,24 +103,11 @@ def estimate(record):
         t_hat = None
         t_stderr = None
     mis = float(np.mean(assign_m(record.y, p) != record.m_true))
-    return EstimateReport(N_hat=n_hat, N_stderr=n_stderr, T_hat=t_hat,
-                          T_stderr=t_stderr, misassign_rate=mis,
+    return EstimateReport(n_hat=n_hat, n_stderr=n_stderr, t_hat_kelvin=t_hat,
+                          t_stderr_kelvin=t_stderr, misassign_rate=mis,
                           shots=record.shots, seed=record.seed)
 
 
-def write_record_csv(record, fh):
-    """CSV rows `shot,y,m_true`, floats in shortest round-trip form."""
-    fock.write_csv(fh, "shot,y,m_true", np.arange(record.shots), record.y, record.m_true)
-
-
-def report_json_dict(report):
-    """The report with the documented export keys."""
-    return {
-        "n_hat": report.N_hat,
-        "n_stderr": report.N_stderr,
-        "t_hat_kelvin": report.T_hat,
-        "t_stderr_kelvin": report.T_stderr,
-        "misassign_rate": report.misassign_rate,
-        "shots": report.shots,
-        "seed": report.seed,
-    }
+def write_record_csv(record):
+    """CSV bytes of rows `shot,y,m_true`, floats in shortest round-trip form."""
+    return fock.write_csv("shot,y,m_true", np.arange(record.shots), record.y, record.m_true)

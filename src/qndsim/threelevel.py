@@ -374,6 +374,6 @@ def report_json_dict(report: SqueezeValidationReport) -> dict:
     }
 
 
-def write_report_csv(report: SqueezeValidationReport, fh) -> None:
-    fock.write_csv(fh, "t,varY_full,varY_effective",
-                   report.times, report.varY_full, report.varY_effective)
+def write_report_csv(report: SqueezeValidationReport) -> bytearray:
+    return fock.write_csv("t,varY_full,varY_effective",
+                          report.times, report.varY_full, report.varY_effective)

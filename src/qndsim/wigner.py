@@ -121,7 +121,7 @@ def check_grid(params: protocol.ProtocolParams, spec: GridSpec, convention: str)
     multiple of it.
     """
     if convention == PAPER:
-        top = (fock.thermal_dim(params.N) - 1 if params.N else 0) * params.A
+        top = (fock.thermal_dim(params.N) - 1) * params.A
         reach_re = COVERAGE_SIGMAS * math.exp(params.r)
         reach_im = COVERAGE_SIGMAS * math.exp(-params.r)
         reason = f"does not cover the peak centers plus {COVERAGE_SIGMAS:g} standard deviations"
@@ -282,15 +282,15 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def write_grid_csv(grid: WignerGrid, fh) -> None:
+def write_grid_csv(grid: WignerGrid) -> bytearray:
     n_im, n_re = grid.values.shape
-    fock.write_csv(fh, "re,im,w", np.tile(grid.re_axis, n_im),
-                   np.repeat(grid.im_axis, n_re), grid.values.ravel())
+    return fock.write_csv("re,im,w", np.tile(grid.re_axis, n_im),
+                          np.repeat(grid.im_axis, n_re), grid.values.ravel())
 
 
-def write_marginal_csv(marginal: Marginal, fh) -> None:
-    fock.write_csv(fh, "coordinate,value", marginal.im_axis, marginal.density)
+def write_marginal_csv(marginal: Marginal) -> bytearray:
+    return fock.write_csv("coordinate,value", marginal.im_axis, marginal.density)
 
 
-def write_histogram_csv(hist: PhononHistogram, fh) -> None:
-    fock.write_csv(fh, "n,p", np.arange(len(hist.probabilities)), hist.probabilities)
+def write_histogram_csv(hist: PhononHistogram) -> bytearray:
+    return fock.write_csv("n,p", np.arange(len(hist.probabilities)), hist.probabilities)

@@ -98,7 +98,7 @@ def test_criterion_3_estimator_within_bands():
     record = sampler.sample_record(p, 100000, 42)
     estimate = sampler.estimate(record)
     stderr = math.sqrt(8.02) / (2.0 * math.sqrt(record.shots))
-    mean_ok = abs(estimate.N_hat - 1.0) <= 3.0 * stderr
+    mean_ok = abs(estimate.n_hat - 1.0) <= 3.0 * stderr
     # 99 % band of the sample variance from the fourth moment of y, the
     # thermal-plus-Gaussian mixture (kurtosis 9.47, not a Gaussian's 3)
     var, mu4 = _mixture_moments(p)
@@ -110,7 +110,7 @@ def test_criterion_3_estimator_within_bands():
     var_ok = lo <= ratio <= hi
     elapsed = time.perf_counter() - t0
     ok = mean_ok and var_ok and elapsed < 10.0
-    _report(3, ok, f"N_hat {estimate.N_hat:.4f} (3 stderr = {3*stderr:.4f}), "
+    _report(3, ok, f"N_hat {estimate.n_hat:.4f} (3 stderr = {3*stderr:.4f}), "
                    f"var ratio {ratio:.4f} in [{lo:.4f}, {hi:.4f}], "
                    f"{elapsed:.1f}s (gate 10s)")
 

@@ -11,12 +11,13 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qndsim import cli, protocol, threelevel
+from qndsim import cli, fock, protocol, sampler, threelevel
 
 NU = 2 * math.pi * 1e9
 
@@ -398,16 +399,37 @@ def test_validate_jj_propagator_defect_exits_2(tmp_path, capsys):
                  "double range for config.params", id="growth-overflows"),
     pytest.param({}, 150.0, "t_final = 150: the field holds 0.0005 of its mass in its top two "
                  "levels, above 1e-06", id="field-reaches-top-levels"),
+    pytest.param({"beta": -10.0}, None, "config.params: t_final is required when the predicted "
+                 "rate gamma_eff = -0.008333 is not positive", id="default-at-negative-rate"),
+    pytest.param({"beta": 0.0}, None, "config.params: t_final is required when the predicted "
+                 "rate gamma_eff = 0 is not positive", id="default-at-zero-rate"),
 ])
 def test_validate_jj_run_out_of_range_exits_2(tmp_path, capsys, patch, t_final, message):
     # past double range, exp(-2 gamma_eff t_final) would put Infinity (NaN at
-    # beta < 0) into the JSON; a field at its truncation would give Var Y 40 % off
+    # beta < 0) into the JSON; a field at its truncation would give Var Y 40 % off;
+    # the default t_final, 0.5 / gamma_eff, needs a positive rate
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {"seed": 1, "params": {**JJ_PARAMS, **patch},
                                   "t_final": t_final, "steps": 10, "output_dir": str(out)})
     assert cli.main(["validate-jj", "--config", cfg]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_sample_csv_is_rendered_once(monkeypatch):
+    # the samples.csv route of a sample run holds its bytes once: a text
+    # copy next to the encoded one would put the peak at twice the length
+    point = {"A": 1.0, "r": 0.5 * math.log(50.0), "N": 1.0, "nu": 2 * math.pi * 1e9}
+    record = sampler.sample_record(protocol.ProtocolParams(**point), 200_000, 7)
+    monkeypatch.setattr(sampler, "sample_record", lambda *args: record)
+    monkeypatch.setattr(fock, "CSV_CHUNK", 4096)
+    tracemalloc.start()
+    try:
+        artifacts, _ = cli._run_sample({"shots": record.shots}, point, record.seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * len(artifacts["samples.csv"])
 
 
 def test_artifacts_refuse_non_json_numbers():

@@ -1,6 +1,6 @@
 """Sampler checks: exact draw laws, erfc analytics, estimator statistics."""
 
-import io
+import dataclasses
 import math
 
 import numpy as np
@@ -101,15 +101,15 @@ def test_estimate_formulas():
     p = params()
     rec = sampler.sample_record(p, 20000, 3)
     rep = sampler.estimate(rec)
-    assert rep.N_hat == rec.y.mean() / 2.0
-    assert rep.N_stderr == rec.y.std(ddof=1) / (2.0 * math.sqrt(rec.shots))
+    assert rep.n_hat == rec.y.mean() / 2.0
+    assert rep.n_stderr == rec.y.std(ddof=1) / (2.0 * math.sqrt(rec.shots))
     # delta method against a finite difference of the temperature map
-    h = 1e-6 * rep.N_hat
-    d = (protocol.temperature_from_N(rep.N_hat + h, NU)
-         - protocol.temperature_from_N(rep.N_hat - h, NU)) / (2 * h)
-    assert rep.T_stderr == pytest.approx(d * rep.N_stderr, rel=1e-6)
-    assert rep.T_hat == pytest.approx(
-        protocol.temperature_from_N(rep.N_hat, NU), rel=1e-12)
+    h = 1e-6 * rep.n_hat
+    d = (protocol.temperature_from_N(rep.n_hat + h, NU)
+         - protocol.temperature_from_N(rep.n_hat - h, NU)) / (2 * h)
+    assert rep.t_stderr_kelvin == pytest.approx(d * rep.n_stderr, rel=1e-6)
+    assert rep.t_hat_kelvin == pytest.approx(
+        protocol.temperature_from_N(rep.n_hat, NU), rel=1e-12)
     assert rep.shots == 20000 and rep.seed == 3
 
 
@@ -118,8 +118,8 @@ def test_estimate_flags_undefined_temperature():
     rec = sampler.MeasurementRecord(y=np.zeros(100), m_true=np.zeros(100, int),
                                     params=p, seed=0)
     rep = sampler.estimate(rec)
-    assert rep.N_hat == 0.0
-    assert rep.T_hat is None and rep.T_stderr is None
+    assert rep.n_hat == 0.0
+    assert rep.t_hat_kelvin is None and rep.t_stderr_kelvin is None
     with pytest.raises(ValueError):
         sampler.estimate(sampler.MeasurementRecord(
             y=np.zeros(1), m_true=np.zeros(1, int), params=p, seed=0))
@@ -129,14 +129,14 @@ def test_stderr_shrinks_with_sqrt_shots():
     p = params()
     r1 = sampler.estimate(sampler.sample_record(p, 40000, 8))
     r2 = sampler.estimate(sampler.sample_record(p, 80000, 9))
-    assert r1.N_stderr / r2.N_stderr == pytest.approx(math.sqrt(2.0), rel=0.05)
+    assert r1.n_stderr / r2.n_stderr == pytest.approx(math.sqrt(2.0), rel=0.05)
 
 
 def test_estimator_replication_consistency():
     # empirical spread of N_hat over 200 replications vs the CLT prediction
     p = params()
     seeds = np.random.SeedSequence(2027).generate_state(200)
-    hats = [sampler.estimate(sampler.sample_record(p, 2000, int(s))).N_hat
+    hats = [sampler.estimate(sampler.sample_record(p, 2000, int(s))).n_hat
             for s in seeds]
     predicted = math.sqrt(protocol.var_Y(p)) / (2.0 * math.sqrt(2000))
     assert np.std(hats, ddof=1) == pytest.approx(predicted, rel=0.15)
@@ -151,7 +151,7 @@ def test_estimate_covers_N_at_the_normal_rate(A, log_e2r, N):
     deviations, [0.913, 0.996]."""
     p = params(A=A, r=0.5 * log_e2r, N=N)
     reports = [sampler.estimate(sampler.sample_record(p, 2000, seed)) for seed in range(400)]
-    covered = np.mean([abs(rep.N_hat - N) <= 2.0 * rep.N_stderr for rep in reports])
+    covered = np.mean([abs(rep.n_hat - N) <= 2.0 * rep.n_stderr for rep in reports])
     assert 0.913 <= covered <= 0.996
 
 
@@ -159,14 +159,12 @@ def test_record_csv_format():
     p = params()
     rec = sampler.MeasurementRecord(y=np.array([0.25, -1.5]),
                                     m_true=np.array([0, 1]), params=p, seed=5)
-    buf = io.StringIO()
-    sampler.write_record_csv(rec, buf)
-    assert buf.getvalue() == "shot,y,m_true\n0,0.25,0\n1,-1.5,1\n"
+    assert sampler.write_record_csv(rec) == b"shot,y,m_true\n0,0.25,0\n1,-1.5,1\n"
 
 
 def test_report_json_keys():
     p = params()
     rep = sampler.estimate(sampler.sample_record(p, 100, 1))
-    d = sampler.report_json_dict(rep)
+    d = dataclasses.asdict(rep)
     assert list(d) == ["n_hat", "n_stderr", "t_hat_kelvin", "t_stderr_kelvin",
                        "misassign_rate", "shots", "seed"]

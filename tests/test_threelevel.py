@@ -1,6 +1,5 @@
 """Three-level model checks: Hamiltonian bookkeeping, squeezing rate, adiabatics."""
 
-import io
 import json
 import math
 
@@ -398,9 +397,7 @@ def test_report_serialization():
     assert payload["leakage_ok"] is True
     assert len(payload["times"]) == 5 and len(payload["varY_full"]) == 5
 
-    buf = io.StringIO()
-    tl.write_report_csv(report, buf)
-    lines = buf.getvalue().splitlines()
+    lines = tl.write_report_csv(report).decode().splitlines()
     assert lines[0] == "t,varY_full,varY_effective"
     assert len(lines) == 6
     t, vf, ve = (float(x) for x in lines[-1].split(","))

@@ -1,6 +1,5 @@
 """Wigner maps, marginals, and phonon-number reconstruction."""
 
-import io
 import json
 import math
 
@@ -306,20 +305,14 @@ def test_export_formats():
         np.array([[0.5, 0.25], [0.125, 1.0]]),
         wigner.PAPER,
     )
-    buf = io.StringIO()
-    wigner.write_grid_csv(grid, buf)
-    assert buf.getvalue() == (
-        "re,im,w\n"
-        "0.0,0.0,0.5\n"
-        "1.0,0.0,0.25\n"
-        "0.0,2.0,0.125\n"
-        "1.0,2.0,1.0\n"
+    assert wigner.write_grid_csv(grid) == (
+        b"re,im,w\n"
+        b"0.0,0.0,0.5\n"
+        b"1.0,0.0,0.25\n"
+        b"0.0,2.0,0.125\n"
+        b"1.0,2.0,1.0\n"
     )
     marg = wigner.Marginal(np.array([0.0, 0.5]), np.array([1.5, 0.5]), wigner.PAPER, 1.0)
-    buf = io.StringIO()
-    wigner.write_marginal_csv(marg, buf)
-    assert buf.getvalue() == "coordinate,value\n0.0,1.5\n0.5,0.5\n"
+    assert wigner.write_marginal_csv(marg) == b"coordinate,value\n0.0,1.5\n0.5,0.5\n"
     hist = wigner.PhononHistogram(np.array([0.75, 0.25]), "direct", 0.0)
-    buf = io.StringIO()
-    wigner.write_histogram_csv(hist, buf)
-    assert buf.getvalue() == "n,p\n0,0.75\n1,0.25\n"
+    assert wigner.write_histogram_csv(hist) == b"n,p\n0,0.75\n1,0.25\n"
