@@ -9,12 +9,15 @@ Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
 
 All states are plain complex numpy arrays; all functions are pure. The
-module needs numpy alone: the action kernel is a Chebyshev series whose
+module needs numpy and orjson. The action kernel is a Chebyshev series whose
 Bessel coefficients come from Miller's backward recurrence and whose
 three-term recurrence runs as in-place numpy ufuncs, so no run loads scipy.
+The CSV renderer takes its float digits from orjson's compiled shortest
+round-trip formatter, and its bytes equal those of repr on every value.
 """
 
 import numpy as np
+import orjson
 
 # truncated thermal tail mass allowed before renormalization
 THERMAL_TAIL = 1e-10
@@ -23,8 +26,9 @@ THERMAL_TAIL = 1e-10
 EDGE_TOL = 1e-10
 EDGE_LEVELS = 40
 
-# rows rendered per slice by write_csv
-CSV_CHUNK = 65536
+# rows rendered per slice by write_csv: each slice holds one bytes object
+# per cell, so a smaller slice keeps the peak of a 1e6-row render lower
+CSV_CHUNK = 16384
 
 # real entries per slab of block columns in ladder_exp's recurrence
 SLAB = 1 << 15
@@ -218,12 +222,35 @@ def thermal_pn(N, dim):
     return p / p.sum()
 
 
+def _cells(col):
+    """The bytes of each value of a contiguous integer or float64 column:
+    orjson's shortest round-trip digits (Ryu), which are repr's digits, with
+    repr's own text where the two formats differ: nonzero |x| < 1e-4 and
+    |x| >= 1e16 (exponent form) and nan and inf (orjson writes null)."""
+    cells = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    if col.dtype.kind == "f":
+        a = np.abs(col)
+        odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (col != 0))
+        for i, x in zip(odd.tolist(), col[odd].tolist()):
+            cells[i] = repr(x).encode()
+    return cells
+
+
 def write_csv(header, *columns):
-    """The CSV bytes of equal-length numpy columns, each value as repr of
-    its Python scalar (shortest round-trip floats). Each CSV_CHUNK rows are
-    encoded into one growing buffer, which is returned as it is: no copy."""
+    """The CSV bytes of equal-length integer or float64 numpy columns, each
+    value as repr of its Python scalar (shortest round-trip floats). Each
+    CSV_CHUNK rows are rendered to bytes and joined into one growing buffer,
+    which is returned as it is: no copy."""
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError("write_csv: columns differ in length: %s" % lengths)
+    if any(c.dtype != np.float64 and c.dtype.kind not in "iu" for c in columns):
+        # orjson writes float32 digits, and true for True: not repr's text
+        raise TypeError("write_csv: columns must be integer or float64, got %s"
+                        % [c.dtype.name for c in columns])
     out = bytearray(header.encode() + b"\n")
-    for start in range(0, len(columns[0]), CSV_CHUNK):
-        cells = [map(repr, c[start:start + CSV_CHUNK].tolist()) for c in columns]
-        out += ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+    for start in range(0, lengths[0], CSV_CHUNK):
+        cells = [_cells(np.ascontiguousarray(c[start:start + CSV_CHUNK])) for c in columns]
+        out += b"\n".join(map(b",".join, zip(*cells)))
+        out += b"\n"
     return out

@@ -368,9 +368,9 @@ def report_json_dict(report: SqueezeValidationReport) -> dict:
         "population_leakage": report.population_leakage,
         "leakage_band": report.leakage_band,
         "leakage_ok": report.leakage_ok,
-        "times": [float(t) for t in report.times],
-        "varY_full": [float(v) for v in report.varY_full],
-        "varY_effective": [float(v) for v in report.varY_effective],
+        "times": report.times.tolist(),
+        "varY_full": report.varY_full.tolist(),
+        "varY_effective": report.varY_effective.tolist(),
     }
 
 

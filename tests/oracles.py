@@ -16,7 +16,9 @@ field matrix from Kronecker products, which the library's parity chains
 are checked against; the trajectory, which the library samples from one
 eigendecomposition per chain, is stepped here with the dense expm
 propagator, its field moments come from per-sample dense traces, and
-norm_drift measures how far its samples leave the unit sphere.
+norm_drift measures how far its samples leave the unit sphere. The CSV
+renderer's oracle writes each value with repr, as the library once did,
+and the library's bytes are checked against it.
 """
 
 import numpy as np
@@ -231,3 +233,10 @@ def threelevel_traces(states, d_a):
         a_mean.append(np.trace(rho @ a))
         var_y.append(np.trace(rho @ y @ y).real - ey ** 2)
     return np.array(pops), np.array(n_mean), np.array(a_mean), np.array(var_y)
+
+
+def write_csv(header, *columns):
+    """fock.write_csv's oracle: the text of every value as repr of its
+    Python scalar, joined row by row and encoded once."""
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    return (header + "\n" + "".join(",".join(row) + "\n" for row in rows)).encode()

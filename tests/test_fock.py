@@ -1,11 +1,14 @@
 """Fock-engine checks: series and dense oracles for the ladder-exponential
-kernel, ladder algebra, thermal tail policing."""
+kernel, ladder algebra, thermal tail policing, and the CSV renderer's bytes
+against its repr oracle."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 from scipy.special import jv
 
@@ -331,3 +334,44 @@ def test_write_csv_renders_the_same_rows_in_any_chunking(monkeypatch):
     assert lines[4] == f"3,{float(cols[1][3])!r},0"
 
     assert fock.write_csv("i,x", np.arange(0), np.zeros(0)) == b"i,x\n"
+
+
+INT64 = np.iinfo(np.int64)
+# where repr and orjson's numpy format part: the 1e-4 and 1e16 switches to
+# exponent form, on both sides and with either sign, zero, subnormals, nan, inf
+FLOAT_EDGES = [x for e in (1e-4, 1e16) for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+FLOAT_EDGES += [-x for x in FLOAT_EDGES] + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                            np.nan, np.inf, -np.inf]
+FLOAT_CELLS = st.one_of(st.floats(width=64), st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5),
+                        st.floats(-1e-307, 1e-307), st.sampled_from(FLOAT_EDGES))
+INT_CELLS = st.one_of(st.integers(INT64.min, INT64.max), st.integers(-1000, 1000),
+                      st.sampled_from([INT64.min, INT64.min + 1, INT64.max, -1, 0]))
+
+
+@st.composite
+def csv_columns(draw):
+    n = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4))
+    return [draw(hnp.arrays(np.float64, n, elements=FLOAT_CELLS)) if kind == "float"
+            else draw(hnp.arrays(np.int64, n, elements=INT_CELLS)) for kind in kinds]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(columns=csv_columns(), chunk=st.sampled_from([1, 3, 4096, fock.CSV_CHUNK]))
+def test_write_csv_bytes_equal_the_repr_oracle(columns, chunk):
+    """Any float64 or int64 columns and any chunking: the orjson-rendered
+    bytes are those of repr on every value."""
+    header = ",".join("c%d" % i for i in range(len(columns)))
+    with mock.patch.object(fock, "CSV_CHUNK", chunk):
+        got = fock.write_csv(header, *columns)
+    assert bytes(got) == oracles.write_csv(header, *columns)
+
+
+def test_write_csv_refuses_ragged_or_unrenderable_columns():
+    # zip would drop the rows of the longer column without a word
+    with pytest.raises(ValueError, match=r"differ in length: \[3, 2\]"):
+        fock.write_csv("i,x", np.arange(3), np.zeros(2))
+    # orjson's text for these is not repr's: 0.1 as float32, true for True
+    for col in (np.full(2, 0.1, dtype=np.float32), np.ones(2, dtype=bool)):
+        with pytest.raises(TypeError, match="integer or float64"):
+            fock.write_csv("i,x", np.arange(2), col)

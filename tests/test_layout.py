@@ -1,8 +1,13 @@
 """The layout rule: the library holds what the CLI and the paper's concepts
-need, and test-only oracles live in tests/oracles.py."""
+need, test-only oracles live in tests/oracles.py, and every third-party
+module the library imports is a declared dependency."""
 
 import ast
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import qndsim
 
@@ -70,3 +75,24 @@ def test_checks_raise_value_errors_and_warn_nothing():
                   for name in ast.walk(node.exc) if isinstance(name, ast.Name)}
         assert "warnings" not in imported, path.name
         assert "RuntimeError" not in raised, path.name
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """A module the library imports is in the standard library or named in
+    pyproject.toml's [project] dependencies: orjson cannot go undeclared,
+    and a test-only package such as scipy cannot creep back into src/."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = {re.match(r"[\w.-]+", dep)[0].lower().replace("-", "_")
+                for dep in tomllib.loads(pyproject.read_text(encoding="utf-8"))
+                ["project"]["dependencies"]}
+    imported = set()
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    assert sorted(third_party - declared) == []
+    assert "numpy" in third_party  # the walk sees the library's imports
