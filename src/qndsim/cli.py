@@ -20,26 +20,29 @@ overrides fanned out as independent points, each with a seed derived from
 the root seed (order-stable, so --jobs parallelism cannot change any
 byte). Protocol params accept "e2r" in place of "r".
 
-Each experiment's keys, with type, bound and default, are declared once
-in _SCHEMAS; the params keys come from the dataclass fields. Unknown keys
-anywhere are rejected, and every parameter set (including each sweep
-point) is validated before any computation starts, so an invalid config
-never leaves partial output files. Artifacts are rendered once, as bytes,
+Each experiment is one entry of _EXPERIMENTS: its keys, with type, bound
+and default (the params keys come from the dataclass fields), the builder
+that turns a params point into the library's inputs, and its runner.
+Unknown keys anywhere are rejected, and every point (including each sweep
+point) is built before any computation starts, so an invalid config never
+leaves partial output files. Artifacts are rendered once, as bytes,
 by the modules that own their data, and written only after the whole run
 has succeeded, followed by manifest.json (config echo in canonical form,
 package version, wall time, sha256 of every artifact). The echoed config
 block is itself a valid config, and --config accepts a manifest file
 directly, so any output can be regenerated from its manifest alone.
 
-Exit codes: 0 success, 2 on a validation error, 3 when a computed result
-misses the configured numerical tolerance (files are still written so the
-failure can be inspected).
+Exit codes: 0 success, 2 on a validation error or a precondition a
+library module refuses during the run (nothing is written), 3 when a
+computed result misses the configured numerical tolerance (files are still
+written so the failure can be inspected).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -57,8 +60,6 @@ from . import __version__, fock, protocol, sampler, threelevel, wigner
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
-
-EXPERIMENTS = ("moments", "sample", "wigner", "validate-jj")
 
 _REQUIRED = object()  # a missing key is an error
 _OPTIONAL = object()  # a missing or null key is left out of the canonical config
@@ -118,11 +119,15 @@ def _or_null(parse):
 def _output_dir(value, path):
     if not value or not isinstance(value, str):
         _fail(path, "missing (set it or $QNDSIM_OUTPUT_DIR)")
+    target = Path(value).absolute()
+    found = next(p for p in (target, *target.parents) if p.exists())
+    if not found.is_dir():
+        _fail(path, f"{found} exists and is not a directory")
     return value
 
 
-def _check(obj, table, path, partial=False):
-    """Parse a JSON object against {key: (parser, default)}.
+def _check(table, obj, path, partial=False):
+    """Parse a JSON object against the table {key: (parser, default)}.
 
     The default is _REQUIRED, _OPTIONAL (absent or null leaves the key out)
     or the value an absent key takes. A partial object (a sweep override)
@@ -178,11 +183,7 @@ def _protocol_params(value, path, partial=False):
         if "e2r" in value:
             value = dict(value)
             value["r"] = 0.5 * math.log(_POSITIVE(value.pop("e2r"), f"{path}.e2r"))
-    return _check(value, _PROTOCOL, path, partial)
-
-
-def _threelevel_params(value, path, partial=False):
-    return _check(value, _THREELEVEL, path, partial)
+    return _check(_PROTOCOL, value, path, partial)
 
 
 def _sweep(params):
@@ -192,15 +193,6 @@ def _sweep(params):
         return [params(entry, f"{path}[{k}]", partial=True)
                 for k, entry in enumerate(value)]
     return parse
-
-
-def _grid(value, path):
-    grid = _check(value, _GRID, path)
-    try:
-        wigner.GridSpec(**grid)
-    except ValueError as exc:
-        _fail(path, str(exc))
-    return grid
 
 
 def _schema(params, **keys):
@@ -214,70 +206,6 @@ def _schema(params, **keys):
     }
 
 
-_CONVENTIONS = {"paper": wigner.PAPER, "standard": wigner.STANDARD}
-
-_SCHEMAS = {
-    "moments": _schema(_protocol_params, tolerance=(_POSITIVE, 1e-6)),
-    "sample": _schema(_protocol_params, shots=(_integer(2), _REQUIRED)),
-    "wigner": _schema(
-        _protocol_params,
-        grid=(_grid, _REQUIRED),
-        convention=(_one_of("paper", "standard"), "paper"),
-        tolerance=(_or_null(_POSITIVE), None),
-    ),
-    "validate-jj": _schema(
-        _threelevel_params,
-        t_final=(_or_null(_POSITIVE), None),
-        steps=(_integer(1), 100),
-        tolerance=(_POSITIVE, 0.05),
-        reference=(_one_of("fit", "predicted"), "fit"),
-    ),
-}
-
-
-def resolve_config(experiment, raw):
-    """Validate and canonicalize; the result is itself a valid config."""
-    if isinstance(raw, dict) and "output_dir" not in raw:
-        raw = {**raw, "output_dir": os.environ.get("QNDSIM_OUTPUT_DIR")}
-    cfg = {"experiment": experiment, **_check(raw, _SCHEMAS[experiment], "config")}
-    if cfg["nu_unit"] == "hz":
-        for point in (cfg["params"], *cfg.get("sweep", ())):
-            if "nu" in point:
-                point["nu"] = 2.0 * math.pi * point["nu"]
-        cfg["nu_unit"] = "rad_per_s"
-
-    # every point must construct cleanly before any computation
-    cls = threelevel.ThreeLevelParams if experiment == "validate-jj" else protocol.ProtocolParams
-    for k, point in enumerate(_point_param_dicts(cfg)):
-        path = f"config.sweep[{k}]" if "sweep" in cfg else "config.params"
-        try:
-            q = cls(**point)
-        except (TypeError, ValueError, OverflowError) as exc:
-            _fail(path, str(exc))
-        if experiment == "validate-jj":
-            if cfg["t_final"] is None and q.gamma_eff_predicted <= 0.0:
-                _fail(path, "t_final is required when the predicted rate "
-                      f"gamma_eff = {q.gamma_eff_predicted:.4g} is not positive")
-            decay = 2.0 * q.gamma_eff_predicted * (cfg["t_final"] or 0.0)  # the default t_final gives 1
-            if abs(decay) > _EXP_RANGE:
-                _fail("config.t_final", f"exp(-2 gamma_eff t_final) = exp({-decay:.4g}) "
-                      f"is out of the normal double range for {path}")
-        if experiment == "wigner":
-            spec = wigner.GridSpec(**cfg["grid"])
-            try:  # the map's grid, then the run's TV reference: thermal_pn over the bins
-                wigner.check_grid(q, spec, _CONVENTIONS[cfg["convention"]])
-                fock.check_thermal_tail(q.N, wigner.histogram_bins(spec.im_max, q.A), "bins")
-            except wigner.GridError as exc:
-                _fail(f"config.grid.{exc.field}", f"{exc.reason} for {path}")
-            except (OverflowError, fock.TruncationError) as exc:
-                _fail("config.grid.im_max", f"too low for the thermal law of {path}: {exc}")
-    return cfg
-
-
-def _point_param_dicts(cfg):
-    return [{**cfg["params"], **override} for override in cfg.get("sweep", [{}])]
-
-
 def _point_seeds(seed, n_points):
     if n_points == 1:
         return [seed]
@@ -286,10 +214,71 @@ def _point_seeds(seed, n_points):
 
 
 # ---------------------------------------------------------------------------
+# per-point builders: a merged params point to the library's inputs, or
+# ConfigError naming the point's path
+
+def _protocol_point(cfg, point, path):
+    """ProtocolParams of a point whose thermal law has a truncation."""
+    try:
+        p = protocol.ProtocolParams(**point)
+        fock.thermal_dim(p.N)
+    except (TypeError, ValueError, OverflowError) as exc:
+        _fail(path, str(exc))
+    return p
+
+
+def _wigner_point(cfg, point, path):
+    """ProtocolParams and GridSpec of a point whose grid holds its map and,
+    over the histogram bins, the thermal law the run's TV is taken against."""
+    p = _protocol_point(cfg, point, path)
+    try:
+        spec = wigner.GridSpec(**cfg["grid"])
+    except ValueError as exc:
+        _fail("config.grid", str(exc))
+    try:
+        wigner.check_grid(p, spec, _MAPS[cfg["convention"]][0])
+        fock.check_thermal_tail(p.N, wigner.histogram_bins(spec.im_max, p.A), "bins")
+    except wigner.GridError as exc:
+        _fail(f"config.grid.{exc.field}", f"{exc.reason} for {path}")
+    except (OverflowError, fock.TruncationError) as exc:
+        _fail("config.grid.im_max", f"too low for the thermal law of {path}: {exc}")
+    return p, spec
+
+
+def _jj_point(cfg, point, path):
+    """ThreeLevelParams of a point and its run length t_final (by default
+    0.5 / gamma_eff), over which exp(-2 gamma_eff t) stays a normal double."""
+    try:
+        q = threelevel.ThreeLevelParams(**point)
+    except (TypeError, ValueError, OverflowError) as exc:
+        _fail(path, str(exc))
+    t_final = cfg["t_final"]
+    if t_final is None:
+        if q.gamma_eff_predicted <= 0.0:
+            _fail(path, "t_final is required when the predicted rate "
+                  f"gamma_eff = {q.gamma_eff_predicted:.4g} is not positive")
+        t_final = 0.5 / q.gamma_eff_predicted
+    decay = 2.0 * q.gamma_eff_predicted * t_final
+    if abs(decay) > _EXP_RANGE:
+        _fail("config.t_final", f"exp(-2 gamma_eff t_final) = exp({-decay:.4g}) "
+              f"is out of the normal double range for {path}")
+    return q, t_final
+
+
+def _built_points(experiment, cfg):
+    """(params point, library inputs) of every point, by the experiment's builder."""
+    build = _EXPERIMENTS[experiment][1]
+    points = [{**cfg["params"], **override} for override in cfg.get("sweep", [{}])]
+    return [(point, build(cfg, point, f"config.sweep[{k}]" if "sweep" in cfg else "config.params"))
+            for k, point in enumerate(points)]
+
+
+# ---------------------------------------------------------------------------
 # per-point execution (top level so --jobs workers can import it)
 
 def _render_json(payload):
-    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+    return (json.dumps(payload, indent=2, allow_nan=False, default=np.ndarray.tolist)
+            + "\n").encode()
 
 
 def _rel_or_abs(measured, target):
@@ -300,8 +289,7 @@ def _rel_or_abs(measured, target):
     return abs(measured - target) / abs(target)
 
 
-def _run_moments(cfg, point, point_seed):
-    p = protocol.ProtocolParams(**point)
+def _run_moments(cfg, point, p, point_seed):
     m = protocol.field_moments_numeric(p)
     closed_y, closed_x, closed_vy = protocol.mean_Y(p), protocol.mean_X(p), protocol.var_Y(p)
     err = float(max(
@@ -323,13 +311,11 @@ def _run_moments(cfg, point, point_seed):
         "tolerance": cfg["tolerance"],
         "tolerance_ok": ok,
     }
-    results = {"mean_y": closed_y, "var_y": closed_vy,
-               "max_rel_error": err, "tolerance_ok": ok}
+    results = {k: payload[k] for k in ("mean_y", "var_y", "max_rel_error", "tolerance_ok")}
     return {"moments.json": _render_json(payload)}, results
 
 
-def _run_sample(cfg, point, point_seed):
-    p = protocol.ProtocolParams(**point)
+def _run_sample(cfg, point, p, point_seed):
     record = sampler.sample_record(p, cfg["shots"], point_seed)
     report = sampler.estimate(record)
     payload = {"params": point, **dataclasses.asdict(report),
@@ -343,13 +329,9 @@ def _run_sample(cfg, point, point_seed):
     return artifacts, results
 
 
-def _run_wigner(cfg, point, point_seed):
-    p = protocol.ProtocolParams(**point)
-    spec = wigner.GridSpec(**cfg["grid"])
-    if cfg["convention"] == "paper":
-        grid = wigner.wigner_paper(p, spec)
-    else:
-        grid = wigner.wigner_numeric_protocol(p, spec)
+def _run_wigner(cfg, point, inputs, point_seed):
+    p, spec = inputs
+    grid = _MAPS[cfg["convention"]][1](p, spec)
     marg = wigner.marginal_P(grid)
     hist = wigner.reconstruct_pn(marg, p)
     tv = wigner.total_variation(
@@ -373,11 +355,8 @@ def _run_wigner(cfg, point, point_seed):
     return artifacts, results
 
 
-def _run_validate_jj(cfg, point, point_seed):
-    q = threelevel.ThreeLevelParams(**point)
-    t_final = cfg["t_final"]
-    if t_final is None:
-        t_final = 0.5 / q.gamma_eff_predicted
+def _run_validate_jj(cfg, point, inputs, point_seed):
+    q, t_final = inputs
     report = threelevel.validate_effective_gamma(q, t_final, steps=cfg["steps"])
     if cfg["reference"] == "predicted":
         ref_err = report.max_rel_error
@@ -385,31 +364,56 @@ def _run_validate_jj(cfg, point, point_seed):
         ref = np.exp(-2.0 * report.gamma_eff_fit * report.times)
         ref_err = float(np.max(np.abs(report.varY_full - ref) / ref))
     ok = bool(ref_err <= cfg["tolerance"] and report.leakage_ok)
-    payload = threelevel.report_json_dict(report)
+    payload = dataclasses.asdict(report)
+    payload["params"].update(pump_detuning=q.pump, delta_small=q.delta_small)  # as resolved
     payload.update(reference=cfg["reference"], reference_rel_error=ref_err,
                    tolerance=cfg["tolerance"], tolerance_ok=ok)
     artifacts = {
         "validate_report.json": _render_json(payload),
         "validate_curve.csv": threelevel.write_report_csv(report),
     }
-    results = {
-        "gamma_eff_predicted": report.gamma_eff_predicted,
-        "gamma_eff_fit": report.gamma_eff_fit,
-        "max_rel_error": report.max_rel_error,
-        "reference_rel_error": ref_err,
-        "population_leakage": report.population_leakage,
-        "leakage_ok": report.leakage_ok,
-        "tolerance_ok": ok,
-    }
+    results = {k: payload[k] for k in (
+        "gamma_eff_predicted", "gamma_eff_fit", "max_rel_error", "reference_rel_error",
+        "population_leakage", "leakage_ok", "tolerance_ok")}
     return artifacts, results
 
 
-_RUNNERS = {
-    "moments": _run_moments,
-    "sample": _run_sample,
-    "wigner": _run_wigner,
-    "validate-jj": _run_validate_jj,
+# each Wigner convention's name: its convention constant and its map
+_MAPS = {"paper": (wigner.PAPER, wigner.wigner_paper),
+         "standard": (wigner.STANDARD, wigner.wigner_numeric_protocol)}
+
+# each experiment: its config schema, its point builder and its runner
+_EXPERIMENTS = {
+    "moments": (_schema(_protocol_params, tolerance=(_POSITIVE, 1e-6)),
+                _protocol_point, _run_moments),
+    "sample": (_schema(_protocol_params, shots=(_integer(2), _REQUIRED)),
+               _protocol_point, _run_sample),
+    "wigner": (_schema(_protocol_params,
+                       grid=(functools.partial(_check, _GRID), _REQUIRED),
+                       convention=(_one_of(*_MAPS), "paper"),
+                       tolerance=(_or_null(_POSITIVE), None)),
+               _wigner_point, _run_wigner),
+    "validate-jj": (_schema(functools.partial(_check, _THREELEVEL),
+                            t_final=(_or_null(_POSITIVE), None),
+                            steps=(_integer(1), 100),
+                            tolerance=(_POSITIVE, 0.05),
+                            reference=(_one_of("fit", "predicted"), "fit")),
+                    _jj_point, _run_validate_jj),
 }
+
+
+def resolve_config(experiment, raw):
+    """Validate and canonicalize; the result is itself a valid config."""
+    if isinstance(raw, dict) and "output_dir" not in raw:
+        raw = {**raw, "output_dir": os.environ.get("QNDSIM_OUTPUT_DIR")}
+    cfg = {"experiment": experiment, **_check(_EXPERIMENTS[experiment][0], raw, "config")}
+    if cfg["nu_unit"] == "hz":
+        for point in (cfg["params"], *cfg.get("sweep", ())):
+            if "nu" in point:
+                point["nu"] = 2.0 * math.pi * point["nu"]
+        cfg["nu_unit"] = "rad_per_s"
+    _built_points(experiment, cfg)  # every point builds before any computation
+    return cfg
 
 
 def _suffixed(name, index, sweep):
@@ -422,17 +426,18 @@ def _suffixed(name, index, sweep):
 def run(experiment, cfg, jobs=1):
     """Execute a resolved config; returns (exit_code, manifest dict)."""
     t0 = time.perf_counter()
-    points = _point_param_dicts(cfg)
-    seeds = _point_seeds(cfg["seed"], len(points))
+    runner = _EXPERIMENTS[experiment][2]
+    points = _built_points(experiment, cfg)
+    calls = [(cfg, point, inputs, seed) for (point, inputs), seed
+             in zip(points, _point_seeds(cfg["seed"], len(points)))]
     sweep = "sweep" in cfg
 
     if jobs > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            futures = [pool.submit(_RUNNERS[experiment], cfg, pt, s)
-                       for pt, s in zip(points, seeds)]
+            futures = [pool.submit(runner, *call) for call in calls]
             outcomes = [f.result() for f in futures]
     else:
-        outcomes = [_RUNNERS[experiment](cfg, pt, s) for pt, s in zip(points, seeds)]
+        outcomes = [runner(*call) for call in calls]
 
     artifacts = {}
     results = []
@@ -514,7 +519,7 @@ def build_parser():
         description="Deterministic batch runs of the readout-protocol experiments.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in _EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="JSON config (or a manifest)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -530,16 +535,8 @@ def main(argv=None):
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         raw = _apply_sets(_load_config(args.config, args.experiment), args.set)
-        cfg = resolve_config(args.experiment, raw)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        code, manifest = run(args.experiment, cfg, jobs=args.jobs)
-    except ValueError as exc:
-        # inner-module precondition surfaced during computation; nothing
-        # has been written at this point
+        code, _ = run(args.experiment, resolve_config(args.experiment, raw), jobs=args.jobs)
+    except ValueError as exc:  # ConfigError, or a library precondition: nothing is written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -190,19 +190,26 @@ def displacement_dim(alpha):
 
 
 def thermal_dim(N):
-    """Smallest dimension with truncated thermal tail mass <= THERMAL_TAIL."""
+    """Smallest dimension with truncated thermal tail mass <= THERMAL_TAIL,
+    and at least 2 at N > 0, so the law keeps the level that carries its
+    mean. TruncationError when N/(N+1) rounds to 1: no dimension holds
+    the tail then."""
     if N < 0:
         raise ValueError("mean occupation must be >= 0, got %r" % N)
     if N == 0:
         return 1
-    d = int(np.ceil(np.log(THERMAL_TAIL) / np.log(N / (N + 1.0))))
-    return max(1, d)
+    ratio = N / (N + 1.0)
+    if ratio == 1.0:
+        raise TruncationError("the thermal law at N = %g has no truncation: N/(N+1) rounds "
+                              "to 1 in double precision" % N)
+    return max(2, int(np.ceil(np.log(THERMAL_TAIL) / np.log(ratio))))
 
 
 def check_thermal_tail(N, dim, name="dim"):
     """Raise TruncationError when the thermal mass beyond the first dim
     levels, (N/(N+1))^dim (all of it when dim < 1), exceeds THERMAL_TAIL;
-    name is the truncation's name in the message."""
+    name is the truncation's name in the message, or thermal_dim's error
+    when no dim would do."""
     if N < 0:
         raise ValueError("mean occupation must be >= 0, got %r" % N)
     tail = (N / (N + 1.0)) ** max(dim, 0)  # 0.0 ** 0 is 1: no level keeps all

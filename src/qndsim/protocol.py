@@ -189,15 +189,20 @@ def _squeezed_seed(r):
 
 
 def _window(n, A, r):
-    """Fock window [lo, hi) holding block n's state to ~1e-16 mass."""
+    """Fock window [lo, hi) holding block n's state to ~1e-16 mass;
+    TruncationError when its levels are past float range."""
     al = n * A
-    mean = al * al + math.sinh(r) ** 2
-    # spread: |alpha| e^{-r} bulk plus a Poisson floor, plus the chi-square
-    # tail of the antisqueezed quadrature (~18 e^{2r} levels)
-    half = (9.0 * (al * max(math.exp(-r), 1e-2) + math.sqrt(al + 1.0))
-            + 18.0 * math.exp(2.0 * abs(r)) + 80.0)
-    lo = int(max(0, math.floor(mean - half)))
-    hi = int(math.ceil(mean + half))
+    try:
+        mean = al * al + math.sinh(r) ** 2
+        # spread: |alpha| e^{-r} bulk plus a Poisson floor, plus the chi-square
+        # tail of the antisqueezed quadrature (~18 e^{2r} levels)
+        half = (9.0 * (al * max(math.exp(-r), 1e-2) + math.sqrt(al + 1.0))
+                + 18.0 * math.exp(2.0 * abs(r)) + 80.0)
+        lo = int(max(0, math.floor(mean - half)))
+        hi = int(math.ceil(mean + half))
+    except (OverflowError, ValueError):  # inf, or inf - inf, where a level should be
+        raise fock.TruncationError("the Fock window of block %d, displaced by %g at r = %g, "
+                                   "is past float range" % (n, al, r)) from None
     return lo, hi
 
 

@@ -42,10 +42,13 @@ def sample_record(p, shots, seed):
     """Draw a reproducible record of (y, m_true) pairs.
 
     The thermal draw uses the geometric identity: with q = 1/(N+1),
-    (geometric(q) - 1) has law N^m / (N+1)^{m+1} exactly.
+    (geometric(q) - 1) has law N^m / (N+1)^{m+1} exactly. numpy draws it
+    as int64, which saturates, so the law must lie below 2^62 levels to
+    fock.check_thermal_tail's budget, or TruncationError is raised.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    fock.check_thermal_tail(p.N, 2**62, "int64 draw levels")
     rng = np.random.default_rng(seed)
     m = rng.geometric(1.0 / (p.N + 1.0), size=shots) - 1
     y = 2.0 * p.A * m + math.exp(-p.r) * rng.standard_normal(shots)

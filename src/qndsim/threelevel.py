@@ -47,7 +47,7 @@ bare field and level frequencies are absorbed by the frame.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,16 +154,18 @@ class AdiabaticReport:
 
 @dataclass(frozen=True)
 class SqueezeValidationReport:
+    """The fields in the order the CLI's validate_report.json exports them."""
+
     params: ThreeLevelParams
-    times: np.ndarray
-    varY_full: np.ndarray
-    varY_effective: np.ndarray
     gamma_eff_predicted: float
     gamma_eff_fit: float
     max_rel_error: float
     population_leakage: float
     leakage_band: float
     leakage_ok: bool
+    times: np.ndarray
+    varY_full: np.ndarray
+    varY_effective: np.ndarray
 
 
 def _parity_chain(q: ThreeLevelParams, parity: int):
@@ -355,23 +357,6 @@ def validate_effective_gamma(
         leakage_band=band,
         leakage_ok=leakage <= band,
     )
-
-
-def report_json_dict(report: SqueezeValidationReport) -> dict:
-    q = report.params
-    return {
-        # field order, with the resolved pump in place of pump_detuning
-        "params": {**asdict(q), "pump_detuning": q.pump, "delta_small": q.delta_small},
-        "gamma_eff_predicted": report.gamma_eff_predicted,
-        "gamma_eff_fit": report.gamma_eff_fit,
-        "max_rel_error": report.max_rel_error,
-        "population_leakage": report.population_leakage,
-        "leakage_band": report.leakage_band,
-        "leakage_ok": report.leakage_ok,
-        "times": report.times.tolist(),
-        "varY_full": report.varY_full.tolist(),
-        "varY_effective": report.varY_effective.tolist(),
-    }
 
 
 def write_report_csv(report: SqueezeValidationReport) -> bytearray:

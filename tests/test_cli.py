@@ -14,6 +14,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -126,6 +127,55 @@ def test_sample_byte_identical_across_runs(tmp_path):
     estimate = read_json(a / "estimate.json")
     assert abs(estimate["n_hat"] - 1.0) <= 5.0 * estimate["n_stderr"]
     assert estimate["seed"] == 42
+
+
+def test_moments_at_vanishing_occupation_keeps_the_mean(tmp_path):
+    # at N = 1e-10 one thermal level meets the 1e-10 tail budget, but its
+    # matrix <Y> is 0 against 2AN: max_rel_error read 1.0 and the run exited 3
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(out),
+                                  "params": {**PROTOCOL_PARAMS, "N": 1e-10}})
+    assert cli.main(["moments", "--config", cfg]) == 0
+    assert read_json(out / "moments.json")["max_rel_error"] < 1e-6
+
+
+@pytest.mark.parametrize("experiment, patch, message", [
+    pytest.param("moments", {"N": 1e300}, "config.params: the thermal law at N = 1e+300 has no "
+                 "truncation", id="moments-N"),
+    pytest.param("moments", {"A": 1e300}, "error: the Fock window of block 1, displaced by 1e+300",
+                 id="moments-A"),
+    pytest.param("wigner", {"N": 1e300}, "config.params: the thermal law at N = 1e+300 has no "
+                 "truncation", id="wigner-N"),
+    pytest.param("sample", {"N": 1e19}, "config.sweep[0]: the thermal law at N = 1e+19 has no "
+                 "truncation", id="sample-N"),
+])
+def test_sizes_past_float_range_exit_2(tmp_path, capsys, experiment, patch, message):
+    # each once ended in an OverflowError traceback (exit 1), an exit 2 that
+    # read "cannot convert float infinity to integer", or a saturated int64
+    # draw that exited 0
+    out = tmp_path / "out"
+    config = copy.deepcopy(VALID[experiment])
+    config["params"].update(patch)
+    cfg = write_config(tmp_path, {**config, "output_dir": str(out)})
+    assert cli.main([experiment, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+def test_output_dir_that_is_no_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                                                under):
+    monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("the run started"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    cfg = write_config(tmp_path, {"seed": 1, "params": PROTOCOL_PARAMS,
+                                  "output_dir": str(blocker / "out" if under else blocker)})
+    assert cli.main(["moments", "--config", cfg]) == 2
+    assert capsys.readouterr().err == \
+        f"error: config.output_dir: {blocker} exists and is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+    assert blocker.read_text() == "kept"
 
 
 def test_set_overrides_and_hz_unit(tmp_path):
@@ -246,6 +296,18 @@ def test_validate_jj_fit_reference_passes(tmp_path):
     assert report["reference_rel_error"] < 0.01
     assert report["leakage_ok"] is True
     assert (out / "validate_curve.csv").read_text().startswith("t,varY_full")
+
+    # the report's own fields in their order, the params with the pump and
+    # Stark shift as resolved, then the run's gate
+    assert list(report) == ["params", "gamma_eff_predicted", "gamma_eff_fit", "max_rel_error",
+                            "population_leakage", "leakage_band", "leakage_ok", "times",
+                            "varY_full", "varY_effective", "reference", "reference_rel_error",
+                            "tolerance", "tolerance_ok"]
+    assert list(report["params"]) == [f.name for f in dataclasses.fields(
+        threelevel.ThreeLevelParams)] + ["delta_small"]
+    assert report["params"]["delta_small"] == 2.0 / 50.0
+    assert report["params"]["pump_detuning"] == pytest.approx(2.0 * 0.04 / 0.96, rel=1e-12)
+    assert len(report["times"]) == len(report["varY_full"]) == 101
 
 
 def test_validate_jj_predicted_reference_exits_3_with_files(tmp_path, capsys):
@@ -425,7 +487,7 @@ def test_sample_csv_is_rendered_once(monkeypatch):
     monkeypatch.setattr(fock, "CSV_CHUNK", 4096)
     tracemalloc.start()
     try:
-        artifacts, _ = cli._run_sample({"shots": record.shots}, point, record.seed)
+        artifacts, _ = cli._run_sample({"shots": record.shots}, point, record.params, record.seed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -435,6 +497,8 @@ def test_sample_csv_is_rendered_once(monkeypatch):
 def test_artifacts_refuse_non_json_numbers():
     with pytest.raises(ValueError, match="JSON compliant"):
         cli._render_json({"max_rel_error": math.inf})
+    with pytest.raises(ValueError, match="JSON compliant"):  # arrays render themselves
+        cli._render_json({"times": np.array([0.0, math.nan])})
 
 
 def non_echo_outputs(out):
@@ -646,7 +710,8 @@ def readme_table_keys(header):
 
 
 def test_readme_config_tables_match_the_schema():
-    assert readme_table_keys("| Key |") == {key for schema in cli._SCHEMAS.values() for key in schema}
+    schemas = [schema for schema, _, _ in cli._EXPERIMENTS.values()]
+    assert readme_table_keys("| Key |") == {key for schema in schemas for key in schema}
     fields = {f.name for cls in (protocol.ProtocolParams, threelevel.ThreeLevelParams)
               for f in dataclasses.fields(cls)}
     assert readme_table_keys("| `params` key |") == fields | {"e2r"}

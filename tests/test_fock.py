@@ -247,6 +247,27 @@ def test_thermal_tail_rule():
         fock.thermal_pn(-0.1, 8)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(N=st.floats(min_value=0.0, max_value=1.7e308))
+@example(N=5e-324)
+@example(N=1e-10)
+@example(N=1.1e-10)
+@example(N=1e16)
+@example(N=1e300)
+def test_thermal_dim_is_the_tail_rule_with_two_levels_or_refuses(N):
+    """The tail rule's dimension, at least 2 at N > 0 (one level would put
+    the law's mean at 0), or TruncationError where N/(N+1) rounds to 1 and
+    the rule has no finite dimension."""
+    if N == 0.0:
+        assert fock.thermal_dim(N) == 1
+    elif N / (N + 1.0) == 1.0:
+        with pytest.raises(fock.TruncationError, match=r"N/\(N\+1\) rounds to 1"):
+            fock.thermal_dim(N)
+    else:
+        rule = int(np.ceil(np.log(fock.THERMAL_TAIL) / np.log(N / (N + 1.0))))
+        assert fock.thermal_dim(N) == max(2, rule)
+
+
 def test_partial_trace_product_state():
     rng = np.random.default_rng(11)
     va = rng.normal(size=5) + 1j * rng.normal(size=5)

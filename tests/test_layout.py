@@ -77,6 +77,32 @@ def test_checks_raise_value_errors_and_warn_nothing():
         assert "RuntimeError" not in raised, path.name
 
 
+def test_cli_keeps_each_experiment_and_convention_in_one_table():
+    """cli.py compares neither an experiment nor a convention against a
+    string literal: each experiment's schema, point builder and runner, and
+    each convention's constant and map, are one table entry."""
+    def names(node):
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            return {node.slice.value}
+        return set()
+
+    def literal(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(isinstance(item, ast.Constant) and isinstance(item.value, str)
+                   for item in items)
+
+    tree = ast.parse((Path(qndsim.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    branches = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and {"experiment", "convention"} & set().union(*map(names, [node.left,
+                                                                            *node.comparators]))
+                and any(map(literal, [node.left, *node.comparators]))]
+    assert branches == []
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     """A module the library imports is in the standard library or named in
     pyproject.toml's [project] dependencies: orjson cannot go undeclared,

@@ -291,6 +291,20 @@ def test_window_holds_every_block(A, e2r, n_top):
     assert np.abs(norms - 1.0).max() <= 1e-12
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(0, 1000), A=st.floats(min_value=5e-324, max_value=1.7e308),
+       r=st.floats(min_value=0.0, max_value=1.7e308))
+def test_window_is_levels_or_refuses(n, A, r):
+    """A window is a pair of integer levels, or TruncationError where they
+    are past float range: no OverflowError leaks."""
+    try:
+        lo, hi = protocol._window(n, A, r)
+    except fock.TruncationError as exc:
+        assert "past float range" in str(exc)
+    else:
+        assert type(lo) is type(hi) is int and 0 <= lo <= hi
+
+
 def test_one_edge_budget_holds_the_chain_and_the_walk(monkeypatch):
     """fock.EDGE_TOL is the one edge budget: at zero, both the block chain
     and the Wigner walk refuse the demo point."""

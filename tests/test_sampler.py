@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfcinv
 from scipy.stats import chi2, chisquare
 
-from qndsim import protocol, sampler
+from qndsim import fock, protocol, sampler
 
 R50 = 0.5 * math.log(50.0)
 NU = 2 * math.pi * 1e9
@@ -20,6 +20,20 @@ ERFC_HALF = 0.4795001221869535
 
 def params(A=1.0, r=R50, N=1.0):
     return protocol.ProtocolParams(A=A, r=r, N=N, nu=NU)
+
+
+def test_draw_refuses_a_law_past_int64():
+    """numpy's int64 geometric draw saturates at N = 1e19 (n_hat read 6e18);
+    such a law is refused before any draw, and N = 1e12 keeps the draw as
+    it was, with no randomness taken by the bound."""
+    with pytest.raises(fock.TruncationError, match="N = 1e\\+19"):
+        sampler.sample_record(params(N=1e19), 10, 1)
+    p = params(N=1e12)
+    rec = sampler.sample_record(p, 1000, 5)
+    rng = np.random.default_rng(5)
+    m = rng.geometric(1.0 / (p.N + 1.0), size=1000) - 1
+    np.testing.assert_array_equal(rec.m_true, m)
+    np.testing.assert_array_equal(rec.y, 2.0 * p.A * m + math.exp(-p.r) * rng.standard_normal(1000))
 
 
 def test_record_determinism():
