@@ -222,7 +222,7 @@ def _protocol_point(cfg, point, path):
     try:
         p = protocol.ProtocolParams(**point)
         fock.thermal_dim(p.N)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         _fail(path, str(exc))
     return p
 
@@ -250,7 +250,7 @@ def _jj_point(cfg, point, path):
     0.5 / gamma_eff), over which exp(-2 gamma_eff t) stays a normal double."""
     try:
         q = threelevel.ThreeLevelParams(**point)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         _fail(path, str(exc))
     t_final = cfg["t_final"]
     if t_final is None:

@@ -1,7 +1,7 @@
 """Truncated Fock-space engine: the one action kernel for exponentials of
-ladder operators, the quadrature stencil, headroom rules, the edge budget
-that every moving or walked window is held to, the thermal law with its
-tail budget, and the CSV renderer, which returns an artifact's bytes.
+ladder operators, the quadrature stencil, the one Fock-window rule, the
+edge budget that every moving or walked window is held to, the thermal law
+with its tail budget, and the CSV renderer, which returns an artifact's bytes.
 Every operator acts on state vectors through its sqrt(n) bands; no dense
 Fock matrix is built.
 
@@ -15,6 +15,8 @@ three-term recurrence runs as in-place numpy ufuncs, so no run loads scipy.
 The CSV renderer takes its float digits from orjson's compiled shortest
 round-trip formatter, and its bytes equal those of repr on every value.
 """
+
+import math
 
 import numpy as np
 import orjson
@@ -184,9 +186,24 @@ def check_edge_mass(prob, where, k0=0):
                               % (where, edge, EDGE_LEVELS, EDGE_TOL))
 
 
-def displacement_dim(alpha):
-    """Smallest dimension satisfying the displacement headroom rule."""
-    return max(2, int(np.ceil(4.0 * abs(alpha) ** 2)))
+def window(alpha, r, where):
+    """Fock window [lo, hi) holding D(alpha) S(r)|0> to ~1e-16 mass;
+    TruncationError, led by where, when its levels are past float range."""
+    x, y = abs(alpha.real), abs(alpha.imag)
+    try:
+        mean = x * x + y * y + math.sinh(r) ** 2
+        # spread: |Im alpha| e^{-r} on the squeezed axis, |Re alpha| e^r on the
+        # antisqueezed one and a Poisson floor, plus the chi-square tail of the
+        # antisqueezed quadrature (~18 e^{2r} levels)
+        half = (9.0 * (y * max(math.exp(-r), 1e-2) + x * math.exp(r)
+                       + math.sqrt(math.hypot(x, y) + 1.0))
+                + 18.0 * math.exp(2.0 * abs(r)) + 80.0)
+        lo = int(max(0, math.floor(mean - half)))
+        hi = int(math.ceil(mean + half))
+    except (OverflowError, ValueError):  # inf, or inf - inf, where a level should be
+        raise TruncationError("%s, displaced by %g at r = %g, is past float range"
+                              % (where, math.hypot(x, y), r)) from None
+    return lo, hi
 
 
 def thermal_dim(N):

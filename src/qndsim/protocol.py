@@ -51,6 +51,8 @@ class ProtocolParams:
             raise ValueError("pulse area A must be > 0")
         if self.r < 0:
             raise ValueError("squeeze parameter r must be >= 0")
+        if self.r > 0.5 * math.log(np.finfo(float).max):  # the r of the largest e2r
+            raise ValueError("squeeze parameter r = %g is past the range of e^{2r}" % self.r)
         if self.N < 0:
             raise ValueError("thermal occupation N must be >= 0")
         if self.nu <= 0:
@@ -184,26 +186,8 @@ def composite_field_moments(state):
 
 def _squeezed_seed(r):
     """S(r)|0> on the window of block 0."""
-    _, hi = _window(0, 1.0, r)
+    _, hi = fock.window(0j, r, "the Fock window of block 0")
     return fock.ladder_exp(fock.basis(hi), 0.5 * r, 2)
-
-
-def _window(n, A, r):
-    """Fock window [lo, hi) holding block n's state to ~1e-16 mass;
-    TruncationError when its levels are past float range."""
-    al = n * A
-    try:
-        mean = al * al + math.sinh(r) ** 2
-        # spread: |alpha| e^{-r} bulk plus a Poisson floor, plus the chi-square
-        # tail of the antisqueezed quadrature (~18 e^{2r} levels)
-        half = (9.0 * (al * max(math.exp(-r), 1e-2) + math.sqrt(al + 1.0))
-                + 18.0 * math.exp(2.0 * abs(r)) + 80.0)
-        lo = int(max(0, math.floor(mean - half)))
-        hi = int(math.ceil(mean + half))
-    except (OverflowError, ValueError):  # inf, or inf - inf, where a level should be
-        raise fock.TruncationError("the Fock window of block %d, displaced by %g at r = %g, "
-                                   "is past float range" % (n, al, r)) from None
-    return lo, hi
 
 
 def _displacement_chain(A, r, n_top):
@@ -216,7 +200,8 @@ def _displacement_chain(A, r, n_top):
         vecs.append(psi.copy())
         if n == n_top:
             break
-        lo1, hi1 = _window(n + 1, A, r)
+        lo1, hi1 = fock.window(complex(0.0, (n + 1) * A), r,
+                               "the Fock window of block %d" % (n + 1))
         lo1 = min(lo1, k0)
         grown = np.zeros(hi1 - lo1, dtype=complex)
         grown[k0 - lo1:k0 - lo1 + len(psi)] = psi

@@ -99,6 +99,9 @@ def estimate(record):
     n_hat = float(np.mean(record.y)) / (2.0 * p.A)
     n_stderr = float(np.std(record.y, ddof=1)) / (
         2.0 * p.A * math.sqrt(record.shots))
+    if not (math.isfinite(n_hat) and math.isfinite(n_stderr)):
+        raise fock.TruncationError("the N estimate at A = %g is not finite: the record's "
+                                   "mean or spread overflows" % p.A)
     if n_hat > 0:
         t_hat = protocol.temperature_from_N(n_hat, p.nu)
         t_stderr = _dT_dN(n_hat, p.nu) * n_stderr

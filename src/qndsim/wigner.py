@@ -209,13 +209,11 @@ def wigner_numeric_protocol(
     sig = math.exp(-params.r) / 2.0
     half_rows = int(math.ceil(tail_sigmas * sig / h))
     dn = h * np.arange(-half_rows, half_rows + 1)
-    # The walked states D(-alpha) S(r)|0> reach |alpha| plus the
-    # antisqueezed spread along Re, which the block chain's window also
-    # allows as 18 e^{2r} levels at alpha = 0; the walk measures the mass
-    # that reaches the top levels anyway.
-    reach = math.hypot(np.max(np.abs(re)), dn[-1])
-    spread = (reach + math.sqrt(18.0) * math.exp(params.r)) ** 2
-    dim = max(fock.displacement_dim(reach), int(math.ceil(spread))) + 64
+    # The walked states D(-alpha) S(r)|0> fit in fock.window at the patch's
+    # far corner, the rule that sizes the block chain; the walk measures
+    # the mass that reaches the top levels anyway.
+    _, dim = fock.window(complex(np.max(np.abs(re)), dn[-1]), params.r,
+                         "the Fock window of the walked states")
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * params.r, 2)
     patch = (2.0 / math.pi) * _displaced_parity_walk(psi, re, dn)
 

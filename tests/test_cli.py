@@ -694,6 +694,33 @@ def test_invalid_config_exits_2_without_output(experiment, data):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, patch, message", [
+    pytest.param("sample", {"params": {**SMALL_PARAMS, "e2r": None, "r": 800.0}, "sweep": None},
+                 "error: config.params: squeeze parameter r = 800 is past", id="sample-r"),
+    pytest.param("wigner", {"params": {**VALID["wigner"]["params"], "e2r": None, "r": 800.0}},
+                 "error: config.params: squeeze parameter r = 800 is past", id="wigner-paper-r"),
+    pytest.param("sample", {"params": {**SMALL_PARAMS, "A": 1e308}, "sweep": None},
+                 "error: the N estimate at A = 1e+308 is not finite", id="sample-A-1e308"),
+    pytest.param("sample", {"params": {**SMALL_PARAMS, "A": 1e200}, "sweep": None},
+                 "error: the N estimate at A = 1e+200 is not finite", id="sample-A-1e200"),
+    pytest.param("wigner", {"convention": "standard",
+                            "grid": {**SMALL_GRID, "re_min": -1e200, "re_max": 1e200}},
+                 "error: the Fock window of the walked states, displaced by 1e+200",
+                 id="wigner-standard-reach"),
+])
+def test_runs_past_float_range_exit_2(tmp_path, capsys, experiment, patch, message):
+    # r = 800 once exited 1 in sample and blamed the grid in wigner; the
+    # overflowing records exited 2 naming only a non-JSON number; the walk
+    # once exited 1 with an OverflowError. A None in the patch drops its key.
+    out = tmp_path / "out"
+    config = {**VALID[experiment], **patch, "output_dir": str(out)}
+    config = {k: v for k, v in config.items() if v is not None}
+    config["params"] = {k: v for k, v in config["params"].items() if v is not None}
+    assert cli.main([experiment, "--config", write_config(tmp_path, config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the README's config tables list exactly the keys the schema accepts
 

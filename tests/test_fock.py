@@ -114,10 +114,58 @@ def test_displacement_coherent_moments():
     assert ey == pytest.approx(2.0, abs=1e-9)
 
 
-def test_displacement_headroom_policing():
-    # |alpha|^2 <= dim/4: alpha = 4 needs 64 levels
-    assert fock.displacement_dim(4.0) == 64
-    assert fock.displacement_dim(4.0j) == 64
+def window_formula(n, A, r):
+    """The block chain's window rule at alpha = i n A, as it stood before
+    fock.window took the Re axis: the oracle the rule keeps bit for bit."""
+    al = n * A
+    mean = al * al + math.sinh(r) ** 2
+    half = (9.0 * (al * max(math.exp(-r), 1e-2) + math.sqrt(al + 1.0))
+            + 18.0 * math.exp(2.0 * abs(r)) + 80.0)
+    return int(max(0, math.floor(mean - half))), int(math.ceil(mean + half))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(0, 1000), A=st.floats(min_value=5e-324, max_value=1.7e308),
+       r=st.floats(min_value=0.0, max_value=400.0))
+@example(n=119, A=3.0, r=0.5 * math.log(50.0))
+@example(n=1, A=1e300, r=0.0)
+def test_window_on_the_im_axis_is_the_chain_formula(n, A, r):
+    try:
+        expected = window_formula(n, A, r)
+    except (OverflowError, ValueError):
+        with pytest.raises(fock.TruncationError, match="block %d, displaced by" % n):
+            fock.window(complex(0.0, n * A), r, "the Fock window of block %d" % n)
+    else:
+        assert fock.window(complex(0.0, n * A), r, "block") == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(re=st.floats(0.0, 1.7e308), im=st.floats(0.0, 1.7e308),
+       r=st.floats(min_value=0.0, max_value=1.7e308))
+def test_window_is_levels_or_refuses(re, im, r):
+    """A window is a pair of integer levels, or TruncationError where they
+    are past float range: no OverflowError leaks."""
+    try:
+        lo, hi = fock.window(complex(re, im), r, "the window")
+    except fock.TruncationError as exc:
+        assert str(exc).startswith("the window, displaced by") and "past float range" in str(exc)
+    else:
+        assert type(lo) is type(hi) is int and 0 <= lo <= hi
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(alpha=st.floats(-36.0, 36.0), e2r=st.floats(1.0, 50.0))
+@example(alpha=4.0, e2r=1.0)
+@example(alpha=4j, e2r=1.0)
+@example(alpha=36.0, e2r=50.0)
+def test_window_holds_a_state_displaced_along_re(alpha, e2r):
+    """D(alpha) S(r)|0> built on [0, hi) keeps its top levels within the
+    edge budget, also along the antisqueezed Re axis that the Wigner walk
+    steps over."""
+    r = 0.5 * math.log(e2r)
+    _, hi = fock.window(complex(alpha), r, "the window")
+    psi = fock.ladder_exp(fock.ladder_exp(fock.basis(hi), 0.5 * r, 2), alpha, 1)
+    fock.check_edge_mass(np.abs(psi) ** 2, "the window at alpha = %r" % alpha)
 
 
 def test_displacement_group_inverse():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
@@ -112,6 +112,20 @@ def test_params_validation():
         protocol.ProtocolParams(A=1, r=0, N=0, nu=0.0)
     with pytest.raises(ValueError):
         params(A=math.inf)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(e2r=st.floats(min_value=1.0, allow_infinity=False))
+@example(e2r=np.finfo(float).max)
+def test_squeeze_is_refused_past_the_range_of_e2r(e2r):
+    """Every finite e^{2r} keeps its r, as the CLI turns e2r into r; the
+    first r past the largest one is refused, naming r."""
+    assert params(r=0.5 * math.log(e2r)).r >= 0.0
+    top = 0.5 * math.log(np.finfo(float).max)
+    assert params(r=top).r == top
+    for r in (math.nextafter(top, math.inf), 800.0):
+        with pytest.raises(ValueError, match="squeeze parameter r = %g is past" % r):
+            params(r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +303,6 @@ def test_window_holds_every_block(A, e2r, n_top):
     assert len(vecs) == n_top + 1 and min(offs) >= 0
     norms = np.array([np.linalg.norm(v) for v in vecs])
     assert np.abs(norms - 1.0).max() <= 1e-12
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(n=st.integers(0, 1000), A=st.floats(min_value=5e-324, max_value=1.7e308),
-       r=st.floats(min_value=0.0, max_value=1.7e308))
-def test_window_is_levels_or_refuses(n, A, r):
-    """A window is a pair of integer levels, or TruncationError where they
-    are past float range: no OverflowError leaks."""
-    try:
-        lo, hi = protocol._window(n, A, r)
-    except fock.TruncationError as exc:
-        assert "past float range" in str(exc)
-    else:
-        assert type(lo) is type(hi) is int and 0 <= lo <= hi
 
 
 def test_one_edge_budget_holds_the_chain_and_the_walk(monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,17 @@ def test_estimate_flags_undefined_temperature():
     with pytest.raises(ValueError):
         sampler.estimate(sampler.MeasurementRecord(
             y=np.zeros(1), m_true=np.zeros(1, int), params=p, seed=0))
+
+
+@pytest.mark.parametrize("A", [1e308, 1e200])
+def test_estimate_refuses_a_record_whose_statistics_overflow(A):
+    # at 1e308 y = 2Am is inf or nan; at 1e200 only the spread overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = sampler.sample_record(params(A=A), 100, 1)
+        with pytest.raises(fock.TruncationError, match=re.escape("estimate at A = %g is" % A)):
+            sampler.estimate(rec)
+    rep = sampler.estimate(sampler.sample_record(params(A=1e150), 100, 1))
+    assert math.isfinite(rep.n_hat) and math.isfinite(rep.n_stderr)
 
 
 def test_stderr_shrinks_with_sqrt_shots():

@@ -175,7 +175,7 @@ def test_protocol_path_matches_closed_form_at_demo_point():
     # sized for a coherent state of that amplitude is off by 3.7e-3 there.
     p = params()
     grid = wigner.wigner_numeric_protocol(p, demo_im_spec(12.0, 49))
-    assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 1e-5
+    assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 5e-11
 
 
 def test_protocol_path_walk_budget(monkeypatch):
