@@ -227,6 +227,19 @@ def _protocol_point(cfg, point, path):
     return p
 
 
+def _sample_point(cfg, point, path):
+    """ProtocolParams of a point whose outcomes 2Am, up to the thermal law's
+    level count m, and their squares are doubles: the record and its
+    statistics cannot overflow short of a sum over shots."""
+    p = _protocol_point(cfg, point, path)
+    dim = fock.thermal_dim(p.N)
+    top = 2.0 * p.A * dim
+    if not math.isfinite(top * top):
+        _fail(path, f"the outcome 2Am = {top:g} at m = {dim}, the thermal law's level count, "
+              "or its square is past float range")
+    return p
+
+
 def _wigner_point(cfg, point, path):
     """ProtocolParams and GridSpec of a point whose grid holds its map and,
     over the histogram bins, the thermal law the run's TV is taken against."""
@@ -387,7 +400,7 @@ _EXPERIMENTS = {
     "moments": (_schema(_protocol_params, tolerance=(_POSITIVE, 1e-6)),
                 _protocol_point, _run_moments),
     "sample": (_schema(_protocol_params, shots=(_integer(2), _REQUIRED)),
-               _protocol_point, _run_sample),
+               _sample_point, _run_sample),
     "wigner": (_schema(_protocol_params,
                        grid=(functools.partial(_check, _GRID), _REQUIRED),
                        convention=(_one_of(*_MAPS), "paper"),

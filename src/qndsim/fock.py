@@ -1,7 +1,7 @@
 """Truncated Fock-space engine: the one action kernel for exponentials of
-ladder operators, the quadrature stencil, the one Fock-window rule, the
-edge budget that every moving or walked window is held to, the thermal law
-with its tail budget, and the CSV renderer, which returns an artifact's bytes.
+ladder operators, the quadrature stencil, the one Fock-window rule, the edge
+budget every moving or walked window and every mirrored seed is held to, the
+thermal law with its tail budget, and the CSV renderer of an artifact's bytes.
 Every operator acts on state vectors through its sqrt(n) bands; no dense
 Fock matrix is built.
 
@@ -184,6 +184,16 @@ def check_edge_mass(prob, where, k0=0):
     if edge > EDGE_TOL:
         raise TruncationError("%s holds %.3g of its mass in its %d edge levels, above %.3g"
                               % (where, edge, EDGE_LEVELS, EDGE_TOL))
+
+
+def check_mirror_defect(psi, where):
+    """Raise TruncationError, led by where, when |delta|, the norm of psi's odd
+    levels and imaginary even part, is above EDGE_TOL: W at alpha, -alpha and
+    conj(alpha) of a normalized psi differs by at most (4/pi)(2|delta| + |delta|^2)."""
+    defect = math.hypot(np.linalg.norm(psi[1::2]), np.linalg.norm(psi[::2].imag))
+    if defect > EDGE_TOL:
+        raise TruncationError("%s lies %.3g in norm off a real state on the even levels, "
+                              "above %.3g" % (where, defect, EDGE_TOL))
 
 
 def window(alpha, r, where):

@@ -96,9 +96,9 @@ def estimate(record):
     if record.shots < 2:
         raise ValueError("estimation needs at least 2 shots")
     p = record.params
-    n_hat = float(np.mean(record.y)) / (2.0 * p.A)
-    n_stderr = float(np.std(record.y, ddof=1)) / (
-        2.0 * p.A * math.sqrt(record.shots))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below, if not finite
+        n_hat = float(np.mean(record.y)) / (2.0 * p.A)
+        n_stderr = float(np.std(record.y, ddof=1)) / (2.0 * p.A * math.sqrt(record.shots))
     if not (math.isfinite(n_hat) and math.isfinite(n_stderr)):
         raise fock.TruncationError("the N estimate at A = %g is not finite: the record's "
                                    "mean or spread overflows" % p.A)

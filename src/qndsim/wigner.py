@@ -22,13 +22,16 @@ check_grid states what each convention needs of the grid; both maps call
 it, and the CLI calls it for every point before any map is computed.
 
 The walk takes single-step displacement actions (fock.ladder_exp)
-instead of building D(alpha) per point: one line of states along Re, then
-the whole line, as one block of vectors, steps along Im. Each step is
-unitary, so the evaluation cannot overflow even for strongly squeezed
-states where a normally ordered expansion of D(alpha) would exceed double
-range. Every walked state is held to fock's edge budget. Nothing here
-warns: whether neighbouring peaks overlap is protocol.is_distinguishable,
-and a histogram's leakage estimates the mass the overlap moves.
+instead of building D(alpha) per point: one line of states steps out along
+Re from the node nearest 0, then the whole line steps out along Im as one
+block. The squeezed seed is real and even, which fock checks, so its map is
+walked on the quarter Im >= 0, Re >= 0, at each distinct |Re| of the grid,
+and mirrored. Each step is unitary, so the evaluation cannot overflow even for
+strongly squeezed states where a normally ordered expansion of D(alpha)
+would exceed double range. Every walked state is held to fock's edge
+budget. Nothing here warns: whether neighbouring peaks overlap is
+protocol.is_distinguishable, and a histogram's leakage estimates the mass
+the overlap moves.
 """
 
 from __future__ import annotations
@@ -161,23 +164,32 @@ def _displaced_parity_walk(psi: np.ndarray, re: np.ndarray, im: np.ndarray) -> n
     """Parities of D(-alpha) psi on the grid, each walked state held to the
     edge budget fock.check_edge_mass.
 
-    The state steps along Re to a line of states, and then the whole line
-    steps as one block along Im, one grid row per step.
+    From the node nearest 0 on each axis, the state steps out both ways along
+    Re to a line of states, and the line steps out along Im as one block.
     """
-    line = [fock.ladder_exp(psi, -complex(re[0], im[0]), 1)]
-    for _ in range(re.size - 1):
-        line.append(fock.ladder_exp(line[-1], -(re[1] - re[0]), 1))
-    block = np.stack(line, axis=1)
+    c, k = int(np.argmin(np.abs(re))), int(np.argmin(np.abs(im)))
+    start = fock.ladder_exp(psi, -complex(re[c], im[k]), 1)
+    line = dict(_outward(start, re, c, lambda s, d: fock.ladder_exp(s, -d, 1)))
+    block = np.stack([line[j] for j in range(re.size)], axis=1)
     parity = 1.0 - 2.0 * (np.arange(len(psi)) % 2)
     out = np.empty((im.size, re.size))
     where = f"a walked state on {len(psi)} levels"
-    for i in range(im.size):
-        if i:
-            block = fock.ladder_exp(block, -1j * (im[1] - im[0]), 1)
+    for i, block in _outward(block, im, k, lambda b, d: fock.ladder_exp(b, -1j * d, 1)):
         prob = block.real**2 + block.imag**2
         out[i] = parity @ prob
         fock.check_edge_mass(prob, where)
     return out
+
+
+def _outward(state, axis, c, step):
+    """(j, state at node j) for every node j of axis, stepped out both ways
+    from the state at node c; step(s, d) moves a state s by the distance d."""
+    yield c, state
+    for sign, stop in ((1, axis.size), (-1, -1)):
+        s = state
+        for j in range(c + sign, stop, sign):
+            s = step(s, axis[j] - axis[j - sign])
+            yield j, s
 
 
 def wigner_numeric_protocol(
@@ -208,14 +220,17 @@ def wigner_numeric_protocol(
 
     sig = math.exp(-params.r) / 2.0
     half_rows = int(math.ceil(tail_sigmas * sig / h))
-    dn = h * np.arange(-half_rows, half_rows + 1)
+    dn = h * np.arange(half_rows + 1)
     # The walked states D(-alpha) S(r)|0> fit in fock.window at the patch's
-    # far corner, the rule that sizes the block chain; the walk measures
-    # the mass that reaches the top levels anyway.
+    # far corner, as the chain's blocks do; the walk measures their edge mass.
     _, dim = fock.window(complex(np.max(np.abs(re)), dn[-1]), params.r,
                          "the Fock window of the walked states")
     psi = fock.ladder_exp(fock.basis(dim), 0.5 * params.r, 2)
-    patch = (2.0 / math.pi) * _displaced_parity_walk(psi, re, dn)
+    walked_re, cols = np.unique(np.abs(re), return_inverse=True)
+    quarter = (2.0 / math.pi) * _displaced_parity_walk(psi, walked_re, dn)
+    # After the walk, so that at EDGE_TOL = 0 the walk's own refusal leads.
+    fock.check_mirror_defect(psi, "the squeezed seed of the Wigner walk")
+    patch = quarter[np.abs(np.arange(-half_rows, half_rows + 1))][:, cols]
 
     values = np.zeros((im.size, re.size))
     for n, weight in enumerate(fock.thermal_pn(params.N, fock.thermal_dim(params.N))):
@@ -239,8 +254,13 @@ def marginal_P(grid: WignerGrid) -> Marginal:
 
 def histogram_bins(im_max: float, A: float) -> int:
     """Bins of reconstruct_pn: n = 0 up to the last center n * A at most
-    half a spacing A below im_max."""
-    return max(int(math.floor(im_max / A + 0.5)), 0) + 1
+    half a spacing A below im_max; GridError when that count is past the
+    int64 range of an index."""
+    top = im_max / A + 0.5
+    if not top < 2.0**63:
+        raise GridError("im_max", f"over A, {im_max:g} / {A:g}, counts histogram bins past "
+                        "integer range")
+    return max(int(math.floor(top)), 0) + 1
 
 
 def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> PhononHistogram:

@@ -700,25 +700,45 @@ def test_invalid_config_exits_2_without_output(experiment, data):
     pytest.param("wigner", {"params": {**VALID["wigner"]["params"], "e2r": None, "r": 800.0}},
                  "error: config.params: squeeze parameter r = 800 is past", id="wigner-paper-r"),
     pytest.param("sample", {"params": {**SMALL_PARAMS, "A": 1e308}, "sweep": None},
-                 "error: the N estimate at A = 1e+308 is not finite", id="sample-A-1e308"),
+                 "error: config.params: the outcome 2Am = inf at m = 21, the thermal law's "
+                 "level count, or its square is past float range", id="sample-A-1e308"),
     pytest.param("sample", {"params": {**SMALL_PARAMS, "A": 1e200}, "sweep": None},
-                 "error: the N estimate at A = 1e+200 is not finite", id="sample-A-1e200"),
+                 "error: config.params: the outcome 2Am = 4.2e+201 at m = 21", id="sample-A-1e200"),
     pytest.param("wigner", {"convention": "standard",
                             "grid": {**SMALL_GRID, "re_min": -1e200, "re_max": 1e200}},
                  "error: the Fock window of the walked states, displaced by 1e+200",
                  id="wigner-standard-reach"),
+    pytest.param("wigner", {"params": {**VALID["wigner"]["params"], "A": 1e-300},
+                            "grid": {**SMALL_GRID, "re_min": -40.0, "re_max": 40.0, "re_count": 5,
+                                     "im_max": 1e10, "im_count": 5}},
+                 "error: config.grid.im_max: over A, 1e+10 / 1e-300, counts histogram bins past "
+                 "integer range for config.params", id="wigner-paper-bins"),
 ])
 def test_runs_past_float_range_exit_2(tmp_path, capsys, experiment, patch, message):
     # r = 800 once exited 1 in sample and blamed the grid in wigner; the
-    # overflowing records exited 2 naming only a non-JSON number; the walk
-    # once exited 1 with an OverflowError. A None in the patch drops its key.
+    # overflowing records exited 2 naming only a non-JSON number, and later
+    # after numpy warnings; the walk once exited 1 with an OverflowError; the
+    # bin count im_max / A past integer range was once called "too low". A
+    # None in the patch drops its key.
     out = tmp_path / "out"
     config = {**VALID[experiment], **patch, "output_dir": str(out)}
     config = {k: v for k, v in config.items() if v is not None}
     config["params"] = {k: v for k, v in config["params"].items() if v is not None}
     assert cli.main([experiment, "--config", write_config(tmp_path, config)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_sample_below_the_outcome_range_runs(tmp_path):
+    # A = 1e150 puts 2Am at m = 21 at 4.2e151, whose square is a double: the
+    # point builds and the record's statistics are finite.
+    out = tmp_path / "out"
+    config = {**VALID["sample"], "params": {**SMALL_PARAMS, "A": 1e150}, "output_dir": str(out)}
+    del config["sweep"]
+    assert cli.main(["sample", "--config", write_config(tmp_path, config)]) == 0
+    estimate = read_json(out / "estimate.json")
+    assert math.isfinite(estimate["n_hat"]) and math.isfinite(estimate["n_stderr"])
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,25 @@ def test_window_holds_a_state_displaced_along_re(alpha, e2r):
     fock.check_edge_mass(np.abs(psi) ** 2, "the window at alpha = %r" % alpha)
 
 
+def test_mirror_defect_is_held_to_the_edge_budget(monkeypatch):
+    """The e^{2r} = 50 seed of the demo Wigner walk lies 1.1e-15 in norm off
+    a real state on the even levels: well inside fock.EDGE_TOL, and refused
+    once that budget shrinks to 0. Odd-level or imaginary amplitude above
+    the budget is refused, also at 1e-6, whose mass 1e-12 a budget on the
+    mass would pass; an exactly real, even state passes at 0."""
+    r = 0.5 * math.log(50.0)
+    seed = fock.ladder_exp(fock.basis(fock.window(complex(12.0, 0.85), r, "w")[1]), 0.5 * r, 2)
+    fock.check_mirror_defect(seed, "the seed")
+    for bent in (fock.basis(64) + 1e-6 * np.eye(64)[3], fock.basis(64) + 1e-6j * np.eye(64)[2]):
+        with pytest.raises(fock.TruncationError, match=r"the state lies 1e-06 in norm off"):
+            fock.check_mirror_defect(bent, "the state")
+    monkeypatch.setattr(fock, "EDGE_TOL", 0.0)
+    fock.check_mirror_defect(fock.basis(64), "the vacuum")
+    with pytest.raises(fock.TruncationError, match=r"the seed lies 1.11e-15 in norm off a "
+                       r"real state on the even levels, above 0$"):
+        fock.check_mirror_defect(seed, "the seed")
+
+
 def test_displacement_group_inverse():
     dim = 48
     alpha = 1.1 - 0.6j

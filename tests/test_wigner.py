@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
 import oracles
@@ -115,6 +116,33 @@ def test_numeric_matches_expm_displaced_parity():
             assert (2.0 / math.pi) * walk[i, j] == pytest.approx(w, abs=1e-11)
 
 
+LOW_LEVELS = 6
+AMPLITUDE = st.floats(-1.0, 1.0)
+AXIS = st.tuples(st.floats(-1.5, 0.5), st.floats(0.2, 1.5), st.integers(2, 3))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(parts=st.lists(st.tuples(AMPLITUDE, AMPLITUDE), min_size=LOW_LEVELS,
+                      max_size=LOW_LEVELS).filter(lambda p: sum(a * a + b * b for a, b in p) > 0.1),
+       re_axis=AXIS, im_axis=AXIS)
+def test_walk_from_the_centre_matches_expm_per_point(parts, re_axis, im_axis):
+    # Any state on the lowest levels, with no symmetry, on grids that hold 0,
+    # lie to one side of it or have a node on it: one expm per point against
+    # the walk out from the node nearest 0.
+    dim = 96
+    psi = np.zeros(dim, dtype=complex)
+    psi[:LOW_LEVELS] = [complex(a, b) for a, b in parts]
+    psi /= np.linalg.norm(psi)
+    (re_min, re_span, re_count), (im_min, im_span, im_count) = re_axis, im_axis
+    spec = wigner.GridSpec(re_min, re_min + re_span, re_count, im_min, im_min + im_span, im_count)
+    walk = wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
+    parity = 1.0 - 2.0 * (np.arange(dim) % 2)
+    for i, y in enumerate(spec.im_axis()):
+        for j, x in enumerate(spec.re_axis()):
+            moved = oracles.displacement(-complex(x, y), dim) @ psi
+            assert walk[i, j] == pytest.approx(parity @ np.abs(moved) ** 2, abs=1e-12)
+
+
 def test_numeric_mixture_of_coherent_states():
     # r = 0: the pulse output's field is the thermal mixture of |inA>.
     p = params(r=0.0)
@@ -151,13 +179,55 @@ def test_numeric_walk_budget_refuses_short_truncations(monkeypatch):
         wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
 
 
-def test_protocol_path_matches_generic():
+def generic_gap(spec):
+    """Largest gap of the protocol path to the dense displaced parity of the
+    pulse output."""
     p = params(A=0.36, r=0.5 * math.log(2.0), N=0.02)
     rho_a = oracles.field_state_dense(protocol.evolve_pulse(p), 160)
-    spec = wigner.GridSpec(-1.6, 1.6, 17, -0.18, 1.98, 37)
     fast = wigner.wigner_numeric_protocol(p, spec, tail_sigmas=8.0)
     assert fast.convention == wigner.STANDARD
-    assert np.max(np.abs(oracles.wigner_dense(rho_a, spec) - fast.values)) < 1e-7
+    return np.max(np.abs(oracles.wigner_dense(rho_a, spec) - fast.values))
+
+
+def test_protocol_path_matches_generic():
+    # Re -2..2 in steps of 1/4 is symmetric to the bit: the walk covers its
+    # 9 columns at Re >= 0 and mirrors them (gap 1.9e-15).
+    assert generic_gap(wigner.GridSpec(-2.0, 2.0, 17, -0.18, 1.98, 37)) < 1e-12
+
+
+def test_protocol_path_matches_generic_on_an_asymmetric_re_grid():
+    # Re -0.95..2.25 has no mirror image: its 17 distinct |Re| are walked,
+    # out from 0.05 in steps of 0.1 and then 0.2 (gap 3.0e-15).
+    assert generic_gap(wigner.GridSpec(-0.95, 2.25, 17, -0.18, 1.98, 37)) < 1e-12
+
+
+def test_protocol_path_refuses_a_seed_past_the_mirror_budget(monkeypatch):
+    # A seed with 1e-4 on level 1 lies 1e-4 in norm off a real even state,
+    # above fock.EDGE_TOL: its map has no mirror symmetry, and the walk's
+    # seed check refuses to mirror the quarter it walked.
+    vacuum = fock.basis
+    monkeypatch.setattr(fock, "basis", lambda dim: vacuum(dim) + 1e-4 * np.eye(dim)[1])
+    with pytest.raises(fock.TruncationError,
+                       match="squeezed seed of the Wigner walk lies 0.0001 in norm"):
+        wigner.wigner_numeric_protocol(params(), demo_im_spec(2.0, 17))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_mirror_defect_bounds_the_mirrored_values(eps):
+    # A seed |delta| = eps off a real even state: its Wigner values at alpha,
+    # -alpha and conj(alpha) differ by 1.6 eps, linear in the norm that
+    # fock.check_mirror_defect holds, inside the (4/pi)(2 eps + eps^2) of its
+    # docstring.
+    dim = 96
+    r = 0.5 * math.log(4.0)
+    psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
+    psi = psi + eps * (0.6 * np.eye(dim)[1] + 0.8j * np.eye(dim)[2])
+    psi /= np.linalg.norm(psi)
+    axis = np.array([-0.7, -0.2, 0.2, 0.7])
+    w = (2.0 / math.pi) * wigner._displaced_parity_walk(psi, axis, axis)
+    gap = max(np.abs(w - w[::-1, ::-1]).max(), np.abs(w - w[::-1]).max(),
+              np.abs(w - w[:, ::-1]).max())
+    assert eps < gap <= (4.0 / math.pi) * (2.0 * eps + eps**2)
 
 
 def standard_closed_form(p, grid):
@@ -173,9 +243,11 @@ def standard_closed_form(p, grid):
 def test_protocol_path_matches_closed_form_at_demo_point():
     # Re +-12 reaches 1.7 antisqueezed standard deviations; a field dimension
     # sized for a coherent state of that amplitude is off by 3.7e-3 there.
+    # Walked out from the centre the map is 1.7e-15 off; a walk that starts
+    # with one displacement of |alpha| ~ 12 to the grid corner is 1.8e-11 off.
     p = params()
     grid = wigner.wigner_numeric_protocol(p, demo_im_spec(12.0, 49))
-    assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 5e-11
+    assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 1e-12
 
 
 def test_protocol_path_walk_budget(monkeypatch):
