@@ -50,7 +50,6 @@ import os
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +252,7 @@ def _wigner_point(cfg, point, path):
         fock.check_thermal_tail(p.N, wigner.histogram_bins(spec.im_max, p.A), "bins")
     except wigner.GridError as exc:
         _fail(f"config.grid.{exc.field}", f"{exc.reason} for {path}")
-    except (OverflowError, fock.TruncationError) as exc:
+    except fock.TruncationError as exc:
         _fail("config.grid.im_max", f"too low for the thermal law of {path}: {exc}")
     return p, spec
 
@@ -446,6 +445,8 @@ def run(experiment, cfg, jobs=1):
     sweep = "sweep" in cfg
 
     if jobs > 1 and len(points) > 1:
+        # imported here: a one-process run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             futures = [pool.submit(runner, *call) for call in calls]
             outcomes = [f.result() for f in futures]

@@ -13,7 +13,8 @@ module needs numpy and orjson. The action kernel is a Chebyshev series whose
 Bessel coefficients come from Miller's backward recurrence and whose
 three-term recurrence runs as in-place numpy ufuncs, so no run loads scipy.
 The CSV renderer takes its float digits from orjson's compiled shortest
-round-trip formatter, and its bytes equal those of repr on every value.
+round-trip formatter and rewrites orjson's exponents into repr's form in
+numpy, so its bytes equal those of repr on every value.
 """
 
 import math
@@ -256,25 +257,46 @@ def thermal_pn(N, dim):
     return p / p.sum()
 
 
+def _repr_exponents(text):
+    """orjson's float text with each exponent in repr's form: a sign before
+    a positive one (1e16 -> 1e+16) and a second digit in a one-digit
+    negative one (1.5e-6 -> 1.5e-06), inserted in one numpy pass."""
+    b = np.frombuffer(text, np.uint8)
+    e = np.flatnonzero(b == ord("e"))
+    plus = b[e + 1] != ord("-")
+    # a one-digit e-d ends its cell: a comma or the closing bracket follows
+    pad = ~plus & ((b[e + 3] == ord(",")) | (b[e + 3] == ord("]")))
+    fix = plus | pad
+    at = e[fix] + np.where(plus[fix], 1, 2)  # before the digits, or after the minus
+    return np.insert(b, at, np.where(plus[fix], ord("+"), ord("0"))).tobytes()
+
+
 def _cells(col):
     """The bytes of each value of a contiguous integer or float64 column:
     orjson's shortest round-trip digits (Ryu), which are repr's digits, with
-    repr's own text where the two formats differ: nonzero |x| < 1e-4 and
-    |x| >= 1e16 (exponent form) and nan and inf (orjson writes null)."""
-    cells = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
-    if col.dtype.kind == "f":
-        a = np.abs(col)
-        odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (col != 0))
-        for i, x in zip(odd.tolist(), col[odd].tolist()):
-            cells[i] = repr(x).encode()
+    each exponent rewritten into repr's form (1e-06, 1e+16), and repr's own
+    text where orjson's differs in more than the exponent: 1e-5 <= |x| < 1e-4,
+    which orjson writes in fixed point, and nan and inf (orjson writes null)."""
+    text = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)
+    if col.dtype.kind != "f":
+        return text[1:-1].split(b",")
+    if b"e" in text:
+        text = _repr_exponents(text)
+    cells = text[1:-1].split(b",")
+    a = np.abs(col)
+    odd = np.flatnonzero((a >= 1e-5) & (a < 1e-4) | ~np.isfinite(a))
+    for i, x in zip(odd.tolist(), col[odd].tolist()):
+        cells[i] = repr(x).encode()
     return cells
 
 
 def write_csv(header, *columns):
     """The CSV bytes of equal-length integer or float64 numpy columns, each
-    value as repr of its Python scalar (shortest round-trip floats). Each
-    CSV_CHUNK rows are rendered to bytes and joined into one growing buffer,
-    which is returned as it is: no copy."""
+    value as repr of its Python scalar (shortest round-trip floats), taken
+    from orjson's text by _cells, which calls repr only on the few cells
+    orjson writes in fixed point or as null. Each CSV_CHUNK rows are
+    rendered to bytes and joined into one growing buffer, which is returned
+    as it is: no copy."""
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError("write_csv: columns differ in length: %s" % lengths)

@@ -71,6 +71,9 @@ class GridSpec:
                 raise ValueError(f"{name}_max must exceed {name}_min")
             if count < 2:
                 raise ValueError(f"{name}_count must be at least 2")
+            spacing = (hi - lo) / (count - 1)
+            if not 0.0 < spacing < math.inf:
+                raise ValueError(f"{name} axis spacing {spacing:g} is not a positive double")
 
     def re_axis(self) -> np.ndarray:
         return np.linspace(self.re_min, self.re_max, self.re_count)
@@ -120,8 +123,9 @@ def check_grid(params: protocol.ProtocolParams, spec: GridSpec, convention: str)
     ``paper-closed-form`` needs every populated peak center plus
     COVERAGE_SIGMAS standard deviations on both axes, or the marginal would
     be silently truncated. ``standard-numeric`` needs an Im axis that is a
-    lattice holding the peak centers: its spacing divides A and im_min is a
-    multiple of it.
+    lattice holding the peak centers: its spacing goes into A a whole number
+    of times, at least once, and im_min is a multiple of it, both in a count
+    of steps within float range.
     """
     if convention == PAPER:
         top = (fock.thermal_dim(params.N) - 1) * params.A
@@ -135,7 +139,11 @@ def check_grid(params: protocol.ProtocolParams, spec: GridSpec, convention: str)
     else:
         h = (spec.im_max - spec.im_min) / (spec.im_count - 1)
         ratio, base = params.A / h, -spec.im_min / h
-        bounds = ((abs(ratio - round(ratio)) <= 1e-9, "im_count",
+        if not (math.isfinite(ratio) and math.isfinite(base)):
+            raise GridError("im_count", f"gives an Im lattice spacing {h:g} that counts "
+                            f"A = {params.A:g} or im_min = {spec.im_min:g} in steps past "
+                            "float range")
+        bounds = ((round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9, "im_count",
                    f"gives an Im lattice spacing {h:g} that does not divide A = {params.A:g}"),
                   (abs(base - round(base)) <= 1e-9, "im_min",
                    f"is off the Im lattice of spacing {h:g} that holds the peak centers"))
@@ -260,7 +268,7 @@ def histogram_bins(im_max: float, A: float) -> int:
     if not top < 2.0**63:
         raise GridError("im_max", f"over A, {im_max:g} / {A:g}, counts histogram bins past "
                         "integer range")
-    return max(int(math.floor(top)), 0) + 1
+    return int(math.floor(max(top, 0.0))) + 1
 
 
 def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> PhononHistogram:

@@ -713,13 +713,19 @@ def test_invalid_config_exits_2_without_output(experiment, data):
                                      "im_max": 1e10, "im_count": 5}},
                  "error: config.grid.im_max: over A, 1e+10 / 1e-300, counts histogram bins past "
                  "integer range for config.params", id="wigner-paper-bins"),
+    pytest.param("wigner", {"convention": "standard",
+                            "params": {**VALID["wigner"]["params"], "A": 1e308},
+                            "grid": {**SMALL_GRID, "im_min": 0.0, "im_max": 1.0, "im_count": 11}},
+                 "error: config.grid.im_count: gives an Im lattice spacing 0.1 that counts "
+                 "A = 1e+308 or im_min = 0 in steps past float range", id="wigner-standard-steps"),
 ])
 def test_runs_past_float_range_exit_2(tmp_path, capsys, experiment, patch, message):
     # r = 800 once exited 1 in sample and blamed the grid in wigner; the
     # overflowing records exited 2 naming only a non-JSON number, and later
     # after numpy warnings; the walk once exited 1 with an OverflowError; the
-    # bin count im_max / A past integer range was once called "too low". A
-    # None in the patch drops its key.
+    # bin count im_max / A past integer range was once called "too low", and
+    # so was the Im lattice's A / h past float range. A None in the patch
+    # drops its key.
     out = tmp_path / "out"
     config = {**VALID[experiment], **patch, "output_dir": str(out)}
     config = {k: v for k, v in config.items() if v is not None}

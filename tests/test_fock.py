@@ -2,6 +2,7 @@
 kernel, ladder algebra, thermal tail policing, and the CSV renderer's bytes
 against its repr oracle."""
 
+import builtins
 import math
 from unittest import mock
 
@@ -425,13 +426,21 @@ def test_write_csv_renders_the_same_rows_in_any_chunking(monkeypatch):
 
 
 INT64 = np.iinfo(np.int64)
-# where repr and orjson's numpy format part: the 1e-4 and 1e16 switches to
-# exponent form, on both sides and with either sign, zero, subnormals, nan, inf
-FLOAT_EDGES = [x for e in (1e-4, 1e16) for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+# where repr and orjson's numpy format part: orjson's 1e-5 and repr's 1e-4
+# switch to exponent form, and both formats' 1e16 switch, on both sides;
+# exponents of one digit (repr pads them to two) and positive ones (repr
+# signs them) with each leading digit; with either sign, zero, subnormals,
+# nan, inf
+FLOAT_EDGES = [x for e in (1e-5, 1e-4, 1e16)
+               for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+FLOAT_EDGES += [1e-6, 1.5e-6, 9.9e-7, 1e-7, 1e-8, 9.9e-9, 1e-10]
+FLOAT_EDGES += [float(f"{d}e{10 * d if d > 1 else 16}") for d in range(1, 10)]
+FLOAT_EDGES += [9e99, 1e100, 1.7976931348623157e308]
 FLOAT_EDGES += [-x for x in FLOAT_EDGES] + [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                                             np.nan, np.inf, -np.inf]
 FLOAT_CELLS = st.one_of(st.floats(width=64), st.floats(1e-5, 1e-4), st.floats(-1e-4, -1e-5),
-                        st.floats(-1e-307, 1e-307), st.sampled_from(FLOAT_EDGES))
+                        st.floats(-1e-5, 1e-5), st.floats(-1e-307, 1e-307),
+                        st.sampled_from(FLOAT_EDGES))
 INT_CELLS = st.one_of(st.integers(INT64.min, INT64.max), st.integers(-1000, 1000),
                       st.sampled_from([INT64.min, INT64.min + 1, INT64.max, -1, 0]))
 
@@ -446,6 +455,12 @@ def csv_columns(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(columns=csv_columns(), chunk=st.sampled_from([1, 3, 4096, fock.CSV_CHUNK]))
+# a one-digit exponent as the last cell of a column and of a chunk, before
+# the closing bracket of orjson's text; every edge in one column
+@example(columns=[np.array([1.0, 1.5e-6]), np.array([1e16, 9e-9])], chunk=1)
+@example(columns=[np.array([1.0, 1.5e-6]), np.array([1e16, 9e-9])], chunk=2)
+@example(columns=[np.array(FLOAT_EDGES)], chunk=1)
+@example(columns=[np.array(FLOAT_EDGES)], chunk=fock.CSV_CHUNK)
 def test_write_csv_bytes_equal_the_repr_oracle(columns, chunk):
     """Any float64 or int64 columns and any chunking: the orjson-rendered
     bytes are those of repr on every value."""
@@ -453,6 +468,21 @@ def test_write_csv_bytes_equal_the_repr_oracle(columns, chunk):
     with mock.patch.object(fock, "CSV_CHUNK", chunk):
         got = fock.write_csv(header, *columns)
     assert bytes(got) == oracles.write_csv(header, *columns)
+
+
+def test_write_csv_calls_repr_only_where_orjson_writes_fixed_point_or_null(monkeypatch):
+    """orjson's exponent form, rewritten, renders |x| < 1e-5 and |x| >= 1e16:
+    repr runs on the cells in [1e-5, 1e-4), where orjson writes fixed point,
+    and on nan and inf, which it writes as null; on no other cell."""
+    calls = []
+    monkeypatch.setattr(fock, "repr", lambda x: calls.append(x) or builtins.repr(x),
+                        raising=False)
+    col = np.geomspace(1e-300, 1e20, 3201)
+    col = np.concatenate((col, -col, [np.nan, np.inf, -np.inf]))
+    assert bytes(fock.write_csv("x", col)) == oracles.write_csv("x", col)
+    a = np.abs(col)
+    odd = col[(a >= 1e-5) & (a < 1e-4) | ~np.isfinite(col)].tolist()
+    assert len(odd) == 21 and list(map(builtins.repr, calls)) == list(map(builtins.repr, odd))
 
 
 def test_write_csv_refuses_ragged_or_unrenderable_columns():

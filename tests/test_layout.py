@@ -3,7 +3,9 @@ need, test-only oracles live in tests/oracles.py, and every third-party
 module the library imports is a declared dependency."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -122,3 +124,14 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names)
     assert sorted(third_party - declared) == []
     assert "numpy" in third_party  # the walk sees the library's imports
+
+
+def test_importing_the_cli_loads_neither_the_process_pool_nor_scipy():
+    """A CLI run starts a fresh interpreter: a one-process run pays for no
+    pool import, and no run loads the test-only scipy."""
+    probe = ("import sys, qndsim.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'scipy') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(qndsim.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -44,6 +44,32 @@ def test_gridspec_validation():
         wigner.GridSpec(-1.0, 1.0, 1, 0.0, 1.0, 5)
     with pytest.raises(ValueError):
         wigner.GridSpec(-math.inf, 1.0, 5, 0.0, 1.0, 5)
+    # a span past float range, or one too fine for its count, has no spacing
+    with pytest.raises(ValueError, match="re axis spacing inf is not a positive double"):
+        wigner.GridSpec(-1e308, 1e308, 5, 0.0, 1.0, 5)
+    with pytest.raises(ValueError, match="im axis spacing 0 is not a positive double"):
+        wigner.GridSpec(-1.0, 1.0, 5, 0.0, 5e-324, 3)
+
+
+@pytest.mark.parametrize("A, im, reason", [
+    # A / h = 1e309 once raised OverflowError in round and was blamed on im_max
+    (1e308, (0.0, 1.0, 11), "gives an Im lattice spacing 0.1 that counts A = 1e+308 or "
+                            "im_min = 0 in steps past float range"),
+    # a spacing wider than A holds no center past n = 0, though A / h rounds to 0
+    (1e-10, (-3.0, -1.0, 3), "gives an Im lattice spacing 1 that does not divide A = 1e-10"),
+])
+def test_standard_lattice_refusals_name_im_count(A, im, reason):
+    spec = wigner.GridSpec(-1.0, 1.0, 5, *im)
+    with pytest.raises(wigner.GridError) as err:
+        wigner.check_grid(params(A=A, N=0.0), spec, wigner.STANDARD)
+    assert (err.value.field, err.value.reason) == ("im_count", reason)
+
+
+def test_histogram_bins_below_zero_is_one_bin():
+    # im_max / A = -inf once raised OverflowError in math.floor
+    assert wigner.histogram_bins(-1.0, 5e-324) == 1
+    assert wigner.histogram_bins(-1.0, 1.0) == 1
+    assert wigner.histogram_bins(2.4, 1.0) == 3
 
 
 def test_paper_vacuum_value_and_normalization():
