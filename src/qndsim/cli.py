@@ -249,7 +249,8 @@ def _wigner_point(cfg, point, path):
         _fail("config.grid", str(exc))
     try:
         wigner.check_grid(p, spec, _MAPS[cfg["convention"]][0])
-        fock.check_thermal_tail(p.N, wigner.histogram_bins(spec.im_max, p.A), "bins")
+        fock.check_thermal_tail(p.N, wigner.histogram_bins(spec.im_max, p.A, spec.im_count),
+                                "bins")
     except wigner.GridError as exc:
         _fail(f"config.grid.{exc.field}", f"{exc.reason} for {path}")
     except fock.TruncationError as exc:

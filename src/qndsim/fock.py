@@ -1,7 +1,7 @@
-"""Truncated Fock-space engine: the one action kernel for exponentials of
-ladder operators, the quadrature stencil, the one Fock-window rule, the edge
-budget every moving or walked window and every mirrored seed is held to, the
-thermal law with its tail budget, and the CSV renderer of an artifact's bytes.
+"""Truncated Fock-space engine: the one action kernel for displacements,
+the closed-form squeezed vacuum, the quadrature stencil, the one Fock-window
+rule, the edge budget every moving or walked window is held to, the thermal
+law with its tail budget, and the CSV renderer of an artifact's bytes.
 Every operator acts on state vectors through its sqrt(n) bands; no dense
 Fock matrix is built.
 
@@ -55,11 +55,18 @@ def quadrature_action(psi, k0=0):
     return xpsi, ypsi
 
 
-def basis(dim):
-    """Fock vacuum |0> as a column vector of length dim."""
-    v = np.zeros(dim, dtype=complex)
-    v[0] = 1.0
-    return v
+def squeezed_vacuum(r, dim):
+    """S(r)|0> on the Fock levels [0, dim), S(r) = exp(r/2 (a'^2 - a^2)), from
+    its closed form <2m|S(r)|0> = tanh(r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r))
+    (Loudon & Knight, J. Mod. Opt. 34, 709 (1987)): one cumprod of the ratios
+    tanh(r) sqrt((2m - 1) / 2m) from 1 / sqrt(cosh r). Its imaginary part and
+    its odd levels are exactly 0."""
+    m = np.arange(1, (dim + 1) // 2)
+    ratios = np.concatenate(([1.0 / math.sqrt(math.cosh(r))],
+                             math.tanh(r) * np.sqrt((2 * m - 1) / (2.0 * m))))
+    psi = np.zeros(dim, dtype=complex)
+    psi[::2] = np.cumprod(ratios)
+    return psi
 
 
 def chebyshev_coefficients(tau):
@@ -105,8 +112,8 @@ def _aligned(values):
 def _chebyshev_sums(seed, lift, shift, c):
     """Even-m and odd-m parts of sum_m c_m T_m(x) seed for one slab.
 
-    seed holds one row of real entries per Fock level, flattened, so a
-    shift of k levels is `shift` entries; lift is the ladder of 2x
+    seed holds one row of `shift` real entries per Fock level, flattened,
+    so the next level is `shift` entries on; lift is the ladder of 2x
     repeated along a row. 2x takes lift times entry j + shift into entry j
     and lift times entry j into entry j + shift. T_{m+1} = 2x T_m - T_{m-1}
     overwrites T_{m-1}: two rotating buffers and a scratch, no allocation
@@ -131,14 +138,13 @@ def _chebyshev_sums(seed, lift, shift, c):
     return sums
 
 
-def ladder_exp(psi, z, k, k0=0):
-    """exp(z a'^k - z* a^k) psi for k in (1, 2): D(alpha) is k = 1 with
-    z = alpha, S(r) is k = 2 with z = r/2. psi is a vector or a block of
-    column vectors on the Fock levels [k0, k0 + len(psi)), to which the
-    generator is truncated.
+def ladder_exp(psi, z, k0=0):
+    """D(z) psi = exp(z a' - z* a) psi. psi is a vector or a block of column
+    vectors on the Fock levels [k0, k0 + len(psi)), to which the generator
+    is truncated.
 
-    The generator is R i|z| X R' with X = a'^k + a^k and the diagonal phase
-    R = exp(i (arg z - pi/2) n / k). exp(i|z| X) is the Chebyshev series of
+    The generator is R i|z| X R' with X = a' + a and the diagonal phase
+    R = exp(i (arg z - pi/2) n). exp(i|z| X) is the Chebyshev series of
     exp(i tau x) in x = X / (2 L), with L the window's top ladder entry, so
     ||x|| <= 1 (Gershgorin) and tau = 2 |z| L (Tal-Ezer & Kosloff 1984).
     x is real, so the series runs on the real and imaginary parts of R' psi
@@ -148,15 +154,13 @@ def ladder_exp(psi, z, k, k0=0):
     cache-resident; each column's entries are computed elementwise from its
     own, so the slabs change no bit.
     """
-    if k not in (1, 2):
-        raise ValueError("ladder power k must be 1 or 2, got %r" % k)
     psi = np.asarray(psi, dtype=complex)
     n = len(psi)
     levels = np.arange(k0, k0 + n, dtype=float)
-    ladder = np.sqrt(levels[1:n - k + 1] if k == 1 else levels[1:n - 1] * levels[2:])
+    ladder = np.sqrt(levels[1:])
     if z == 0 or not ladder.size:
         return psi.copy()
-    phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) / k * levels)[:, None]
+    phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) * levels)[:, None]
     coef = chebyshev_coefficients(2.0 * abs(z) * ladder[-1])
     c = coef.real + coef.imag  # i^m is real at even m, imaginary at odd m
     lift = ladder / ladder[-1]
@@ -166,8 +170,7 @@ def ladder_exp(psi, z, k, k0=0):
     for a in range(0, block.shape[1], width):
         seed = np.ascontiguousarray(np.conj(phase) * block[:, a:a + width])
         w = seed.shape[1]
-        even, odd = _chebyshev_sums(seed.view(float).ravel(), np.repeat(lift, 2 * w),
-                                    2 * k * w, c)
+        even, odd = _chebyshev_sums(seed.view(float).ravel(), np.repeat(lift, 2 * w), 2 * w, c)
         out[:, a:a + w] = phase * (even.view(complex) + 1j * odd.view(complex)).reshape(n, w)
     return out.reshape(psi.shape)
 
@@ -185,16 +188,6 @@ def check_edge_mass(prob, where, k0=0):
     if edge > EDGE_TOL:
         raise TruncationError("%s holds %.3g of its mass in its %d edge levels, above %.3g"
                               % (where, edge, EDGE_LEVELS, EDGE_TOL))
-
-
-def check_mirror_defect(psi, where):
-    """Raise TruncationError, led by where, when |delta|, the norm of psi's odd
-    levels and imaginary even part, is above EDGE_TOL: W at alpha, -alpha and
-    conj(alpha) of a normalized psi differs by at most (4/pi)(2|delta| + |delta|^2)."""
-    defect = math.hypot(np.linalg.norm(psi[1::2]), np.linalg.norm(psi[::2].imag))
-    if defect > EDGE_TOL:
-        raise TruncationError("%s lies %.3g in norm off a real state on the even levels, "
-                              "above %.3g" % (where, defect, EDGE_TOL))
 
 
 def window(alpha, r, where):

@@ -9,10 +9,10 @@ number with a pure field state per block:
 
 evolve_pulse(p) builds exactly that, and it is the only state this module
 builds: a CompositeState of the thermal weights P(n) plus one windowed
-field vector per block. Every exponential of a ladder operator here is the
-action fock.ladder_exp: the squeezed seed S(r)|0>, then one displacement
-step D(iA) per block (purely imaginary displacements compose exactly, with
-zero Weyl phase: D(iA)^n = D(inA)), which keeps the cost linear in the
+field vector per block. The squeezed seed S(r)|0> is the closed form
+fock.squeezed_vacuum; every displacement is the action fock.ladder_exp,
+one step D(iA) per block (purely imaginary displacements compose exactly,
+with zero Weyl phase: D(iA)^n = D(inA)), which keeps the cost linear in the
 window width instead of quadratic in the full Fock dimension.
 """
 
@@ -187,7 +187,7 @@ def composite_field_moments(state):
 def _squeezed_seed(r):
     """S(r)|0> on the window of block 0."""
     _, hi = fock.window(0j, r, "the Fock window of block 0")
-    return fock.ladder_exp(fock.basis(hi), 0.5 * r, 2)
+    return fock.squeezed_vacuum(r, hi)
 
 
 def _displacement_chain(A, r, n_top):
@@ -206,7 +206,7 @@ def _displacement_chain(A, r, n_top):
         grown = np.zeros(hi1 - lo1, dtype=complex)
         grown[k0 - lo1:k0 - lo1 + len(psi)] = psi
         psi, k0 = grown, lo1
-        psi = fock.ladder_exp(psi, 1j * A, 1, k0)
+        psi = fock.ladder_exp(psi, 1j * A, k0)
         prob = np.abs(psi) ** 2
         fock.check_edge_mass(prob, "the window of block %d" % (n + 1), k0)
         cut = int(np.searchsorted(np.cumsum(prob), 1e-18)) - fock.EDGE_LEVELS

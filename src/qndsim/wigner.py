@@ -24,9 +24,11 @@ it, and the CLI calls it for every point before any map is computed.
 The walk takes single-step displacement actions (fock.ladder_exp)
 instead of building D(alpha) per point: one line of states steps out along
 Re from the node nearest 0, then the whole line steps out along Im as one
-block. The squeezed seed is real and even, which fock checks, so its map is
-walked on the quarter Im >= 0, Re >= 0, at each distinct |Re| of the grid,
-and mirrored. Each step is unitary, so the evaluation cannot overflow even for
+block. The seed fock.squeezed_vacuum is real and even by construction: its
+imaginary part and its odd levels are exactly 0, so its map is symmetric
+under alpha -> -alpha and alpha -> conj(alpha). The walk relies on that: it
+covers the quarter Im >= 0, Re >= 0, at each distinct |Re| of the grid, and
+mirrors it. Each step is unitary, so the evaluation cannot overflow even for
 strongly squeezed states where a normally ordered expansion of D(alpha)
 would exceed double range. Every walked state is held to fock's edge
 budget. Nothing here warns: whether neighbouring peaks overlap is
@@ -176,13 +178,13 @@ def _displaced_parity_walk(psi: np.ndarray, re: np.ndarray, im: np.ndarray) -> n
     Re to a line of states, and the line steps out along Im as one block.
     """
     c, k = int(np.argmin(np.abs(re))), int(np.argmin(np.abs(im)))
-    start = fock.ladder_exp(psi, -complex(re[c], im[k]), 1)
-    line = dict(_outward(start, re, c, lambda s, d: fock.ladder_exp(s, -d, 1)))
+    start = fock.ladder_exp(psi, -complex(re[c], im[k]))
+    line = dict(_outward(start, re, c, lambda s, d: fock.ladder_exp(s, -d)))
     block = np.stack([line[j] for j in range(re.size)], axis=1)
     parity = 1.0 - 2.0 * (np.arange(len(psi)) % 2)
     out = np.empty((im.size, re.size))
     where = f"a walked state on {len(psi)} levels"
-    for i, block in _outward(block, im, k, lambda b, d: fock.ladder_exp(b, -1j * d, 1)):
+    for i, block in _outward(block, im, k, lambda b, d: fock.ladder_exp(b, -1j * d)):
         prob = block.real**2 + block.imag**2
         out[i] = parity @ prob
         fock.check_edge_mass(prob, where)
@@ -233,11 +235,9 @@ def wigner_numeric_protocol(
     # far corner, as the chain's blocks do; the walk measures their edge mass.
     _, dim = fock.window(complex(np.max(np.abs(re)), dn[-1]), params.r,
                          "the Fock window of the walked states")
-    psi = fock.ladder_exp(fock.basis(dim), 0.5 * params.r, 2)
+    psi = fock.squeezed_vacuum(params.r, dim)
     walked_re, cols = np.unique(np.abs(re), return_inverse=True)
     quarter = (2.0 / math.pi) * _displaced_parity_walk(psi, walked_re, dn)
-    # After the walk, so that at EDGE_TOL = 0 the walk's own refusal leads.
-    fock.check_mirror_defect(psi, "the squeezed seed of the Wigner walk")
     patch = quarter[np.abs(np.arange(-half_rows, half_rows + 1))][:, cols]
 
     values = np.zeros((im.size, re.size))
@@ -260,14 +260,15 @@ def marginal_P(grid: WignerGrid) -> Marginal:
     return Marginal(grid.im_axis, density / raw, grid.convention, raw)
 
 
-def histogram_bins(im_max: float, A: float) -> int:
+def histogram_bins(im_max: float, A: float, rows: int) -> int:
     """Bins of reconstruct_pn: n = 0 up to the last center n * A at most
-    half a spacing A below im_max; GridError when that count is past the
-    int64 range of an index."""
+    half a spacing A below im_max; GridError when there are more of them
+    than the rows of the Im axis the marginal is sampled on, which could
+    not resolve them (and whose count is also the bound on their memory)."""
     top = im_max / A + 0.5
-    if not top < 2.0**63:
-        raise GridError("im_max", f"over A, {im_max:g} / {A:g}, counts histogram bins past "
-                        "integer range")
+    if not top < rows:  # floor(top) + 1 bins; also an infinite im_max / A
+        raise GridError("im_max", f"over A, {im_max:g} / {A:g}, counts more histogram bins "
+                        f"than the {rows} rows of the Im axis")
     return int(math.floor(max(top, 0.0))) + 1
 
 
@@ -284,7 +285,7 @@ def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> Phono
     axis = marginal.im_axis
     y = marginal.density  # scipy's cumulative_trapezoid(y, axis, initial=0.0)
     cum = np.concatenate(([0.0], np.cumsum(np.diff(axis) * (y[1:] + y[:-1]) / 2.0)))
-    edges = (np.arange(histogram_bins(axis[-1], A) + 1) - 0.5) * A
+    edges = (np.arange(histogram_bins(axis[-1], A, axis.size) + 1) - 0.5) * A
     edges[0] = axis[0]
     edge_mass = np.interp(edges, axis, cum)
     masses = np.clip(np.diff(edge_mass), 0.0, None)

@@ -258,6 +258,24 @@ def test_wigner_grid_that_cannot_hold_a_point_exits_2_before_any_map(
     assert not out.exists()
 
 
+def test_wigner_bins_past_the_im_rows_exit_2_before_any_map(tmp_path, capsys, monkeypatch):
+    # A = 1e-10 under im_max = 6 counts 6e10 histogram bins on 5 Im rows; the
+    # paper convention's coverage rule passes it, and reconstruct_pn once
+    # asked numpy for 447 GiB of bin edges and exited 1
+    monkeypatch.setattr(cli, "run", lambda *args, **kw: pytest.fail("the map was computed"))
+    out = tmp_path / "out"
+    grid = {"re_min": -6.0, "re_max": 6.0, "re_count": 5,
+            "im_min": -6.0, "im_max": 6.0, "im_count": 5}
+    cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(out), "convention": "paper",
+                                  "params": {"A": 1e-10, "e2r": 1.0, "N": 0.5, "nu": NU},
+                                  "grid": grid})
+    assert cli.main(["wigner", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: config.grid.im_max: over A, 6 / 1e-10, counts more histogram bins than the "
+        "5 rows of the Im axis for config.params\n")
+    assert not out.exists()
+
+
 def test_start_up_and_validate_jj_load_no_scipy(tmp_path):
     # scipy is a test dependency only: start-up and a run of every
     # experiment, one after another in one fresh interpreter, load none of it
@@ -711,8 +729,8 @@ def test_invalid_config_exits_2_without_output(experiment, data):
     pytest.param("wigner", {"params": {**VALID["wigner"]["params"], "A": 1e-300},
                             "grid": {**SMALL_GRID, "re_min": -40.0, "re_max": 40.0, "re_count": 5,
                                      "im_max": 1e10, "im_count": 5}},
-                 "error: config.grid.im_max: over A, 1e+10 / 1e-300, counts histogram bins past "
-                 "integer range for config.params", id="wigner-paper-bins"),
+                 "error: config.grid.im_max: over A, 1e+10 / 1e-300, counts more histogram bins "
+                 "than the 5 rows of the Im axis for config.params", id="wigner-paper-bins"),
     pytest.param("wigner", {"convention": "standard",
                             "params": {**VALID["wigner"]["params"], "A": 1e308},
                             "grid": {**SMALL_GRID, "im_min": 0.0, "im_max": 1.0, "im_count": 11}},

@@ -1,6 +1,6 @@
-"""Fock-engine checks: series and dense oracles for the ladder-exponential
-kernel, ladder algebra, thermal tail policing, and the CSV renderer's bytes
-against its repr oracle."""
+"""Fock-engine checks: series and dense oracles for the displacement kernel
+and the closed-form squeezed vacuum, ladder algebra, thermal tail policing,
+and the CSV renderer's bytes against its repr oracle."""
 
 import builtins
 import math
@@ -62,8 +62,6 @@ def test_ladder_entries():
 def test_ladder_dim_check():
     with pytest.raises(ValueError):
         oracles.annihilation(1)
-    with pytest.raises(ValueError):
-        fock.ladder_exp(np.eye(4), 0.1, 3)
 
 
 def test_commutator_identity_below_top_level():
@@ -88,26 +86,27 @@ def test_quadrature_action_matches_dense_operators():
         assert np.array_equal(single[0], xpsi[1, 2]) and np.array_equal(single[1], ypsi[1, 2])
 
 
-def vacuum_exp(z, k, dim):
-    return fock.ladder_exp(fock.basis(dim), z, k)
+def coherent(alpha, dim):
+    """D(alpha)|0> by the action kernel on the levels [0, dim)."""
+    return fock.ladder_exp(np.eye(dim)[0], alpha)
 
 
 def test_displacement_identity_at_zero():
-    d = fock.ladder_exp(np.eye(12), 0.0, 1)
+    d = fock.ladder_exp(np.eye(12), 0.0)
     assert np.abs(d - np.eye(12)).max() <= 1e-14
 
 
 def test_displacement_matches_series_oracle():
     alpha = 0.7 + 0.3j
     dim = 40
-    psi = vacuum_exp(alpha, 1, dim)
+    psi = coherent(alpha, dim)
     assert np.abs(psi - coherent_amps(alpha, dim)).max() <= 1e-12
 
 
 def test_displacement_coherent_moments():
     # alpha = i n A with n = A = 1
     dim = 32
-    psi = vacuum_exp(1j, 1, dim)
+    psi = coherent(1j, dim)
     ea, _, ey, _, _ = vector_moments(psi)
     assert ea == pytest.approx(1j, abs=1e-9)
     n_op = oracles.number(dim)
@@ -165,88 +164,99 @@ def test_window_holds_a_state_displaced_along_re(alpha, e2r):
     steps over."""
     r = 0.5 * math.log(e2r)
     _, hi = fock.window(complex(alpha), r, "the window")
-    psi = fock.ladder_exp(fock.ladder_exp(fock.basis(hi), 0.5 * r, 2), alpha, 1)
+    psi = fock.ladder_exp(fock.squeezed_vacuum(r, hi), alpha)
     fock.check_edge_mass(np.abs(psi) ** 2, "the window at alpha = %r" % alpha)
-
-
-def test_mirror_defect_is_held_to_the_edge_budget(monkeypatch):
-    """The e^{2r} = 50 seed of the demo Wigner walk lies 1.1e-15 in norm off
-    a real state on the even levels: well inside fock.EDGE_TOL, and refused
-    once that budget shrinks to 0. Odd-level or imaginary amplitude above
-    the budget is refused, also at 1e-6, whose mass 1e-12 a budget on the
-    mass would pass; an exactly real, even state passes at 0."""
-    r = 0.5 * math.log(50.0)
-    seed = fock.ladder_exp(fock.basis(fock.window(complex(12.0, 0.85), r, "w")[1]), 0.5 * r, 2)
-    fock.check_mirror_defect(seed, "the seed")
-    for bent in (fock.basis(64) + 1e-6 * np.eye(64)[3], fock.basis(64) + 1e-6j * np.eye(64)[2]):
-        with pytest.raises(fock.TruncationError, match=r"the state lies 1e-06 in norm off"):
-            fock.check_mirror_defect(bent, "the state")
-    monkeypatch.setattr(fock, "EDGE_TOL", 0.0)
-    fock.check_mirror_defect(fock.basis(64), "the vacuum")
-    with pytest.raises(fock.TruncationError, match=r"the seed lies 1.11e-15 in norm off a "
-                       r"real state on the even levels, above 0$"):
-        fock.check_mirror_defect(seed, "the seed")
 
 
 def test_displacement_group_inverse():
     dim = 48
     alpha = 1.1 - 0.6j
-    prod = fock.ladder_exp(fock.ladder_exp(np.eye(dim), -alpha, 1), alpha, 1)
+    prod = fock.ladder_exp(fock.ladder_exp(np.eye(dim), -alpha), alpha)
     k = dim - oracles.GUARD_BAND
     assert np.abs((prod - np.eye(dim))[:k, :k]).max() <= 1e-10
 
 
 def test_squeeze_identity_at_zero():
-    s = fock.ladder_exp(np.eye(16), 0.0, 2)
-    assert np.abs(s - np.eye(16)).max() <= 1e-14
+    assert np.array_equal(fock.squeezed_vacuum(0.0, 16), np.eye(16)[0])
 
 
 def test_squeeze_matches_series_oracle():
-    # truncation corrupts the top of the ladder; compare well below it
+    # the closed form has no truncation: every level matches, the top too
     r = 0.6
     dim = 64
-    psi = vacuum_exp(0.5 * r, 2, dim)
-    assert np.abs((psi - squeezed_amps(r, dim))[:40]).max() <= 1e-13
+    assert np.abs(fock.squeezed_vacuum(r, dim) - squeezed_amps(r, dim)).max() <= 1e-15
 
 
 def test_squeeze_vacuum_variances_at_e2r_50():
     r = 0.5 * math.log(50.0)
     dim = 512
-    psi = vacuum_exp(0.5 * r, 2, dim)
+    psi = fock.squeezed_vacuum(r, dim)
     _, _, _, vx, vy = vector_moments(psi)
     assert vy == pytest.approx(0.02, abs=1e-6)
     assert vx == pytest.approx(50.0, rel=1e-6)
 
 
 def test_squeeze_minimum_uncertainty():
-    psi = vacuum_exp(0.25, 2, 64)
+    psi = fock.squeezed_vacuum(0.5, 64)
     _, _, _, vx, vy = vector_moments(psi)
     assert vx * vy == pytest.approx(1.0, abs=1e-8)
 
 
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(e2r=st.floats(1.0, 10.0))
+@example(e2r=1.0)
+@example(e2r=10.0)
+def test_squeezed_vacuum_equals_the_dense_expm(e2r):
+    """On the window of S(r)|0>, the closed form is the dense expm of the
+    a'^2 generator truncated to twice as many levels, whose truncation
+    bends only levels far above the window. It is real with zero odd
+    levels to the bit, which the mirrored Wigner walk relies on."""
+    r = 0.5 * math.log(e2r)
+    _, dim = fock.window(0j, r, "the window of the seed")
+    psi = fock.squeezed_vacuum(r, dim)
+    assert np.abs(psi - oracles.squeeze(r, 2 * dim)[:dim, 0]).max() <= 1e-13
+    assert np.all(psi.imag == 0.0) and np.all(psi[1::2] == 0.0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(e2r=st.floats(1.0, 1000.0))
+@example(e2r=50.0)
+def test_squeezed_vacuum_moments_through_the_quadrature_stencil(e2r):
+    """Var Y = e^{-2r} and <n> = sinh^2 r of the closed form on its window,
+    taken through the banded stencil the block chain's moments use."""
+    r = 0.5 * math.log(e2r)
+    _, dim = fock.window(0j, r, "the window of the seed")
+    psi = fock.squeezed_vacuum(r, dim)
+    _, ypsi = fock.quadrature_action(psi)
+    assert np.vdot(ypsi, ypsi).real - np.vdot(psi, ypsi).real ** 2 == pytest.approx(
+        1.0 / e2r, rel=1e-12)
+    assert np.dot(np.arange(dim), np.abs(psi) ** 2) == pytest.approx(math.sinh(r) ** 2,
+                                                                     rel=1e-12, abs=1e-300)
+
+
 def test_unitarity_guard_banded():
     eye = np.eye(64)
-    for z, k in ((1.5j, 1), (2.0 - 1.0j, 1), (0.45, 2), (-0.35, 2)):
-        assert oracles.unitarity_defect(fock.ladder_exp(eye, z, k)) <= 1e-10
+    for z in (1.5j, 2.0 - 1.0j):
+        assert oracles.unitarity_defect(fock.ladder_exp(eye, z)) <= 1e-10
 
 
 BLOCKS = st.tuples(st.integers(2, 24), st.sampled_from([(), (1,), (3,)]))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(re=st.floats(-2.0, 2.0), im=st.floats(-2.0, 2.0), k=st.sampled_from([1, 2]),
+@given(re=st.floats(-2.0, 2.0), im=st.floats(-2.0, 2.0),
        k0=st.integers(0, 30), shape=BLOCKS, seed=st.integers(0, 2**32 - 1))
 # tau ~ 1e-83: a Bessel recurrence on rescaled values, not ratios, overflows here
-@example(re=0.0, im=2.69357048162982e-84, k=1, k0=0, shape=(24, (3,)), seed=0)
-def test_ladder_exp_property_against_dense_expm(re, im, k, k0, shape, seed):
-    """Any z, k, window offset and vector or block: the kernel equals the
+@example(re=0.0, im=2.69357048162982e-84, k0=0, shape=(24, (3,)), seed=0)
+def test_ladder_exp_property_against_dense_expm(re, im, k0, shape, seed):
+    """Any z, window offset and vector or block: the kernel equals the
     dense expm of the same truncated generator and keeps every norm."""
     dim, cols = shape
-    z = complex(re, im) / (1.0 + k0) ** (0.5 * (k - 1))  # keep |z| a^k moderate
+    z = complex(re, im)
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=(dim, *cols)) + 1j * rng.normal(size=(dim, *cols))
-    got = fock.ladder_exp(psi, z, k, k0)
-    want = expm(oracles.ladder_generator(z, k, dim, k0)) @ psi
+    got = fock.ladder_exp(psi, z, k0)
+    want = expm(oracles.ladder_generator(z, 1, dim, k0)) @ psi
     scale = np.linalg.norm(psi, axis=0)
     assert got.shape == psi.shape
     assert np.abs(got - want).max() <= 1e-12 * scale.max()
@@ -272,14 +282,14 @@ def test_ladder_exp_block_equals_its_columns_bit_for_bit(monkeypatch):
     """A block's columns go through the recurrence in slabs of at most
     fock.SLAB real entries; no slab size changes a bit of any column."""
     rng = np.random.default_rng(11)
-    cases = (((1831, 49), -1j / 60.0, 1, 0), ((700, 40), 0.02 - 0.01j, 2, 120))
+    cases = (((1831, 49), -1j / 60.0, 0), ((700, 40), 0.02 - 0.01j, 120))
     for slab in (fock.SLAB, 5 * 1831):
         monkeypatch.setattr(fock, "SLAB", slab)
-        for (dim, cols), z, k, k0 in cases:
+        for (dim, cols), z, k0 in cases:
             block = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
-            got = fock.ladder_exp(block, z, k, k0)
+            got = fock.ladder_exp(block, z, k0)
             for j in range(cols):
-                assert np.array_equal(got[:, j], fock.ladder_exp(block[:, j], z, k, k0))
+                assert np.array_equal(got[:, j], fock.ladder_exp(block[:, j], z, k0))
 
 
 def test_thermal_vacuum():
@@ -378,12 +388,12 @@ def test_partial_trace_bad_index():
 
 def test_expectation_examples():
     dim = 24
-    vac = np.outer(fock.basis(dim), fock.basis(dim).conj())
+    vac = np.diag(np.eye(dim)[0]).astype(complex)
     assert np.trace(vac) == pytest.approx(1.0)
     y = oracles.quadrature_y(dim)
     assert np.trace(y @ vac) == pytest.approx(0.0, abs=1e-14)
     assert np.trace(y @ y @ vac) == pytest.approx(1.0, abs=1e-12)
-    psi = vacuum_exp(1j, 1, dim)
+    psi = coherent(1j, dim)
     coh = np.outer(psi, psi.conj())
     assert np.trace(y @ coh).real == pytest.approx(2.0, abs=1e-9)
 
@@ -395,7 +405,7 @@ def test_displacement_squeeze_composition():
     for _ in range(10):
         alpha = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 2.0
         r = rng.uniform(0.0, 1.0)
-        psi = fock.ladder_exp(vacuum_exp(0.5 * r, 2, dim), alpha, 1)
+        psi = fock.ladder_exp(fock.squeezed_vacuum(r, dim), alpha)
         ea, _, _, vx, vy = vector_moments(psi)
         assert ea == pytest.approx(alpha, abs=1e-7)
         assert vx == pytest.approx(math.exp(2 * r), rel=1e-6)
@@ -405,7 +415,7 @@ def test_displacement_squeeze_composition():
 def test_density_invariants_preserved_by_conjugation():
     dim = 64
     rho = np.diag(fock.thermal_pn(0.8, dim))
-    u = fock.ladder_exp(fock.ladder_exp(np.eye(dim), 0.3, 2), 1.0j, 1)
+    u = fock.ladder_exp(fock.ladder_exp(np.eye(dim), 0.3), 1.0j)
     out = u @ rho @ u.conj().T
     assert np.abs(out - out.conj().T).max() <= 1e-12
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)

@@ -67,9 +67,18 @@ def test_standard_lattice_refusals_name_im_count(A, im, reason):
 
 def test_histogram_bins_below_zero_is_one_bin():
     # im_max / A = -inf once raised OverflowError in math.floor
-    assert wigner.histogram_bins(-1.0, 5e-324) == 1
-    assert wigner.histogram_bins(-1.0, 1.0) == 1
-    assert wigner.histogram_bins(2.4, 1.0) == 3
+    assert wigner.histogram_bins(-1.0, 5e-324, 2) == 1
+    assert wigner.histogram_bins(-1.0, 1.0, 2) == 1
+    assert wigner.histogram_bins(2.4, 1.0, 3) == 3
+
+
+def test_histogram_bins_are_bounded_by_the_im_rows():
+    # floor(im_max / A + 1/2) + 1 bins on at most as many rows; an infinite
+    # ratio is refused by the same comparison
+    for im_max, A, rows in ((2.5, 1.0, 3), (1.0, 5e-324, 2**62)):
+        with pytest.raises(wigner.GridError, match="more histogram bins than the") as err:
+            wigner.histogram_bins(im_max, A, rows)
+        assert err.value.field == "im_max"
 
 
 def test_paper_vacuum_value_and_normalization():
@@ -194,7 +203,7 @@ def test_numeric_walk_budget_refuses_short_truncations(monkeypatch):
     # Walked on these grids, the e^{2r} = 10 squeezed vacuum on 224 levels
     # holds 3.0e-5 of its mass in its top EDGE_LEVELS levels, and the
     # squeezed coherent state on 72 levels 4.4e-9.
-    squeezed = fock.ladder_exp(fock.basis(224), 0.25 * math.log(10.0), 2)
+    squeezed = fock.squeezed_vacuum(0.5 * math.log(10.0), 224)
     cases = ((squeezed, SQUEEZED_SPEC),
              (squeezed_coherent(72), wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)))
     for psi, spec in cases:
@@ -227,26 +236,15 @@ def test_protocol_path_matches_generic_on_an_asymmetric_re_grid():
     assert generic_gap(wigner.GridSpec(-0.95, 2.25, 17, -0.18, 1.98, 37)) < 1e-12
 
 
-def test_protocol_path_refuses_a_seed_past_the_mirror_budget(monkeypatch):
-    # A seed with 1e-4 on level 1 lies 1e-4 in norm off a real even state,
-    # above fock.EDGE_TOL: its map has no mirror symmetry, and the walk's
-    # seed check refuses to mirror the quarter it walked.
-    vacuum = fock.basis
-    monkeypatch.setattr(fock, "basis", lambda dim: vacuum(dim) + 1e-4 * np.eye(dim)[1])
-    with pytest.raises(fock.TruncationError,
-                       match="squeezed seed of the Wigner walk lies 0.0001 in norm"):
-        wigner.wigner_numeric_protocol(params(), demo_im_spec(2.0, 17))
-
-
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
 def test_mirror_defect_bounds_the_mirrored_values(eps):
     # A seed |delta| = eps off a real even state: its Wigner values at alpha,
-    # -alpha and conj(alpha) differ by 1.6 eps, linear in the norm that
-    # fock.check_mirror_defect holds, inside the (4/pi)(2 eps + eps^2) of its
-    # docstring.
+    # -alpha and conj(alpha) differ by 1.6 eps, linear in that norm, inside
+    # (4/pi)(2 eps + eps^2). The mirrored walk takes fock.squeezed_vacuum,
+    # whose delta is exactly 0.
     dim = 96
     r = 0.5 * math.log(4.0)
-    psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
+    psi = fock.squeezed_vacuum(r, dim)
     psi = psi + eps * (0.6 * np.eye(dim)[1] + 0.8j * np.eye(dim)[2])
     psi /= np.linalg.norm(psi)
     axis = np.array([-0.7, -0.2, 0.2, 0.7])
@@ -281,7 +279,7 @@ def test_protocol_path_walk_budget(monkeypatch):
     # dimension it is above 1e-5, far above fock.EDGE_TOL.
     r = R50
     dim = 643
-    psi = fock.ladder_exp(fock.basis(dim), 0.5 * r, 2)
+    psi = fock.squeezed_vacuum(r, dim)
     re = np.linspace(-12.0, 12.0, 49)
     dn = np.arange(-51, 52) / 60.0
     with pytest.raises(fock.TruncationError, match="walked state on 643 levels"):
