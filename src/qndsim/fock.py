@@ -1,20 +1,20 @@
-"""Truncated Fock-space engine: the one action kernel for displacements,
-the closed-form squeezed vacuum, the quadrature stencil, the one Fock-window
-rule, the edge budget every moving or walked window is held to, the thermal
-law with its tail budget, and the CSV renderer of an artifact's bytes.
-Every operator acts on state vectors through its sqrt(n) bands; no dense
-Fock matrix is built.
+"""Truncated Fock-space engine: the one Chebyshev recurrence behind the
+displacement action and the parity moments, the closed-form squeezed
+vacuum, the quadrature stencil, the one Fock-window rule, the edge budget
+every moving or walked window is held to, the thermal law with its tail
+budget, and the CSV renderer of an artifact's bytes. Every operator acts on
+state vectors through its sqrt(n) bands; no dense Fock matrix is built.
 
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
 
 All states are plain complex numpy arrays; all functions are pure. The
-module needs numpy and orjson. The action kernel is a Chebyshev series whose
-Bessel coefficients come from Miller's backward recurrence and whose
-three-term recurrence runs as in-place numpy ufuncs, so no run loads scipy.
-The CSV renderer takes its float digits from orjson's compiled shortest
-round-trip formatter and rewrites orjson's exponents into repr's form in
-numpy, so its bytes equal those of repr on every value.
+module needs numpy and orjson. The recurrence runs as in-place numpy ufuncs
+on Bessel coefficients from Miller's backward recurrence, so no run loads
+scipy; it has two consumers, ladder_exp and parity_series. The CSV renderer
+takes its float digits from orjson's compiled shortest round-trip formatter
+and rewrites orjson's exponents into repr's form in numpy, so its bytes
+equal those of repr on every value.
 """
 
 import math
@@ -31,9 +31,9 @@ EDGE_LEVELS = 40
 
 # rows rendered per slice by write_csv: each slice holds one bytes object
 # per cell, so a smaller slice keeps the peak of a 1e6-row render lower
-CSV_CHUNK = 16384
+CSV_CHUNK = 4096
 
-# real entries per slab of block columns in ladder_exp's recurrence
+# real entries per slab of block columns in the Chebyshev recurrence
 SLAB = 1 << 15
 
 
@@ -109,21 +109,24 @@ def _aligned(values):
     return raw[start:start + values.size]
 
 
-def _chebyshev_sums(seed, lift, shift, c):
-    """Even-m and odd-m parts of sum_m c_m T_m(x) seed for one slab.
+def _chebyshev_sums(seed, lift, shift, cs, terms, visit=None):
+    """Even-m and odd-m parts of sum_m c_m T_m(x) seed for one slab and each
+    coefficient array c of cs (zero past its length), over `terms` terms.
 
     seed holds one row of `shift` real entries per Fock level, flattened,
     so the next level is `shift` entries on; lift is the ladder of 2x
     repeated along a row. 2x takes lift times entry j + shift into entry j
     and lift times entry j into entry j + shift. T_{m+1} = 2x T_m - T_{m-1}
     overwrites T_{m-1}: two rotating buffers and a scratch, no allocation
-    per term.
+    per term; visit(m, T_{m-1} seed, T_m seed), if given, reads each term.
     """
     nk = lift.size
     lift, cur, scratch = _aligned(lift), _aligned(seed), _aligned(seed)
     prev = _aligned(np.zeros_like(seed))  # a zero T_{-1}: the first step is 2x T_0
-    sums = (_aligned(c[0] * seed), _aligned(np.zeros_like(seed)))
-    for m in range(1, len(c)):
+    series = [(c, len(c), (_aligned(c[0] * seed), _aligned(np.zeros_like(seed)))) for c in cs]
+    if visit:
+        visit(0, prev, cur)
+    for m in range(1, terms):
         # T_m = 2x T_{m-1} - T_{m-2}, written over T_{m-2}
         np.multiply(lift, cur[shift:], out=scratch[:nk])
         np.subtract(scratch[:nk], prev[:nk], out=prev[:nk])
@@ -132,47 +135,88 @@ def _chebyshev_sums(seed, lift, shift, c):
         np.add(prev[shift:], scratch[:nk], out=prev[shift:])
         if m == 1:
             prev *= 0.5  # T_1 = x T_0
-        np.multiply(prev, c[m], out=scratch)
-        np.add(sums[m % 2], scratch, out=sums[m % 2])
+        for c, count, s in series:
+            if m < count:
+                np.multiply(prev, c[m], out=scratch)
+                np.add(s[m % 2], scratch, out=s[m % 2])
         prev, cur = cur, prev
-    return sums
+        if visit:
+            visit(m, prev, cur)
+    return [s for *_, s in series]
+
+
+def _x_series(block, ts, terms=0, visit=None, k0=0):
+    """[exp(i t X) block for each t of ts], X = a' + a truncated to the
+    levels [k0, k0 + n) of the rows of the complex block, over at least
+    `terms` terms; visit(cols, m, T_{m-1}, T_m) sees each term of the slab
+    of block columns cols. The series is that of exp(i tau x) in
+    x = X / (2 L), L the top ladder entry, so ||x|| <= 1 (Gershgorin) and
+    tau = 2 |t| L (Tal-Ezer & Kosloff 1984), conjugated at t < 0. x is real,
+    so the real and imaginary parts run side by side, in slabs of at most
+    SLAB real entries (or one column, if that is larger), which keeps the
+    buffers cache-resident and changes no bit of any column.
+    """
+    n = block.shape[0]
+    top = math.sqrt(k0 + n - 1)
+    # each c_m is real at even m and imaginary at odd m: packed as c.real + c.imag
+    cs = [c.real + c.imag for c in (chebyshev_coefficients(2.0 * abs(float(t)) * top) for t in ts)]
+    lift = np.sqrt(np.arange(k0 + 1, k0 + n, dtype=float)) / top
+    outs = [np.empty_like(block) for _ in ts]
+    width = max(1, SLAB // (2 * n))  # complex columns per slab
+    for a in range(0, block.shape[1], width):
+        seed = np.ascontiguousarray(block[:, a:a + width])
+        w, cols = seed.shape[1], slice(a, a + width)  # numpy clips the last slab's cols
+        sums = _chebyshev_sums(seed.view(float).ravel(), np.repeat(lift, 2 * w), 2 * w, cs,
+                               max([terms, *map(len, cs)]),
+                               visit and (lambda *term: visit(cols, *term)))
+        for t, out, (even, odd) in zip(ts, outs, sums):
+            odd = odd.view(complex) * (1j if t >= 0 else -1j)
+            out[:, cols] = (even.view(complex) + odd).reshape(n, w)
+    return outs, cs
 
 
 def ladder_exp(psi, z, k0=0):
     """D(z) psi = exp(z a' - z* a) psi. psi is a vector or a block of column
     vectors on the Fock levels [k0, k0 + len(psi)), to which the generator
-    is truncated.
-
-    The generator is R i|z| X R' with X = a' + a and the diagonal phase
-    R = exp(i (arg z - pi/2) n). exp(i|z| X) is the Chebyshev series of
-    exp(i tau x) in x = X / (2 L), with L the window's top ladder entry, so
-    ||x|| <= 1 (Gershgorin) and tau = 2 |z| L (Tal-Ezer & Kosloff 1984).
-    x is real, so the series runs on the real and imaginary parts of R' psi
-    side by side as one real block, with numpy ufuncs on flat buffers. The
-    block's columns go through the recurrence in slabs of at most SLAB real
-    entries (or one column, if that is larger), which keeps the buffers
-    cache-resident; each column's entries are computed elementwise from its
-    own, so the slabs change no bit.
-    """
+    is truncated. The generator is R i|z| X R' with X = a' + a and the
+    diagonal phase R = exp(i (arg z - pi/2) n): exp(i|z| X) is _x_series."""
     psi = np.asarray(psi, dtype=complex)
     n = len(psi)
-    levels = np.arange(k0, k0 + n, dtype=float)
-    ladder = np.sqrt(levels[1:])
-    if z == 0 or not ladder.size:
+    if z == 0 or n < 2:
         return psi.copy()
-    phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) * levels)[:, None]
-    coef = chebyshev_coefficients(2.0 * abs(z) * ladder[-1])
-    c = coef.real + coef.imag  # i^m is real at even m, imaginary at odd m
-    lift = ladder / ladder[-1]
-    block = psi.reshape(n, -1)
-    out = np.empty_like(block)
-    width = max(1, SLAB // (2 * n))  # complex columns per slab
-    for a in range(0, block.shape[1], width):
-        seed = np.ascontiguousarray(np.conj(phase) * block[:, a:a + width])
-        w = seed.shape[1]
-        even, odd = _chebyshev_sums(seed.view(float).ravel(), np.repeat(lift, 2 * w), 2 * w, c)
-        out[:, a:a + w] = phase * (even.view(complex) + 1j * odd.view(complex)).reshape(n, w)
-    return out.reshape(psi.shape)
+    phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) * np.arange(k0, k0 + n, dtype=float))[:, None]
+    (out,), _ = _x_series(np.conj(phase) * psi.reshape(n, -1), [abs(z)], k0=k0)
+    return (phase * out).reshape(psi.shape)
+
+
+def parity_series(block, ts, states=()):
+    """(<phi|P exp(i t X)|phi> for each t of ts, in rows, and each column phi
+    of block, [exp(i s X) block for each s of states]), P = (-1)^n on the
+    levels [0, n) of block's rows, from one recurrence v_j = T_j(x) phi. As
+    P x = -x P, the moments mu_m = <phi|P T_m(x)|phi> double up (Weisse et
+    al., Rev. Mod. Phys. 78, 275 (2006)): mu_2j = 2 (-1)^j <v_j|P|v_j> - mu_0,
+    mu_2j+1 = 2 (-1)^j <v_j|P|v_j+1> - mu_1, real at even m and imaginary at
+    odd m. The parity sums are numpy reductions: no BLAS call per term."""
+    n, width = block.shape
+    _, cs = _x_series(block[:, :0], ts)  # the coefficients alone: no column to run
+    half = max(map(len, cs)) // 2  # moments 0 .. 2 half from v_0 .. v_half
+    pairs = np.zeros((half + 1, 2, width))  # <v_j|P|v_j> and Im <v_j|P|v_j+1>
+
+    def visit(cols, j, prev, cur):
+        if j <= half:  # at j = 0 the cross term goes to the unread last pair
+            u, v = prev.reshape(n, -1, 2), cur.reshape(n, -1, 2)
+            for out, terms in ((pairs[j, 0], v[..., 0] ** 2 + v[..., 1] ** 2),
+                               (pairs[j - 1, 1], u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])):
+                out[cols] = terms[0::2].sum(axis=0) - terms[1::2].sum(axis=0)
+
+    ends, _ = _x_series(block, states, half + 1, visit)
+    sign = (-1.0) ** np.arange(half + 1)[:, None, None]
+    mu = (2.0 * sign * pairs - pairs[0]).reshape(-1, width)[:-1]  # mu_0 .. mu_2half
+    rows = np.zeros((len(ts), len(mu)))
+    for row, t, c in zip(rows, ts, cs):
+        row[:len(c)] = c
+        row[1::2] *= -1.0 if t >= 0 else 1.0  # (+-i c_m) (i Im mu_m) at odd m
+    return np.einsum("tm,mc->tc", rows, mu), ends
 
 
 def check_edge_mass(prob, where, k0=0):
@@ -284,22 +328,25 @@ def _cells(col):
 
 
 def write_csv(header, *columns):
-    """The CSV bytes of equal-length integer or float64 numpy columns, each
-    value as repr of its Python scalar (shortest round-trip floats), taken
-    from orjson's text by _cells, which calls repr only on the few cells
-    orjson writes in fixed point or as null. Each CSV_CHUNK rows are
-    rendered to bytes and joined into one growing buffer, which is returned
-    as it is: no copy."""
+    """The CSV bytes of equal-length integer or float64 numpy columns, or
+    ranges (an index column, made per chunk), each value as repr of its
+    Python scalar (shortest round-trip floats), taken from orjson's text by
+    _cells, which calls repr only on the few cells orjson writes in fixed
+    point or as null. Each CSV_CHUNK rows are rendered to bytes and joined
+    into one growing buffer, which is returned as it is: no copy."""
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError("write_csv: columns differ in length: %s" % lengths)
-    if any(c.dtype != np.float64 and c.dtype.kind not in "iu" for c in columns):
+    if any(c.dtype != np.float64 and c.dtype.kind not in "iu" for c in columns
+           if not isinstance(c, range)):
         # orjson writes float32 digits, and true for True: not repr's text
         raise TypeError("write_csv: columns must be integer or float64, got %s"
-                        % [c.dtype.name for c in columns])
+                        % [str(getattr(c, "dtype", "range")) for c in columns])
     out = bytearray(header.encode() + b"\n")
     for start in range(0, lengths[0], CSV_CHUNK):
-        cells = [_cells(np.ascontiguousarray(c[start:start + CSV_CHUNK])) for c in columns]
+        parts = [c[start:start + CSV_CHUNK] for c in columns]
+        cells = [_cells(np.arange(p.start, p.stop) if isinstance(p, range)
+                        else np.ascontiguousarray(p)) for p in parts]
         out += b"\n".join(map(b",".join, zip(*cells)))
         out += b"\n"
     return out

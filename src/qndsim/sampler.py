@@ -116,4 +116,4 @@ def estimate(record):
 
 def write_record_csv(record):
     """CSV bytes of rows `shot,y,m_true`, floats in shortest round-trip form."""
-    return fock.write_csv("shot,y,m_true", np.arange(record.shots), record.y, record.m_true)
+    return fock.write_csv("shot,y,m_true", range(record.shots), record.y, record.m_true)

@@ -23,14 +23,15 @@ it, and the CLI calls it for every point before any map is computed.
 
 The walk takes single-step displacement actions (fock.ladder_exp)
 instead of building D(alpha) per point: one line of states steps out along
-Re from the node nearest 0, then the whole line steps out along Im as one
-block. The seed fock.squeezed_vacuum is real and even by construction: its
-imaginary part and its odd levels are exactly 0, so its map is symmetric
-under alpha -> -alpha and alpha -> conj(alpha). The walk relies on that: it
-covers the quarter Im >= 0, Re >= 0, at each distinct |Re| of the grid, and
-mirrors it. Each step is unitary, so the evaluation cannot overflow even for
+Re from the node nearest 0, and fock.parity_series gives every Im row from
+Chebyshev parity moments of that line. The seed fock.squeezed_vacuum is real
+and even by construction: its imaginary part and its odd levels are exactly
+0, so its map is symmetric under alpha -> -alpha and alpha -> conj(alpha).
+The walk relies on that: it covers the quarter Im >= 0, Re >= 0, at each
+distinct |Re| of the grid, and mirrors it. Each step is unitary and each
+Chebyshev term bounded by 1, so the evaluation cannot overflow even for
 strongly squeezed states where a normally ordered expansion of D(alpha)
-would exceed double range. Every walked state is held to fock's edge
+would exceed double range. The walk's states are held to fock's edge
 budget. Nothing here warns: whether neighbouring peaks overlap is
 protocol.is_distinguishable, and a histogram's leakage estimates the mass
 the overlap moves.
@@ -171,35 +172,27 @@ def wigner_paper(params: protocol.ProtocolParams, spec: GridSpec) -> WignerGrid:
 
 
 def _displaced_parity_walk(psi: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Parities of D(-alpha) psi on the grid, each walked state held to the
-    edge budget fock.check_edge_mass.
+    """Parities of D(-alpha) psi on the grid.
 
     From the node nearest 0 on each axis, the state steps out both ways along
-    Re to a line of states, and the line steps out along Im as one block.
+    Re to a line of states phi. As P X P = -X also for the truncated X,
+    e^{iyX} P e^{-iyX} = P e^{-2iyX}: the parity at im_k + y is
+    <phi|P e^{-2iyX}|phi>, summed by fock.parity_series for every row from one
+    recurrence on the line. The line and the states e^{-iyX} phi of the end
+    rows, which carry the largest top-level mass (the number mean is convex
+    in y), are held to the edge budget fock.check_edge_mass.
     """
     c, k = int(np.argmin(np.abs(re))), int(np.argmin(np.abs(im)))
-    start = fock.ladder_exp(psi, -complex(re[c], im[k]))
-    line = dict(_outward(start, re, c, lambda s, d: fock.ladder_exp(s, -d)))
-    block = np.stack([line[j] for j in range(re.size)], axis=1)
-    parity = 1.0 - 2.0 * (np.arange(len(psi)) % 2)
-    out = np.empty((im.size, re.size))
-    where = f"a walked state on {len(psi)} levels"
-    for i, block in _outward(block, im, k, lambda b, d: fock.ladder_exp(b, -1j * d)):
-        prob = block.real**2 + block.imag**2
-        out[i] = parity @ prob
-        fock.check_edge_mass(prob, where)
-    return out
-
-
-def _outward(state, axis, c, step):
-    """(j, state at node j) for every node j of axis, stepped out both ways
-    from the state at node c; step(s, d) moves a state s by the distance d."""
-    yield c, state
-    for sign, stop in ((1, axis.size), (-1, -1)):
-        s = state
+    line = np.empty((len(psi), re.size), dtype=complex)
+    line[:, c] = fock.ladder_exp(psi, -complex(re[c], im[k]))
+    for sign, stop in ((1, re.size), (-1, -1)):
         for j in range(c + sign, stop, sign):
-            s = step(s, axis[j] - axis[j - sign])
-            yield j, s
+            line[:, j] = fock.ladder_exp(line[:, j - sign], -(re[j] - re[j - sign]))
+    y = im - im[k]
+    out, ends = fock.parity_series(line, -2.0 * y, [-y[i] for i in (0, im.size - 1) if i != k])
+    for state in (line, *ends):
+        fock.check_edge_mass(state.real**2 + state.imag**2, f"a walked state on {len(psi)} levels")
+    return out
 
 
 def wigner_numeric_protocol(

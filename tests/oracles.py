@@ -11,9 +11,12 @@ phonon law from the block norms, and conditioned_dense turns a windowed
 conditioned field state into its density matrix. The library's Wigner map
 walks one squeezed-vacuum patch; wigner_dense evaluates the
 displaced-parity trace of any density matrix with dense displacements
-instead. The three-level Hamiltonian is built here as the dense qutrit (x)
-field matrix from Kronecker products, which the library's parity chains
-are checked against; the trajectory, which the library samples from one
+instead, and stepped_parity_walk is the walk the library's parity moments
+replaced: it steps the whole Re line along Im one grid spacing at a time,
+with the measured edge mass of every row. The three-level Hamiltonian is
+built here as the dense qutrit (x) field matrix from Kronecker products,
+which the library's parity chains are checked against; the trajectory,
+which the library samples from one
 eigendecomposition per chain, is stepped here with the dense expm
 propagator, its field moments come from per-sample dense traces, and
 norm_drift measures how far its samples leave the unit sphere. The CSV
@@ -88,6 +91,29 @@ def wigner_dense(rho, spec):
     flips = [d @ parity @ d.conj().T for d in _displacement_line(spec.re_axis(), dim)]
     moved = [d.conj().T @ rho @ d for d in _displacement_line(1j * spec.im_axis(), dim)]
     return (2.0 / np.pi) * np.einsum("jab,iba->ij", flips, moved).real
+
+
+def stepped_parity_walk(psi, re, im):
+    """(parities of D(-alpha) psi on the grid, each row's largest mass in the
+    top fock.EDGE_LEVELS levels): the line of states at im nearest 0 steps
+    along Im as one block by fock.ladder_exp, one grid spacing at a time,
+    out both ways from that row."""
+    c, k = int(np.argmin(np.abs(re))), int(np.argmin(np.abs(im)))
+    line = [fock.ladder_exp(psi, -complex(re[c], im[k]))]
+    for j in range(c + 1, re.size):
+        line.append(fock.ladder_exp(line[-1], -(re[j] - re[j - 1])))
+    for j in range(c - 1, -1, -1):
+        line.insert(0, fock.ladder_exp(line[0], -(re[j] - re[j + 1])))
+    parity = 1.0 - 2.0 * (np.arange(len(psi)) % 2)
+    out, edge = np.empty((im.size, re.size)), np.empty(im.size)
+    for sign, stop in ((1, im.size), (-1, -1)):
+        block = np.stack(line, axis=1)
+        for i in range(k, stop, sign):
+            if i != k:
+                block = fock.ladder_exp(block, -1j * (im[i] - im[i - sign]))
+            prob = block.real**2 + block.imag**2
+            out[i], edge[i] = parity @ prob, prob[-fock.EDGE_LEVELS:].sum(axis=0).max()
+    return out, edge
 
 
 def _displacement_line(alphas, dim):

@@ -428,6 +428,8 @@ def test_write_csv_renders_the_same_rows_in_any_chunking(monkeypatch):
     monkeypatch.setattr(fock, "CSV_CHUNK", 3)
     chunked = fock.write_csv("i,x,k", *cols)
     assert chunked == whole
+    # an index column given as a range is made per chunk, to the same bytes
+    assert fock.write_csv("i,x,k", range(10), *cols[1:]) == whole
     lines = whole.decode().split("\n")
     assert lines[0] == "i,x,k" and lines[-1] == "" and len(lines) == 12
     assert lines[4] == f"3,{float(cols[1][3])!r},0"

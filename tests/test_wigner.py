@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,88 @@ def test_walk_from_the_centre_matches_expm_per_point(parts, re_axis, im_axis):
         for j, x in enumerate(spec.re_axis()):
             moved = oracles.displacement(-complex(x, y), dim) @ psi
             assert walk[i, j] == pytest.approx(parity @ np.abs(moved) ** 2, abs=1e-12)
+
+
+# an axis from a float start, or a lattice of spacing h that has a node on 0
+# or lies to one side of it
+ANY_AXIS = st.one_of(
+    AXIS.map(lambda a: np.linspace(a[0], a[0] + a[1], a[2])),
+    st.tuples(st.floats(0.1, 0.6), st.integers(-4, 2), st.integers(2, 4)).map(
+        lambda a: a[0] * (a[1] + np.arange(a[2]))))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(parts=st.lists(st.tuples(AMPLITUDE, AMPLITUDE), min_size=LOW_LEVELS,
+                      max_size=LOW_LEVELS).filter(lambda p: sum(a * a + b * b for a, b in p) > 0.1),
+       re=ANY_AXIS, im=ANY_AXIS)
+def test_parity_moments_match_the_stepped_walk(parts, re, im):
+    # Any complex state on the lowest levels: the rows from the parity
+    # moments of the Re line against the line stepped along Im.
+    psi = np.zeros(96, dtype=complex)
+    psi[:LOW_LEVELS] = [complex(a, b) for a, b in parts]
+    psi /= np.linalg.norm(psi)
+    stepped, _ = oracles.stepped_parity_walk(psi, re, im)
+    assert np.abs(wigner._displaced_parity_walk(psi, re, im) - stepped).max() <= 1e-12
+
+
+def test_parity_moments_match_the_stepped_walk_on_the_benchmark_quarter():
+    # The seed, distinct |Re| and Im rows that wigner_numeric_protocol walks at
+    # the demo point on the Re +-12, 49-column grid: 122 recurrence terms on
+    # the line against 51 steps along Im (gap 3.9e-15).
+    psi, re = fock.squeezed_vacuum(R50, 1934), np.unique(np.abs(np.linspace(-12.0, 12.0, 49)))
+    dn = np.arange(52) / 60.0
+    stepped, _ = oracles.stepped_parity_walk(psi, re, dn)
+    assert np.abs(wigner._displaced_parity_walk(psi, re, dn) - stepped).max() <= 5e-15
+
+
+def test_walk_budget_sees_the_largest_edge_mass_of_any_row(monkeypatch):
+    # The walk checks the line and its end rows only. Wherever a row of the
+    # stepped walk holds more than rounding at its edge (here 3.0e-5, 4.4e-9
+    # and 1.7e-4), the largest such mass is at one of those rows, and the
+    # walk refuses just below it.
+    cases = ((fock.squeezed_vacuum(0.5 * math.log(10.0), 224), SQUEEZED_SPEC),
+             (squeezed_coherent(72), wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)),
+             (fock.squeezed_vacuum(R50, 643), wigner.GridSpec(-12.0, 12.0, 49, -0.85, 0.85, 103)))
+    for psi, spec in cases:
+        im = spec.im_axis()
+        _, edge = oracles.stepped_parity_walk(psi, spec.re_axis(), im)
+        checked = edge[[0, int(np.argmin(np.abs(im))), -1]].max()
+        assert edge.max() > 1e-14 and edge.max() == checked
+        monkeypatch.setattr(fock, "EDGE_TOL", 0.99 * checked)
+        with pytest.raises(fock.TruncationError, match=f"walked state on {len(psi)} levels"):
+            wigner._displaced_parity_walk(psi, spec.re_axis(), im)
+        monkeypatch.setattr(fock, "EDGE_TOL", 1.01 * checked)
+        wigner._displaced_parity_walk(psi, spec.re_axis(), im)
+
+
+def recurrence_terms(monkeypatch, walk, psi, re, im):
+    """Chebyshev recurrence terms walk(psi, re, im) runs, over all slabs."""
+    counted = []
+    sums = fock._chebyshev_sums
+
+    def counting(seed, lift, shift, cs, terms, visit):
+        counted.append(terms)
+        return sums(seed, lift, shift, cs, terms, visit)
+
+    monkeypatch.setattr(fock, "_chebyshev_sums", counting)
+    walk(psi, re, im)
+    monkeypatch.undo()
+    return sum(counted)
+
+
+def test_halving_the_im_spacing_leaves_the_recurrence_length(monkeypatch):
+    # The rows come from one recurrence whose length the farthest row sets:
+    # 55 terms at either spacing. The stepped walk pays for every row, with
+    # fewer terms per shorter step: 168 terms, then 272. On Re = 0 the line
+    # needs no displacement, so only the Im rows are counted.
+    psi = fock.squeezed_vacuum(0.5 * math.log(4.0), 200)
+    re, coarse, fine = np.zeros(1), np.linspace(0.0, 0.8, 9), np.linspace(0.0, 0.8, 17)
+    moments = [recurrence_terms(monkeypatch, wigner._displaced_parity_walk, psi, re, im)
+               for im in (coarse, fine)]
+    stepped = [recurrence_terms(monkeypatch, oracles.stepped_parity_walk, psi, re, im)
+               for im in (coarse, fine)]
+    assert moments[0] == moments[1] < stepped[0]
+    assert stepped[1] > 1.5 * stepped[0]
 
 
 def test_numeric_mixture_of_coherent_states():
@@ -392,6 +475,19 @@ def test_total_variation_pads_the_shorter_histogram():
     assert tv(np.array([1.0]), np.array([0.5, 0.5])) == pytest.approx(0.5)
     assert tv(np.array([0.5, 0.5]), np.array([1.0])) == pytest.approx(0.5)
     assert tv(np.array([1.0]), np.array([1.0, 0.0, 0.0])) == 0.0
+
+
+def test_grid_csv_render_peak_stays_under_twice_its_bytes():
+    # each fock.CSV_CHUNK rows hold one bytes object per cell next to the
+    # growing output; on the benchmark grid (4.3 MB) that peak is 1.74x
+    grid = wigner.wigner_numeric_protocol(params(), demo_im_spec(12.0, 49))
+    tracemalloc.start()
+    try:
+        data = wigner.write_grid_csv(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * len(data)
 
 
 def test_export_formats():
