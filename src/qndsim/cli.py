@@ -303,13 +303,17 @@ def _rel_or_abs(measured, target):
 
 
 def _run_moments(cfg, point, p, point_seed):
-    m = protocol.field_moments_numeric(p)
+    state = protocol.evolve_pulse(p)
+    m, law = protocol.composite_field_moments(state), protocol.truncated_law_moments(state)
     closed_y, closed_x, closed_vy = protocol.mean_Y(p), protocol.mean_X(p), protocol.var_Y(p)
     err = float(max(
         _rel_or_abs(m.mean_x, closed_x),
         _rel_or_abs(m.mean_y, closed_y),
         _rel_or_abs(m.var_y, closed_vy),
     ))
+    # against the law the blocks sum: the thermal tail is not in this gap
+    gap = float(max(_rel_or_abs(getattr(m, k), getattr(law, k))
+                    for k in ("mean_x", "mean_y", "var_x", "var_y")))
     ok = bool(err <= cfg["tolerance"])
     payload = {
         "params": point,
@@ -321,6 +325,7 @@ def _run_moments(cfg, point, p, point_seed):
         "matrix_var_x": float(m.var_x),
         "matrix_var_y": float(m.var_y),
         "max_rel_error": err,
+        "truncated_law_gap": gap,
         "tolerance": cfg["tolerance"],
         "tolerance_ok": ok,
     }

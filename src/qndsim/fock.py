@@ -1,20 +1,23 @@
-"""Truncated Fock-space engine: the one Chebyshev recurrence behind the
-displacement action and the parity moments, the closed-form squeezed
-vacuum, the quadrature stencil, the one Fock-window rule, the edge budget
-every moving or walked window is held to, the thermal law with its tail
-budget, and the CSV renderer of an artifact's bytes. Every operator acts on
-state vectors through its sqrt(n) bands; no dense Fock matrix is built.
+"""Truncated Fock-space engine: the displaced-squeezed states D(i beta)
+S(r)|0> from the recurrence of their annihilation equation, the one
+Chebyshev recurrence behind the displacement action and the parity
+moments, the closed-form squeezed vacuum, the quadrature stencil, the one
+Fock-window rule, the edge budget every window is held to, the thermal law
+with its tail budget, and the CSV renderer of an artifact's bytes. Every
+operator acts on state vectors through its sqrt(n) bands; no dense Fock
+matrix is built.
 
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
 
 All states are plain complex numpy arrays; all functions are pure. The
-module needs numpy and orjson. The recurrence runs as in-place numpy ufuncs
-on Bessel coefficients from Miller's backward recurrence, so no run loads
-scipy; it has two consumers, ladder_exp and parity_series. The CSV renderer
-takes its float digits from orjson's compiled shortest round-trip formatter
-and rewrites orjson's exponents into repr's form in numpy, so its bytes
-equal those of repr on every value.
+module needs numpy and orjson. The Chebyshev recurrence runs as in-place
+numpy ufuncs on Bessel coefficients from Miller's backward recurrence, so
+no run loads scipy; it has two consumers, ladder_exp (the Wigner walk's Re
+line) and parity_series. The CSV renderer takes its float digits from
+orjson's compiled shortest round-trip formatter and rewrites orjson's
+exponents into repr's form in numpy, so its bytes equal those of repr on
+every value.
 """
 
 import math
@@ -35,6 +38,11 @@ CSV_CHUNK = 4096
 
 # real entries per slab of block columns in the Chebyshev recurrence
 SLAB = 1 << 15
+
+# levels the displaced-squeezed recurrence runs between two rescalings, and
+# the levels it runs below a window before the window's first level
+CHUNK = 64
+WARMUP = 256
 
 
 class TruncationError(ValueError):
@@ -67,6 +75,65 @@ def squeezed_vacuum(r, dim):
     psi = np.zeros(dim, dtype=complex)
     psi[::2] = np.cumprod(ratios)
     return psi
+
+
+def displaced_squeezed(betas, r):
+    """(offsets, vectors): vector k is D(i beta_k) S(r)|0> on the Fock levels
+    [offsets[k], offsets[k] + len), beta_k real, from the annihilation
+    equation (a cosh r - a' sinh r) psi = i beta e^r psi (Yuen, PRA 13, 2226
+    (1976)). With c_m = i^m d_m it is the real recurrence
+
+        d_m = beta (1 + tanh r) / sqrt(m) d_{m-1} - tanh r sqrt((m-1)/m) d_{m-2},
+
+    run forward, one float64 column per beta, from (d_{-1}, d_0) = (0, 1),
+    or, where the fock.window starts above WARMUP, from (0, 1) WARMUP levels
+    below the window: the roots are real there and the state is the growing
+    solution, so the other one's share falls by over 1e12 before the window
+    (at every beta and e^{2r} up to 1000). Each column carries a power of two
+    per CHUNK levels, so rescaling is exact and no start needs its scale.
+    Each vector is normalised on its window, held to check_edge_mass, and
+    cut below the level where its mass reaches 1e-18, less EDGE_LEVELS."""
+    betas = np.asarray(betas, dtype=float)
+    bounds = np.array([window(complex(0.0, b), r, "the Fock window of block %d" % k)
+                       for k, b in enumerate(betas)], dtype=int).reshape(-1, 2)
+    first = np.maximum(bounds[:, 0] - WARMUP, 0)  # the level of each column's d_0 or start
+    t = math.tanh(r)
+    g = betas * (1.0 + t)  # beta e^r / cosh r
+    chunks = -(-int((bounds[:, 1] - first).max(initial=0)) // CHUNK)
+    mant = np.empty((chunks * CHUNK, len(betas)))  # row j: level first + j
+    exps = np.empty((chunks, len(betas)), dtype=int)
+    buf = np.zeros((CHUNK + 2, len(betas)))  # levels first + s - 1 .. first + s + CHUNK
+    buf[1] = 1.0
+    rows, tmp = list(buf), np.empty(len(betas))
+    scale = np.zeros(len(betas), dtype=int)
+    for c in range(chunks):
+        levels = first + (c * CHUNK + np.arange(1, CHUNK + 1))[:, None]
+        rise = list(g / np.sqrt(levels))
+        down = list(t * np.sqrt((levels - 1.0) / levels))
+        for i in range(2, CHUNK + 2):
+            np.multiply(rise[i - 2], rows[i - 1], out=rows[i])
+            np.multiply(down[i - 2], rows[i - 2], out=tmp)
+            np.subtract(rows[i], tmp, out=rows[i])
+        mant[c * CHUNK:(c + 1) * CHUNK] = buf[1:-1]
+        exps[c] = scale
+        _, e = np.frexp(np.maximum(np.abs(buf[-2]), np.abs(buf[-1])))
+        buf[:2] = np.ldexp(buf[-2:], -e)
+        scale += e
+    offs, out = [], []
+    for k, (lo, hi) in enumerate(bounds):
+        a, b = lo - first[k], hi - first[k]
+        e = np.repeat(exps[:, k], CHUNK)[a:b]
+        vec = np.ldexp(mant[a:b, k], e - e.max())
+        vec /= np.abs(vec).max()  # so that no square overflows
+        prob = vec * vec
+        total = prob.sum()
+        prob /= total
+        check_edge_mass(prob, "the window of block %d" % k, lo)
+        cut = max(0, int(np.searchsorted(np.cumsum(prob), 1e-18)) - EDGE_LEVELS)
+        lo += cut
+        offs.append(int(lo))
+        out.append(vec[cut:] / math.sqrt(total) * np.array([1, 1j, -1, -1j])[np.arange(lo, hi) % 4])
+    return offs, out
 
 
 def chebyshev_coefficients(tau):

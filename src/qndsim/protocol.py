@@ -9,11 +9,12 @@ number with a pure field state per block:
 
 evolve_pulse(p) builds exactly that, and it is the only state this module
 builds: a CompositeState of the thermal weights P(n) plus one windowed
-field vector per block. The squeezed seed S(r)|0> is the closed form
-fock.squeezed_vacuum; every displacement is the action fock.ladder_exp,
-one step D(iA) per block (purely imaginary displacements compose exactly,
-with zero Weyl phase: D(iA)^n = D(inA)), which keeps the cost linear in the
-window width instead of quadratic in the full Fock dimension.
+field vector per block. All blocks come from one forward pass of
+fock.displaced_squeezed, the Fock-amplitude recurrence of the annihilation
+equation of D(inA) S(r)|0>, each on its own fock.window; no displacement
+operator is applied. truncated_law_moments gives the closed forms of the
+law the blocks are weighted by, the kept and renormalised P(n), which the
+matrix moments meet up to rounding.
 """
 
 import math
@@ -167,12 +168,8 @@ def N_from_temperature(T, nu):
 # ---------------------------------------------------------------------------
 # matrix path
 
-def field_moments_numeric(p):
-    """Quadrature moments of the traced field state, via the block walk."""
-    return composite_field_moments(evolve_pulse(p))
-
-
 def composite_field_moments(state):
+    """Quadrature moments of the traced field state, block by block."""
     ex = ey = ex2 = ey2 = 0.0
     for w, off, psi in zip(state.pn, state.offsets, state.blocks):
         xpsi, ypsi = fock.quadrature_action(psi, off)
@@ -184,32 +181,19 @@ def composite_field_moments(state):
                         var_x=ex2 - ex ** 2, var_y=ey2 - ey ** 2)
 
 
-def _squeezed_seed(r):
-    """S(r)|0> on the window of block 0."""
-    _, hi = fock.window(0j, r, "the Fock window of block 0")
-    return fock.squeezed_vacuum(r, hi)
+def truncated_law_moments(state):
+    """The closed-form moments of the law state's blocks are weighted by,
+    its kept and renormalised P(n) rather than the untruncated thermal law:
+    <X> = 0, <Y> = 2A sum_n n P(n), Var X = e^{2r} and
+    Var Y = 4A^2 Var_P(n) + e^{-2r}."""
+    p = state.params
+    n = np.arange(len(state.pn))
+    mean_n = float(np.dot(n, state.pn))
+    var_n = float(np.dot((n - mean_n) ** 2, state.pn))
+    return FieldMoments(mean_x=0.0, mean_y=2.0 * p.A * mean_n, var_x=math.exp(2.0 * p.r),
+                        var_y=4.0 * p.A ** 2 * var_n + math.exp(-2.0 * p.r))
 
 
 def _displacement_chain(A, r, n_top):
     """Windowed vectors psi_n = D(inA) S(r) |0> for n = 0..n_top."""
-    psi = _squeezed_seed(r)
-    k0 = 0
-    offs, vecs = [], []
-    for n in range(n_top + 1):
-        offs.append(k0)
-        vecs.append(psi.copy())
-        if n == n_top:
-            break
-        lo1, hi1 = fock.window(complex(0.0, (n + 1) * A), r,
-                               "the Fock window of block %d" % (n + 1))
-        lo1 = min(lo1, k0)
-        grown = np.zeros(hi1 - lo1, dtype=complex)
-        grown[k0 - lo1:k0 - lo1 + len(psi)] = psi
-        psi, k0 = grown, lo1
-        psi = fock.ladder_exp(psi, 1j * A, k0)
-        prob = np.abs(psi) ** 2
-        fock.check_edge_mass(prob, "the window of block %d" % (n + 1), k0)
-        cut = int(np.searchsorted(np.cumsum(prob), 1e-18)) - fock.EDGE_LEVELS
-        if cut > 0:
-            psi, k0 = psi[cut:], k0 + cut
-    return offs, vecs
+    return fock.displaced_squeezed(A * np.arange(n_top + 1), r)

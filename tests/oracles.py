@@ -5,8 +5,10 @@ The library builds no dense Fock operator: it applies every operator
 through its sqrt(n) bands. Here the ladder and number matrices are dense,
 and the exponentials of ladder operators are scipy's dense expm of the
 truncated generator, an independent route to check fock.ladder_exp
-against. The protocol's blocked pulse output is densified here, with its
-mass policed, and reduced with partial_trace; phonon_marginal reads its
+against. displacement_chain steps a squeezed vacuum by fock.ladder_exp,
+one D(iA) at a time: the independent route to the pulse output's blocks.
+The protocol's blocked pulse output is densified here, with its mass
+policed, and reduced with partial_trace; phonon_marginal reads its
 phonon law from the block norms, and conditioned_dense turns a windowed
 conditioned field state into its density matrix. The library's Wigner map
 walks one squeezed-vacuum patch; wigner_dense evaluates the
@@ -114,6 +116,20 @@ def stepped_parity_walk(psi, re, im):
             prob = block.real**2 + block.imag**2
             out[i], edge[i] = parity @ prob, prob[-fock.EDGE_LEVELS:].sum(axis=0).max()
     return out, edge
+
+
+def displacement_chain(A, r, n_top, margin=200):
+    """D(inA) S(r)|0> for n = 0..n_top, each on the Fock levels [0, hi +
+    margin), hi the top of block n_top's fock.window: the seed
+    fock.squeezed_vacuum stepped by fock.ladder_exp, one D(iA) per block
+    (D(iA)^n = D(inA), with no Weyl phase), the route the library's
+    displaced-squeezed recurrence replaced. No window moves and no level is
+    cut, so the chain and the recurrence share only the window rule."""
+    _, hi = fock.window(complex(0.0, n_top * A), r, "the Fock window of the top block")
+    chain = [fock.squeezed_vacuum(r, hi + margin)]
+    for _ in range(n_top):
+        chain.append(fock.ladder_exp(chain[-1], 1j * A))
+    return chain
 
 
 def _displacement_line(alphas, dim):

@@ -8,6 +8,7 @@ x = G3 beta / Delta grows, so the error must shrink as Delta grows; the
 test prints the measured error and the fitted rate next to the reference.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -44,30 +45,56 @@ def _moment_grid():
 @pytest.fixture(scope="module")
 def grid_pass():
     """One pulse per grid point, shared by criteria 1 and 5: each point's
-    field moments and phonon marginal (the block vectors are dropped), and
-    the seconds the pass took."""
+    field moments, the closed forms of the truncated law its blocks sum and
+    its phonon marginal (the block vectors are dropped), and the seconds
+    the pass took."""
     t0 = time.perf_counter()
     points = []
     for p in _moment_grid():
         state = protocol.evolve_pulse(p)
-        points.append((p, protocol.composite_field_moments(state), oracles.phonon_marginal(state)))
+        points.append((p, protocol.composite_field_moments(state),
+                       protocol.truncated_law_moments(state), oracles.phonon_marginal(state)))
     return points, time.perf_counter() - t0
+
+
+def _closed_form_error(p, m):
+    """Largest gap of the moments m to the untruncated thermal law's closed
+    forms: relative, absolute against a zero target. It holds the thermal
+    tail the truncated law drops."""
+    my, vy = protocol.mean_Y(p), protocol.var_Y(p)
+    return max(abs(m.mean_x), abs(m.mean_y - my) / (abs(my) if my else 1.0),
+               abs(m.var_y - vy) / vy)
+
+
+def _truncated_law_gap(m, law):
+    """Largest gap of the moments m to the closed forms of the law the
+    blocks are weighted by, in the same measure: rounding alone."""
+    return max(abs(getattr(m, k) - getattr(law, k)) / (abs(getattr(law, k)) or 1.0)
+               for k in ("mean_x", "mean_y", "var_x", "var_y"))
 
 
 def test_criterion_1_moment_grid_matches_closed_forms(grid_pass):
     points, pass_s = grid_pass
     t0 = time.perf_counter()
-    worst = 0.0
-    for p, m, _ in points:
-        my, vy = protocol.mean_Y(p), protocol.var_Y(p)
-        worst = max(worst,
-                    abs(m.mean_x),
-                    abs(m.mean_y - my) / (abs(my) if my else 1.0),
-                    abs(m.var_y - vy) / vy)
+    worst = max(_closed_form_error(p, m) for p, m, _, _ in points)
+    gap = max(_truncated_law_gap(m, law) for _, m, law, _ in points)
     elapsed = pass_s + time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 60.0
+    ok = worst <= 1e-6 and gap <= 1e-12 and elapsed < 60.0
     _report(1, ok, f"48-point grid worst rel error {worst:.2e} (gate 1e-6), "
-                   f"{elapsed:.1f}s (gate 60s)")
+                   f"truncated-law gap {gap:.2e} (gate 1e-12), {elapsed:.1f}s (gate 60s)")
+
+
+def test_criterion_1_gap_sees_one_block_off_by_1e_9():
+    """One block scaled by 1 + 1e-9 passes the closed-form gate, which the
+    thermal tail fills to about 1e-8, and fails the truncated-law gate."""
+    p = protocol.ProtocolParams(A=1.0, r=R50, N=1.0, nu=NU)
+    state = protocol.evolve_pulse(p)
+    blocks = list(state.blocks)
+    blocks[1] = blocks[1] * (1.0 + 1e-9)
+    off = dataclasses.replace(state, blocks=tuple(blocks))
+    m = protocol.composite_field_moments(off)
+    assert _closed_form_error(p, m) <= 1e-6
+    assert _truncated_law_gap(m, protocol.truncated_law_moments(off)) > 1e-12
 
 
 def test_criterion_2_demo_histogram_total_variation():
@@ -116,9 +143,9 @@ def test_criterion_3_estimator_within_bands():
 
 
 def test_criterion_4_squeezed_vacuum_variance():
-    # the library's seed S(r)|0>: its window spans the ~18 e^{2r} levels of
-    # the antisqueezed tail
-    psi = protocol._squeezed_seed(R50)
+    # S(r)|0> on the window of the pulse output's block 0: it spans the
+    # ~18 e^{2r} levels of the antisqueezed tail
+    psi = fock.squeezed_vacuum(R50, fock.window(0j, R50, "the Fock window of block 0")[1])
     dim = len(psi)
     y = oracles.quadrature_y(dim)
     ypsi = y @ psi
@@ -130,7 +157,7 @@ def test_criterion_4_squeezed_vacuum_variance():
 
 def test_criterion_5_qnd_phonon_marginal_invariance(grid_pass):
     worst = 0.0
-    for p, _, marginal in grid_pass[0]:
+    for p, _, _, marginal in grid_pass[0]:
         pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
         worst = max(worst, float(np.abs(marginal - pn).max()))
     ok = worst <= 1e-12

@@ -58,6 +58,7 @@ def test_moments_run_and_manifest(tmp_path):
     assert payload["mean_y"] == 2.0
     assert payload["var_y"] == pytest.approx(8.02, rel=1e-12)
     assert payload["max_rel_error"] < 1e-6
+    assert payload["truncated_law_gap"] <= 1e-12
     assert payload["tolerance_ok"] is True
 
     manifest = read_json(out / "manifest.json")

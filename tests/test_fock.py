@@ -6,6 +6,7 @@ import builtins
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -166,6 +167,64 @@ def test_window_holds_a_state_displaced_along_re(alpha, e2r):
     _, hi = fock.window(complex(alpha), r, "the window")
     psi = fock.ladder_exp(fock.squeezed_vacuum(r, hi), alpha)
     fock.check_edge_mass(np.abs(psi) ** 2, "the window at alpha = %r" % alpha)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(A=st.floats(0.25, 2.0), e2r=st.floats(1.0, 50.0), n_top=st.integers(0, 30))
+@example(A=2.0, e2r=50.0, n_top=30)
+@example(A=0.25, e2r=1.0, n_top=0)
+def test_displaced_squeezed_against_the_chebyshev_chain(A, e2r, n_top):
+    """Each block of the recurrence is, on its window, the ladder_exp chain
+    from a squeezed vacuum at least 200 levels wider than any window."""
+    r = 0.5 * math.log(e2r)
+    chain = oracles.displacement_chain(A, r, n_top)
+    offs, vecs = fock.displaced_squeezed(A * np.arange(n_top + 1), r)
+    for off, vec, ref in zip(offs, vecs, chain):
+        assert np.abs(vec - ref[off:off + len(vec)]).max() <= 1e-12
+
+
+def test_displaced_squeezed_warmup_sheds_the_other_solution():
+    """Over the WARMUP levels under each window that starts above them, the
+    share of the recurrence's decaying solution falls by over 1e12: the
+    product of the ratio of its two roots, real there, at every level."""
+    for e2r in np.geomspace(1.0001, 1000.0, 40):
+        r = 0.5 * math.log(e2r)
+        t = math.tanh(r)
+        for beta in np.geomspace(5.0, 1000.0, 80):
+            lo, _ = fock.window(complex(0.0, beta), r, "the window")
+            if lo > fock.WARMUP:
+                m = np.arange(lo - fock.WARMUP, lo, dtype=float)
+                a = beta * (1.0 + t) / np.sqrt(m)
+                root = np.sqrt(a * a - 4.0 * t)
+                assert np.log10((a - root) / (a + root)).sum() < -12.0
+
+
+def mp_displaced_squeezed(beta, r, lo, hi):
+    """<m|D(i beta) S(r)|0> for m in [lo, hi): the recurrence of
+    fock.displaced_squeezed from its true start d_0 = exp(-beta^2 (1 +
+    tanh r) / 2) / sqrt(cosh r), in 50-digit arithmetic and without
+    rescaling, times i^m."""
+    with mpmath.workdps(50):
+        r, beta = mpmath.mpf(r), mpmath.mpf(beta)
+        t = mpmath.tanh(r)
+        g = beta * (1 + t)
+        prev, cur = mpmath.mpf(0), mpmath.exp(-beta * g / 2) / mpmath.sqrt(mpmath.cosh(r))
+        amps = []
+        for m in range(1, hi + 1):
+            amps.append(float(cur))
+            prev, cur = cur, (g * cur - t * mpmath.sqrt(m - 1) * prev) / mpmath.sqrt(m)
+    return np.array(amps[lo:]) * np.array([1, 1j, -1, -1j])[np.arange(lo, hi) % 4]
+
+
+@pytest.mark.parametrize("beta, e2r", [(40.0, 1000.0), (160.0, 50.0), (12.0, 50.0),
+                                       (30.0, 1.01), (0.0, 1000.0)])
+def test_displaced_squeezed_against_a_50_digit_run(beta, e2r):
+    """The float64 pass, with its WARMUP starts below the windows and its
+    power-of-two rescaling, against the same recurrence run from its true
+    start at 50 digits, up to the top of the window."""
+    r = 0.5 * math.log(e2r)
+    (off,), (vec,) = fock.displaced_squeezed([beta], r)
+    assert np.abs(vec - mp_displaced_squeezed(beta, r, off, off + len(vec))).max() <= 2e-14
 
 
 def test_displacement_group_inverse():

@@ -165,11 +165,11 @@ def test_evolve_vacuum_block_is_squeezed_vacuum():
                                        (2.0, 50.0, 3.0), (0.5, 10.0, 3.0)])
 def test_mean_x_is_exactly_zero(A, e2r, N):
     """<X> of the pulse output is 0.0 to the bit at the five points of the
-    benchmark's moment sweep: the seed is real on the even levels, and each
-    D(iA) step keeps every block's amplitudes real on one parity of levels
-    and imaginary on the other, so each term of <X> has an exact zero."""
+    benchmark's moment sweep: every block's amplitudes are i^m times a real
+    d_m, real on one parity of levels and imaginary on the other, so each
+    term of <X> has an exact zero."""
     p = params(A=A, r=0.5 * math.log(e2r), N=N)
-    assert protocol.field_moments_numeric(p).mean_x == 0.0
+    assert protocol.composite_field_moments(protocol.evolve_pulse(p)).mean_x == 0.0
 
 
 def test_evolve_block1_r0_is_coherent_i():
@@ -256,7 +256,7 @@ def test_moment_grid_sample_matches_closed_forms():
     for A, N, e2r in ((0.25, 0.0, 1.0), (0.5, 0.5, 10.0),
                       (1.0, 1.0, 50.0), (2.0, 3.0, 10.0)):
         p = params(A=A, r=0.5 * math.log(e2r), N=N)
-        m = protocol.field_moments_numeric(p)
+        m = protocol.composite_field_moments(protocol.evolve_pulse(p))
         assert abs(m.mean_x) <= 1e-9
         if N == 0:
             assert abs(m.mean_y) <= 1e-9
@@ -307,9 +307,9 @@ def test_chain_against_sparse_exponential_route():
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(A=st.floats(0.25, 2.0), e2r=st.floats(1.0, 50.0), n_top=st.integers(0, 30))
 def test_window_holds_every_block(A, e2r, n_top):
-    """Across the (A, r, n) range the moving window never sheds more than
-    EDGE_TOL (the chain raises TruncationError if it does) and the chain
-    keeps every block normalized."""
+    """Across the (A, r, n) range no block's window sheds more than
+    EDGE_TOL (fock.displaced_squeezed raises TruncationError if one does)
+    and every block is normalized."""
     offs, vecs = protocol._displacement_chain(A, 0.5 * math.log(e2r), n_top)
     assert len(vecs) == n_top + 1 and min(offs) >= 0
     norms = np.array([np.linalg.norm(v) for v in vecs])
@@ -317,11 +317,11 @@ def test_window_holds_every_block(A, e2r, n_top):
 
 
 def test_one_edge_budget_holds_the_chain_and_the_walk(monkeypatch):
-    """fock.EDGE_TOL is the one edge budget: at zero, both the block chain
-    and the Wigner walk refuse the demo point."""
+    """fock.EDGE_TOL is the one edge budget: at zero, both the pulse blocks,
+    from block 0 on, and the Wigner walk refuse the demo point."""
     spec = wigner.GridSpec(-2.0, 2.0, 17, -0.75, 34.05, 2089)
     monkeypatch.setattr(fock, "EDGE_TOL", 0.0)
-    with pytest.raises(fock.TruncationError, match="window of block 1"):
+    with pytest.raises(fock.TruncationError, match="window of block 0"):
         protocol.evolve_pulse(params())
     with pytest.raises(fock.TruncationError, match="walked state"):
         wigner.wigner_numeric_protocol(params(), spec)
