@@ -1,20 +1,20 @@
 """Truncated Fock-space engine: the displaced-squeezed states D(i beta)
-S(r)|0> from the recurrence of their annihilation equation, the one
-Chebyshev recurrence behind the displacement action and the parity
-moments, the closed-form squeezed vacuum, the quadrature stencil, the one
-Fock-window rule, the edge budget every window is held to, the thermal law
-with its tail budget, and the CSV renderer of an artifact's bytes. Every
-operator acts on state vectors through its sqrt(n) bands; no dense Fock
-matrix is built.
+S(r)|0> and D(beta) S(r)|0> from the recurrence of their annihilation
+equation, the Chebyshev recurrence behind the parity moments, the
+quadrature stencil, the one Fock-window rule, the edge budget every window
+is held to, the thermal law with its tail budget, and the CSV renderer of
+an artifact's bytes. Every operator acts on state vectors through its
+sqrt(n) bands; no dense Fock matrix is built.
 
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
 
-All states are plain complex numpy arrays; all functions are pure. The
-module needs numpy and orjson. The Chebyshev recurrence runs as in-place
-numpy ufuncs on Bessel coefficients from Miller's backward recurrence, so
-no run loads scipy; it has two consumers, ladder_exp (the Wigner walk's Re
-line) and parity_series. The CSV renderer takes its float digits from
+All states are plain numpy arrays; all functions are pure. The module
+needs numpy and orjson. The Chebyshev recurrence runs on real blocks as
+in-place numpy ufuncs on Bessel coefficients from Miller's backward
+recurrence, so no run loads scipy; its consumer is parity_series, which
+gives the Wigner walk its Im rows from the real Re line that
+displaced_squeezed builds. The CSV renderer takes its float digits from
 orjson's compiled shortest round-trip formatter and rewrites orjson's
 exponents into repr's form in numpy, so its bytes equal those of repr on
 every value.
@@ -63,21 +63,7 @@ def quadrature_action(psi, k0=0):
     return xpsi, ypsi
 
 
-def squeezed_vacuum(r, dim):
-    """S(r)|0> on the Fock levels [0, dim), S(r) = exp(r/2 (a'^2 - a^2)), from
-    its closed form <2m|S(r)|0> = tanh(r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r))
-    (Loudon & Knight, J. Mod. Opt. 34, 709 (1987)): one cumprod of the ratios
-    tanh(r) sqrt((2m - 1) / 2m) from 1 / sqrt(cosh r). Its imaginary part and
-    its odd levels are exactly 0."""
-    m = np.arange(1, (dim + 1) // 2)
-    ratios = np.concatenate(([1.0 / math.sqrt(math.cosh(r))],
-                             math.tanh(r) * np.sqrt((2 * m - 1) / (2.0 * m))))
-    psi = np.zeros(dim, dtype=complex)
-    psi[::2] = np.cumprod(ratios)
-    return psi
-
-
-def displaced_squeezed(betas, r):
+def displaced_squeezed(betas, r, dim=None):
     """(offsets, vectors): vector k is D(i beta_k) S(r)|0> on the Fock levels
     [offsets[k], offsets[k] + len), beta_k real, from the annihilation
     equation (a cosh r - a' sinh r) psi = i beta e^r psi (Yuen, PRA 13, 2226
@@ -89,42 +75,34 @@ def displaced_squeezed(betas, r):
     or, where the fock.window starts above WARMUP, from (0, 1) WARMUP levels
     below the window: the roots are real there and the state is the growing
     solution, so the other one's share falls by over 1e12 before the window
-    (at every beta and e^{2r} up to 1000). Each column carries a power of two
-    per CHUNK levels, so rescaling is exact and no start needs its scale.
-    Each vector is normalised on its window, held to check_edge_mass, and
-    cut below the level where its mass reaches 1e-18, less EDGE_LEVELS."""
+    (at every beta and e^{2r} up to 1000). Each vector is normalised on its
+    window, held to check_edge_mass, and cut below the level where its mass
+    reaches 1e-18, less EDGE_LEVELS.
+
+    Given dim, column k of the returned float64 (dim, len(betas)) block is
+    instead D(beta_k) S(r)|0> on the levels [0, dim), normalised there: on
+    the real axis the annihilation equation's eigenvalue is beta e^{-r} and
+    the recurrence, with no i^m gauge, is
+
+        c_m = beta (1 - tanh r) / sqrt(m) c_{m-1} + tanh r sqrt((m-1)/m) c_{m-2},
+
+    run forward from level 0. Its caller measures the block's edge mass."""
     betas = np.asarray(betas, dtype=float)
+    t = math.tanh(r)
+    if dim is not None:
+        zero = np.zeros(len(betas), dtype=int)
+        block = np.empty((dim, len(betas)))
+        for k, vec in enumerate(_ladder_recurrence(betas * (1.0 - t), t, np.add,
+                                                   zero, zero, zero + dim)):
+            block[:, k] = vec / math.sqrt(np.dot(vec, vec))
+        return block
     bounds = np.array([window(complex(0.0, b), r, "the Fock window of block %d" % k)
                        for k, b in enumerate(betas)], dtype=int).reshape(-1, 2)
-    first = np.maximum(bounds[:, 0] - WARMUP, 0)  # the level of each column's d_0 or start
-    t = math.tanh(r)
-    g = betas * (1.0 + t)  # beta e^r / cosh r
-    chunks = -(-int((bounds[:, 1] - first).max(initial=0)) // CHUNK)
-    mant = np.empty((chunks * CHUNK, len(betas)))  # row j: level first + j
-    exps = np.empty((chunks, len(betas)), dtype=int)
-    buf = np.zeros((CHUNK + 2, len(betas)))  # levels first + s - 1 .. first + s + CHUNK
-    buf[1] = 1.0
-    rows, tmp = list(buf), np.empty(len(betas))
-    scale = np.zeros(len(betas), dtype=int)
-    for c in range(chunks):
-        levels = first + (c * CHUNK + np.arange(1, CHUNK + 1))[:, None]
-        rise = list(g / np.sqrt(levels))
-        down = list(t * np.sqrt((levels - 1.0) / levels))
-        for i in range(2, CHUNK + 2):
-            np.multiply(rise[i - 2], rows[i - 1], out=rows[i])
-            np.multiply(down[i - 2], rows[i - 2], out=tmp)
-            np.subtract(rows[i], tmp, out=rows[i])
-        mant[c * CHUNK:(c + 1) * CHUNK] = buf[1:-1]
-        exps[c] = scale
-        _, e = np.frexp(np.maximum(np.abs(buf[-2]), np.abs(buf[-1])))
-        buf[:2] = np.ldexp(buf[-2:], -e)
-        scale += e
     offs, out = [], []
-    for k, (lo, hi) in enumerate(bounds):
-        a, b = lo - first[k], hi - first[k]
-        e = np.repeat(exps[:, k], CHUNK)[a:b]
-        vec = np.ldexp(mant[a:b, k], e - e.max())
-        vec /= np.abs(vec).max()  # so that no square overflows
+    lows, highs = bounds.T
+    vecs = _ladder_recurrence(betas * (1.0 + t), t, np.subtract,
+                              np.maximum(lows - WARMUP, 0), lows, highs)
+    for k, (lo, hi, vec) in enumerate(zip(lows, highs, vecs)):
         prob = vec * vec
         total = prob.sum()
         prob /= total
@@ -134,6 +112,40 @@ def displaced_squeezed(betas, r):
         offs.append(int(lo))
         out.append(vec[cut:] / math.sqrt(total) * np.array([1, 1j, -1, -1j])[np.arange(lo, hi) % 4])
     return offs, out
+
+
+def _ladder_recurrence(g, t, step, first, lows, highs):
+    """Column k of c_m = step(g_k / sqrt(m) c_{m-1}, t sqrt((m-1)/m) c_{m-2}),
+    step np.add or np.subtract, on the levels [lows[k], highs[k]) and scaled
+    to a largest entry of 1, for each k: run forward from (c_{first_k - 1},
+    c_{first_k}) = (0, 1), one float64 column per g_k. Each column carries
+    a power of two per CHUNK levels, so rescaling is exact and no start
+    needs its scale."""
+    chunks = -(-int((highs - first).max(initial=0)) // CHUNK)
+    mant = np.empty((chunks * CHUNK, len(g)))  # row j: level first + j
+    exps = np.empty((chunks, len(g)), dtype=int)
+    buf = np.zeros((CHUNK + 2, len(g)))  # levels first + s - 1 .. first + s + CHUNK
+    buf[1] = 1.0
+    rows, tmp = list(buf), np.empty(len(g))
+    scale = np.zeros(len(g), dtype=int)
+    for c in range(chunks):
+        levels = first + (c * CHUNK + np.arange(1, CHUNK + 1))[:, None]
+        rise = list(g / np.sqrt(levels))
+        down = list(t * np.sqrt((levels - 1.0) / levels))
+        for i in range(2, CHUNK + 2):
+            np.multiply(rise[i - 2], rows[i - 1], out=rows[i])
+            np.multiply(down[i - 2], rows[i - 2], out=tmp)
+            step(rows[i], tmp, out=rows[i])
+        mant[c * CHUNK:(c + 1) * CHUNK] = buf[1:-1]
+        exps[c] = scale
+        _, e = np.frexp(np.maximum(np.abs(buf[-2]), np.abs(buf[-1])))
+        buf[:2] = np.ldexp(buf[-2:], -e)
+        scale += e
+    for k, (lo, hi) in enumerate(zip(lows, highs)):
+        a, b = lo - first[k], hi - first[k]
+        e = np.repeat(exps[:, k], CHUNK)[a:b]
+        vec = np.ldexp(mant[a:b, k], e - e.max())
+        yield vec / np.abs(vec).max()  # so that no square overflows
 
 
 def chebyshev_coefficients(tau):
@@ -185,14 +197,14 @@ def _chebyshev_sums(seed, lift, shift, cs, terms, visit=None):
     repeated along a row. 2x takes lift times entry j + shift into entry j
     and lift times entry j into entry j + shift. T_{m+1} = 2x T_m - T_{m-1}
     overwrites T_{m-1}: two rotating buffers and a scratch, no allocation
-    per term; visit(m, T_{m-1} seed, T_m seed), if given, reads each term.
+    per term; visit(m, T_m seed), if given, reads each term.
     """
     nk = lift.size
     lift, cur, scratch = _aligned(lift), _aligned(seed), _aligned(seed)
     prev = _aligned(np.zeros_like(seed))  # a zero T_{-1}: the first step is 2x T_0
     series = [(c, len(c), (_aligned(c[0] * seed), _aligned(np.zeros_like(seed)))) for c in cs]
     if visit:
-        visit(0, prev, cur)
+        visit(0, cur)
     for m in range(1, terms):
         # T_m = 2x T_{m-1} - T_{m-2}, written over T_{m-2}
         np.multiply(lift, cur[shift:], out=scratch[:nk])
@@ -208,82 +220,75 @@ def _chebyshev_sums(seed, lift, shift, cs, terms, visit=None):
                 np.add(s[m % 2], scratch, out=s[m % 2])
         prev, cur = cur, prev
         if visit:
-            visit(m, prev, cur)
+            visit(m, cur)
     return [s for *_, s in series]
 
 
 def _x_series(block, ts, terms=0, visit=None, k0=0):
-    """[exp(i t X) block for each t of ts], X = a' + a truncated to the
-    levels [k0, k0 + n) of the rows of the complex block, over at least
-    `terms` terms; visit(cols, m, T_{m-1}, T_m) sees each term of the slab
-    of block columns cols. The series is that of exp(i tau x) in
-    x = X / (2 L), L the top ladder entry, so ||x|| <= 1 (Gershgorin) and
-    tau = 2 |t| L (Tal-Ezer & Kosloff 1984), conjugated at t < 0. x is real,
-    so the real and imaginary parts run side by side, in slabs of at most
-    SLAB real entries (or one column, if that is larger), which keeps the
-    buffers cache-resident and changes no bit of any column.
+    """([exp(i t X) block for each t of ts], their coefficient arrays), X =
+    a' + a truncated to the levels [k0, k0 + n) of the rows of the real
+    block, over at least `terms` terms; visit(cols, m, T_m) sees each term
+    of the slab of block columns cols. The series is that of exp(i tau x)
+    in x = X / (2 L), L the top ladder entry, so ||x|| <= 1 (Gershgorin)
+    and tau = 2 |t| L (Tal-Ezer & Kosloff 1984), conjugated at t < 0. x is
+    real and each c_m is real at even m and imaginary at odd m, so on a
+    real block the even terms sum to the real part of the result and the
+    odd ones to its imaginary part. The columns run in slabs of at most
+    SLAB entries (or one column, if that is larger), which keeps the
+    buffers cache-resident and changes no bit of any column. TypeError on
+    a complex block: run its real and imaginary parts as columns.
     """
+    if np.iscomplexobj(block):
+        raise TypeError("_x_series: the block must be real, got %s" % block.dtype)
     n = block.shape[0]
     top = math.sqrt(k0 + n - 1)
     # each c_m is real at even m and imaginary at odd m: packed as c.real + c.imag
     cs = [c.real + c.imag for c in (chebyshev_coefficients(2.0 * abs(float(t)) * top) for t in ts)]
     lift = np.sqrt(np.arange(k0 + 1, k0 + n, dtype=float)) / top
-    outs = [np.empty_like(block) for _ in ts]
-    width = max(1, SLAB // (2 * n))  # complex columns per slab
+    outs = [np.empty(block.shape, dtype=complex) for _ in ts]
+    width = max(1, SLAB // n)
     for a in range(0, block.shape[1], width):
-        seed = np.ascontiguousarray(block[:, a:a + width])
+        seed = np.ascontiguousarray(block[:, a:a + width], dtype=float)
         w, cols = seed.shape[1], slice(a, a + width)  # numpy clips the last slab's cols
-        sums = _chebyshev_sums(seed.view(float).ravel(), np.repeat(lift, 2 * w), 2 * w, cs,
+        sums = _chebyshev_sums(seed.ravel(), np.repeat(lift, w), w, cs,
                                max([terms, *map(len, cs)]),
                                visit and (lambda *term: visit(cols, *term)))
         for t, out, (even, odd) in zip(ts, outs, sums):
-            odd = odd.view(complex) * (1j if t >= 0 else -1j)
-            out[:, cols] = (even.view(complex) + odd).reshape(n, w)
+            out.real[:, cols] = even.reshape(n, w)
+            out.imag[:, cols] = (odd if t >= 0 else -odd).reshape(n, w)
     return outs, cs
-
-
-def ladder_exp(psi, z, k0=0):
-    """D(z) psi = exp(z a' - z* a) psi. psi is a vector or a block of column
-    vectors on the Fock levels [k0, k0 + len(psi)), to which the generator
-    is truncated. The generator is R i|z| X R' with X = a' + a and the
-    diagonal phase R = exp(i (arg z - pi/2) n): exp(i|z| X) is _x_series."""
-    psi = np.asarray(psi, dtype=complex)
-    n = len(psi)
-    if z == 0 or n < 2:
-        return psi.copy()
-    phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) * np.arange(k0, k0 + n, dtype=float))[:, None]
-    (out,), _ = _x_series(np.conj(phase) * psi.reshape(n, -1), [abs(z)], k0=k0)
-    return (phase * out).reshape(psi.shape)
 
 
 def parity_series(block, ts, states=()):
     """(<phi|P exp(i t X)|phi> for each t of ts, in rows, and each column phi
-    of block, [exp(i s X) block for each s of states]), P = (-1)^n on the
-    levels [0, n) of block's rows, from one recurrence v_j = T_j(x) phi. As
-    P x = -x P, the moments mu_m = <phi|P T_m(x)|phi> double up (Weisse et
-    al., Rev. Mod. Phys. 78, 275 (2006)): mu_2j = 2 (-1)^j <v_j|P|v_j> - mu_0,
-    mu_2j+1 = 2 (-1)^j <v_j|P|v_j+1> - mu_1, real at even m and imaginary at
-    odd m. The parity sums are numpy reductions: no BLAS call per term."""
+    of the real block, [exp(i s X) block for each s of states]), P = (-1)^n
+    on the levels [0, n) of block's rows, from one recurrence v_j = T_j(x)
+    phi. As P x = -x P, the moments mu_m = <phi|P T_m(x)|phi> double up
+    (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)): mu_2j = 2 (-1)^j
+    <v_j|P|v_j> - mu_0. P T_m(x) is anti-Hermitian at odd m, so on a real
+    phi mu_m is exactly 0 there, and only the diagonal parity sums are
+    taken, as numpy reductions: no BLAS call per term. Each column's sums
+    run in an order its slab's width does not change, so a block gives the
+    bits of its columns one by one."""
     n, width = block.shape
     _, cs = _x_series(block[:, :0], ts)  # the coefficients alone: no column to run
-    half = max(map(len, cs)) // 2  # moments 0 .. 2 half from v_0 .. v_half
-    pairs = np.zeros((half + 1, 2, width))  # <v_j|P|v_j> and Im <v_j|P|v_j+1>
+    half = (max(map(len, cs)) - 1) // 2  # moments 0, 2, .. 2 half from v_0 .. v_half
+    diag = np.zeros((half + 1, width))  # <v_j|P|v_j>
 
-    def visit(cols, j, prev, cur):
-        if j <= half:  # at j = 0 the cross term goes to the unread last pair
-            u, v = prev.reshape(n, -1, 2), cur.reshape(n, -1, 2)
-            for out, terms in ((pairs[j, 0], v[..., 0] ** 2 + v[..., 1] ** 2),
-                               (pairs[j - 1, 1], u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])):
-                out[cols] = terms[0::2].sum(axis=0) - terms[1::2].sum(axis=0)
+    def visit(cols, j, cur):
+        if j <= half:  # one contiguous row per column: pairwise sums along it
+            v = np.square(np.ascontiguousarray(cur.reshape(n, -1).T))
+            diag[j, cols] = v[:, 0::2].sum(axis=1) - v[:, 1::2].sum(axis=1)
 
     ends, _ = _x_series(block, states, half + 1, visit)
-    sign = (-1.0) ** np.arange(half + 1)[:, None, None]
-    mu = (2.0 * sign * pairs - pairs[0]).reshape(-1, width)[:-1]  # mu_0 .. mu_2half
-    rows = np.zeros((len(ts), len(mu)))
-    for row, t, c in zip(rows, ts, cs):
-        row[:len(c)] = c
-        row[1::2] *= -1.0 if t >= 0 else 1.0  # (+-i c_m) (i Im mu_m) at odd m
-    return np.einsum("tm,mc->tc", rows, mu), ends
+    mu = 2.0 * (-1.0) ** np.arange(half + 1)[:, None] * diag - diag[0]  # mu_0, mu_2, .. mu_2half
+    coef = np.zeros((half + 1, len(ts)))
+    for col, c in zip(coef.T, cs):
+        col[:len(c[::2])] = c[::2]
+    out = np.zeros((len(ts), width))
+    for c, m in zip(coef, mu):
+        out += c[:, None] * m
+    return out, ends
 
 
 def check_edge_mass(prob, where, k0=0):

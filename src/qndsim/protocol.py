@@ -101,7 +101,7 @@ class FieldMoments:
 def evolve_pulse(p):
     """The pulse output: thermal(N) weights, block n holding D(inA) S(r)|0>."""
     pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
-    offs, vecs = _displacement_chain(p.A, p.r, len(pn) - 1)
+    offs, vecs = fock.displaced_squeezed(p.A * np.arange(len(pn)), p.r)
     return CompositeState(pn=pn, offsets=tuple(offs), blocks=tuple(vecs), params=p)
 
 
@@ -193,7 +193,3 @@ def truncated_law_moments(state):
     return FieldMoments(mean_x=0.0, mean_y=2.0 * p.A * mean_n, var_x=math.exp(2.0 * p.r),
                         var_y=4.0 * p.A ** 2 * var_n + math.exp(-2.0 * p.r))
 
-
-def _displacement_chain(A, r, n_top):
-    """Windowed vectors psi_n = D(inA) S(r) |0> for n = 0..n_top."""
-    return fock.displaced_squeezed(A * np.arange(n_top + 1), r)

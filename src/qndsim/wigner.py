@@ -21,18 +21,18 @@ makes the two paths directly comparable without rescaling the axis.
 check_grid states what each convention needs of the grid; both maps call
 it, and the CLI calls it for every point before any map is computed.
 
-The walk takes single-step displacement actions (fock.ladder_exp)
-instead of building D(alpha) per point: one line of states steps out along
-Re from the node nearest 0, and fock.parity_series gives every Im row from
-Chebyshev parity moments of that line. The seed fock.squeezed_vacuum is real
-and even by construction: its imaginary part and its odd levels are exactly
-0, so its map is symmetric under alpha -> -alpha and alpha -> conj(alpha).
-The walk relies on that: it covers the quarter Im >= 0, Re >= 0, at each
-distinct |Re| of the grid, and mirrors it. Each step is unitary and each
-Chebyshev term bounded by 1, so the evaluation cannot overflow even for
-strongly squeezed states where a normally ordered expansion of D(alpha)
-would exceed double range. The walk's states are held to fock's edge
-budget. Nothing here warns: whether neighbouring peaks overlap is
+The walk builds no displacement operator and takes no step: each state
+D(-x) S(r)|0> of its Re line comes from the displaced-squeezed recurrence
+fock.displaced_squeezed, on the walk's Fock levels, and fock.parity_series
+gives every Im row from Chebyshev parity moments of that line. The line is
+real, so its map is symmetric under alpha -> -alpha and alpha ->
+conj(alpha) to the bit: the walk covers the quarter Im >= 0, Re >= 0, at
+each distinct |Re| of the grid, and mirrors it. The line states are
+normalised amplitudes and each Chebyshev term is bounded by 1, so the
+evaluation cannot overflow even for strongly squeezed states where a
+normally ordered expansion of D(alpha) would exceed double range. The
+line and the walk's farthest row are held to fock's edge budget. Nothing
+here warns: whether neighbouring peaks overlap is
 protocol.is_distinguishable, and a histogram's leakage estimates the mass
 the overlap moves.
 """
@@ -171,27 +171,24 @@ def wigner_paper(params: protocol.ProtocolParams, spec: GridSpec) -> WignerGrid:
     return WignerGrid(re, im, values, PAPER)
 
 
-def _displaced_parity_walk(psi: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Parities of D(-alpha) psi on the grid.
+def _displaced_parity_walk(r: float, dim: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Parities of D(-alpha) S(r)|0> on the levels [0, dim) at alpha = x + iy,
+    x of re and y of im, rows along im.
 
-    From the node nearest 0 on each axis, the state steps out both ways along
-    Re to a line of states phi. As P X P = -X also for the truncated X,
-    e^{iyX} P e^{-iyX} = P e^{-2iyX}: the parity at im_k + y is
-    <phi|P e^{-2iyX}|phi>, summed by fock.parity_series for every row from one
-    recurrence on the line. The line and the states e^{-iyX} phi of the end
-    rows, which carry the largest top-level mass (the number mean is convex
-    in y), are held to the edge budget fock.check_edge_mass.
+    The line of states phi = D(-x) S(r)|0>, one per x, comes from
+    fock.displaced_squeezed, real. As P X P = -X also for the truncated X,
+    e^{iyX} P e^{-iyX} = P e^{-2iyX}: the parity at x + iy is
+    <phi|P e^{-2iyX}|phi>, summed by fock.parity_series for every row from
+    one recurrence on the line, and even in y. The line and the states
+    e^{-iyX} phi of the farthest row, which carry the largest top-level mass
+    (the number mean is convex in y), are held to the edge budget
+    fock.check_edge_mass.
     """
-    c, k = int(np.argmin(np.abs(re))), int(np.argmin(np.abs(im)))
-    line = np.empty((len(psi), re.size), dtype=complex)
-    line[:, c] = fock.ladder_exp(psi, -complex(re[c], im[k]))
-    for sign, stop in ((1, re.size), (-1, -1)):
-        for j in range(c + sign, stop, sign):
-            line[:, j] = fock.ladder_exp(line[:, j - sign], -(re[j] - re[j - sign]))
-    y = im - im[k]
-    out, ends = fock.parity_series(line, -2.0 * y, [-y[i] for i in (0, im.size - 1) if i != k])
-    for state in (line, *ends):
-        fock.check_edge_mass(state.real**2 + state.imag**2, f"a walked state on {len(psi)} levels")
+    line = fock.displaced_squeezed(-np.asarray(re), r, dim)
+    far = float(np.abs(im).max())
+    out, ends = fock.parity_series(line, -2.0 * np.asarray(im), [-far] if far else [])
+    for prob in (line**2, *(end.real**2 + end.imag**2 for end in ends)):
+        fock.check_edge_mass(prob, f"a walked state on {dim} levels")
     return out
 
 
@@ -228,9 +225,8 @@ def wigner_numeric_protocol(
     # far corner, as the chain's blocks do; the walk measures their edge mass.
     _, dim = fock.window(complex(np.max(np.abs(re)), dn[-1]), params.r,
                          "the Fock window of the walked states")
-    psi = fock.squeezed_vacuum(params.r, dim)
     walked_re, cols = np.unique(np.abs(re), return_inverse=True)
-    quarter = (2.0 / math.pi) * _displaced_parity_walk(psi, walked_re, dn)
+    quarter = (2.0 / math.pi) * _displaced_parity_walk(params.r, dim, walked_re, dn)
     patch = quarter[np.abs(np.arange(-half_rows, half_rows + 1))][:, cols]
 
     values = np.zeros((im.size, re.size))

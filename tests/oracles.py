@@ -3,19 +3,23 @@ Wigner map and the three-level model.
 
 The library builds no dense Fock operator: it applies every operator
 through its sqrt(n) bands. Here the ladder and number matrices are dense,
-and the exponentials of ladder operators are scipy's dense expm of the
-truncated generator, an independent route to check fock.ladder_exp
-against. displacement_chain steps a squeezed vacuum by fock.ladder_exp,
-one D(iA) at a time: the independent route to the pulse output's blocks.
+the exponentials of ladder operators are scipy's dense expm of the
+truncated generator, and squeezed_vacuum is the closed form of S(r)|0>,
+the seed of the stepped routes below. ladder_exp is the displacement
+action on any complex vector or block, run through the library's real
+Chebyshev kernel fock._x_series, and checked against that expm.
+displacement_chain steps a squeezed vacuum by ladder_exp, one D(iA) at a
+time: the independent route to the pulse output's blocks.
 The protocol's blocked pulse output is densified here, with its mass
 policed, and reduced with partial_trace; phonon_marginal reads its
 phonon law from the block norms, and conditioned_dense turns a windowed
 conditioned field state into its density matrix. The library's Wigner map
 walks one squeezed-vacuum patch; wigner_dense evaluates the
 displaced-parity trace of any density matrix with dense displacements
-instead, and stepped_parity_walk is the walk the library's parity moments
-replaced: it steps the whole Re line along Im one grid spacing at a time,
-with the measured edge mass of every row. The three-level Hamiltonian is
+instead, and stepped_parity_walk is the walk the library's recurrence line
+and parity moments replaced: it steps a seed out along Re and then the
+whole Re line along Im, one grid spacing at a time, by ladder_exp, with the
+measured edge mass of every row. The three-level Hamiltonian is
 built here as the dense qutrit (x) field matrix from Kronecker products,
 which the library's parity chains are checked against; the trajectory,
 which the library samples from one
@@ -25,6 +29,8 @@ norm_drift measures how far its samples leave the unit sphere. The CSV
 renderer's oracle writes each value with repr, as the library once did,
 and the library's bytes are checked against it.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -68,6 +74,20 @@ def quadrature_y(dim):
     return 1j * (a.conj().T - a)
 
 
+def squeezed_vacuum(r, dim):
+    """S(r)|0> on the Fock levels [0, dim), S(r) = exp(r/2 (a'^2 - a^2)), from
+    its closed form <2m|S(r)|0> = tanh(r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r))
+    (Loudon & Knight, J. Mod. Opt. 34, 709 (1987)): one cumprod of the ratios
+    tanh(r) sqrt((2m - 1) / 2m) from 1 / sqrt(cosh r). Its imaginary part and
+    its odd levels are exactly 0."""
+    m = np.arange(1, (dim + 1) // 2)
+    ratios = np.concatenate(([1.0 / math.sqrt(math.cosh(r))],
+                             math.tanh(r) * np.sqrt((2 * m - 1) / (2.0 * m))))
+    psi = np.zeros(dim, dtype=complex)
+    psi[::2] = np.cumprod(ratios)
+    return psi
+
+
 def displacement(alpha, dim):
     """D(alpha) = expm(alpha a' - alpha* a)."""
     return expm(ladder_generator(alpha, 1, dim))
@@ -95,24 +115,42 @@ def wigner_dense(rho, spec):
     return (2.0 / np.pi) * np.einsum("jab,iba->ij", flips, moved).real
 
 
+def ladder_exp(psi, z, k0=0):
+    """D(z) psi = exp(z a' - z* a) psi. psi is a vector or a block of column
+    vectors on the Fock levels [k0, k0 + len(psi)), to which the generator
+    is truncated. The generator is R i|z| X R' with X = a' + a and the
+    diagonal phase R = exp(i (arg z - pi/2) n): exp(i|z| X) is
+    fock._x_series, run on the real and imaginary parts of R' psi as real
+    columns of one block."""
+    psi = np.asarray(psi, dtype=complex)
+    n = len(psi)
+    if z == 0 or n < 2:
+        return psi.copy()
+    phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) * np.arange(k0, k0 + n, dtype=float))[:, None]
+    seed = np.conj(phase) * psi.reshape(n, -1)
+    (out,), _ = fock._x_series(np.hstack([seed.real, seed.imag]), [abs(z)], k0=k0)
+    w = seed.shape[1]
+    return (phase * (out[:, :w] + 1j * out[:, w:])).reshape(psi.shape)
+
+
 def stepped_parity_walk(psi, re, im):
     """(parities of D(-alpha) psi on the grid, each row's largest mass in the
     top fock.EDGE_LEVELS levels): the line of states at im nearest 0 steps
-    along Im as one block by fock.ladder_exp, one grid spacing at a time,
-    out both ways from that row."""
+    along Im as one block by ladder_exp, one grid spacing at a time, out
+    both ways from that row."""
     c, k = int(np.argmin(np.abs(re))), int(np.argmin(np.abs(im)))
-    line = [fock.ladder_exp(psi, -complex(re[c], im[k]))]
+    line = [ladder_exp(psi, -complex(re[c], im[k]))]
     for j in range(c + 1, re.size):
-        line.append(fock.ladder_exp(line[-1], -(re[j] - re[j - 1])))
+        line.append(ladder_exp(line[-1], -(re[j] - re[j - 1])))
     for j in range(c - 1, -1, -1):
-        line.insert(0, fock.ladder_exp(line[0], -(re[j] - re[j + 1])))
+        line.insert(0, ladder_exp(line[0], -(re[j] - re[j + 1])))
     parity = 1.0 - 2.0 * (np.arange(len(psi)) % 2)
     out, edge = np.empty((im.size, re.size)), np.empty(im.size)
     for sign, stop in ((1, im.size), (-1, -1)):
         block = np.stack(line, axis=1)
         for i in range(k, stop, sign):
             if i != k:
-                block = fock.ladder_exp(block, -1j * (im[i] - im[i - sign]))
+                block = ladder_exp(block, -1j * (im[i] - im[i - sign]))
             prob = block.real**2 + block.imag**2
             out[i], edge[i] = parity @ prob, prob[-fock.EDGE_LEVELS:].sum(axis=0).max()
     return out, edge
@@ -121,14 +159,14 @@ def stepped_parity_walk(psi, re, im):
 def displacement_chain(A, r, n_top, margin=200):
     """D(inA) S(r)|0> for n = 0..n_top, each on the Fock levels [0, hi +
     margin), hi the top of block n_top's fock.window: the seed
-    fock.squeezed_vacuum stepped by fock.ladder_exp, one D(iA) per block
+    squeezed_vacuum stepped by ladder_exp, one D(iA) per block
     (D(iA)^n = D(inA), with no Weyl phase), the route the library's
     displaced-squeezed recurrence replaced. No window moves and no level is
     cut, so the chain and the recurrence share only the window rule."""
     _, hi = fock.window(complex(0.0, n_top * A), r, "the Fock window of the top block")
-    chain = [fock.squeezed_vacuum(r, hi + margin)]
+    chain = [squeezed_vacuum(r, hi + margin)]
     for _ in range(n_top):
-        chain.append(fock.ladder_exp(chain[-1], 1j * A))
+        chain.append(ladder_exp(chain[-1], 1j * A))
     return chain
 
 

@@ -143,9 +143,9 @@ def test_criterion_3_estimator_within_bands():
 
 
 def test_criterion_4_squeezed_vacuum_variance():
-    # S(r)|0> on the window of the pulse output's block 0: it spans the
+    # S(r)|0>, the pulse output's block 0 on its window: it spans the
     # ~18 e^{2r} levels of the antisqueezed tail
-    psi = fock.squeezed_vacuum(R50, fock.window(0j, R50, "the Fock window of block 0")[1])
+    (_,), (psi,) = fock.displaced_squeezed([0.0], R50)
     dim = len(psi)
     y = oracles.quadrature_y(dim)
     ypsi = y @ psi

@@ -89,11 +89,11 @@ def test_quadrature_action_matches_dense_operators():
 
 def coherent(alpha, dim):
     """D(alpha)|0> by the action kernel on the levels [0, dim)."""
-    return fock.ladder_exp(np.eye(dim)[0], alpha)
+    return oracles.ladder_exp(np.eye(dim)[0], alpha)
 
 
 def test_displacement_identity_at_zero():
-    d = fock.ladder_exp(np.eye(12), 0.0)
+    d = oracles.ladder_exp(np.eye(12), 0.0)
     assert np.abs(d - np.eye(12)).max() <= 1e-14
 
 
@@ -165,7 +165,7 @@ def test_window_holds_a_state_displaced_along_re(alpha, e2r):
     steps over."""
     r = 0.5 * math.log(e2r)
     _, hi = fock.window(complex(alpha), r, "the window")
-    psi = fock.ladder_exp(fock.squeezed_vacuum(r, hi), alpha)
+    psi = oracles.ladder_exp(oracles.squeezed_vacuum(r, hi), alpha)
     fock.check_edge_mass(np.abs(psi) ** 2, "the window at alpha = %r" % alpha)
 
 
@@ -199,21 +199,24 @@ def test_displaced_squeezed_warmup_sheds_the_other_solution():
                 assert np.log10((a - root) / (a + root)).sum() < -12.0
 
 
-def mp_displaced_squeezed(beta, r, lo, hi):
-    """<m|D(i beta) S(r)|0> for m in [lo, hi): the recurrence of
-    fock.displaced_squeezed from its true start d_0 = exp(-beta^2 (1 +
-    tanh r) / 2) / sqrt(cosh r), in 50-digit arithmetic and without
-    rescaling, times i^m."""
+def mp_displaced_squeezed(alpha, r, lo, hi):
+    """<m|D(alpha) S(r)|0> for m in [lo, hi), alpha on the Im or the Re axis:
+    the recurrence of fock.displaced_squeezed from its true start, in
+    50-digit arithmetic and without rescaling. At alpha = i beta that is
+    d_0 = exp(-beta^2 (1 + tanh r) / 2) / sqrt(cosh r), times i^m; at a real
+    alpha, c_0 = exp(-alpha^2 (1 - tanh r) / 2) / sqrt(cosh r), no gauge."""
+    on_re = alpha.imag == 0.0
     with mpmath.workdps(50):
-        r, beta = mpmath.mpf(r), mpmath.mpf(beta)
+        r, x = mpmath.mpf(r), mpmath.mpf(alpha.real if on_re else alpha.imag)
         t = mpmath.tanh(r)
-        g = beta * (1 + t)
-        prev, cur = mpmath.mpf(0), mpmath.exp(-beta * g / 2) / mpmath.sqrt(mpmath.cosh(r))
+        g, s = (x * (1 - t), t) if on_re else (x * (1 + t), -t)
+        prev, cur = mpmath.mpf(0), mpmath.exp(-x * g / 2) / mpmath.sqrt(mpmath.cosh(r))
         amps = []
         for m in range(1, hi + 1):
             amps.append(float(cur))
-            prev, cur = cur, (g * cur - t * mpmath.sqrt(m - 1) * prev) / mpmath.sqrt(m)
-    return np.array(amps[lo:]) * np.array([1, 1j, -1, -1j])[np.arange(lo, hi) % 4]
+            prev, cur = cur, (g * cur + s * mpmath.sqrt(m - 1) * prev) / mpmath.sqrt(m)
+    amps = np.array(amps[lo:])
+    return amps if on_re else amps * np.array([1, 1j, -1, -1j])[np.arange(lo, hi) % 4]
 
 
 @pytest.mark.parametrize("beta, e2r", [(40.0, 1000.0), (160.0, 50.0), (12.0, 50.0),
@@ -224,39 +227,62 @@ def test_displaced_squeezed_against_a_50_digit_run(beta, e2r):
     start at 50 digits, up to the top of the window."""
     r = 0.5 * math.log(e2r)
     (off,), (vec,) = fock.displaced_squeezed([beta], r)
-    assert np.abs(vec - mp_displaced_squeezed(beta, r, off, off + len(vec))).max() <= 2e-14
+    assert np.abs(vec - mp_displaced_squeezed(1j * beta, r, off, off + len(vec))).max() <= 2e-14
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(x=st.floats(0.0, 40.0), e2r=st.floats(1.01, 1000.0))
+@example(x=12.0, e2r=50.0)
+@example(x=40.0, e2r=1.01)
+def test_displaced_squeezed_on_the_re_axis_against_a_50_digit_run(x, e2r):
+    """The real-axis branch, run forward from level 0 with its power-of-two
+    rescaling also where the window starts far above 0, against the same
+    recurrence from its true start at 50 digits, on [0, top of the window);
+    D(-x) S(r)|0> is D(x) S(r)|0> with its odd levels negated, to the bit."""
+    r = 0.5 * math.log(e2r)
+    _, hi = fock.window(complex(x), r, "the window")
+    block = fock.displaced_squeezed([x, -x], r, hi)
+    assert block.dtype == np.float64 and block.shape == (hi, 2)
+    assert np.abs(block[:, 0] - mp_displaced_squeezed(complex(x), r, 0, hi)).max() <= 2e-14
+    assert np.array_equal(block[:, 1], block[:, 0] * (-1.0) ** np.arange(hi))
 
 
 def test_displacement_group_inverse():
     dim = 48
     alpha = 1.1 - 0.6j
-    prod = fock.ladder_exp(fock.ladder_exp(np.eye(dim), -alpha), alpha)
+    prod = oracles.ladder_exp(oracles.ladder_exp(np.eye(dim), -alpha), alpha)
     k = dim - oracles.GUARD_BAND
     assert np.abs((prod - np.eye(dim))[:k, :k]).max() <= 1e-10
 
 
+def squeezed_seed(r, dim):
+    """S(r)|0> on the levels [0, dim) as the library builds it: the real-axis
+    recurrence of fock.displaced_squeezed at zero displacement."""
+    return fock.displaced_squeezed([0.0], r, dim)[:, 0]
+
+
 def test_squeeze_identity_at_zero():
-    assert np.array_equal(fock.squeezed_vacuum(0.0, 16), np.eye(16)[0])
+    assert np.array_equal(squeezed_seed(0.0, 16), np.eye(16)[0])
 
 
 def test_squeeze_matches_series_oracle():
-    # the closed form has no truncation: every level matches, the top too
+    # 64 levels hold S(r)|0> to 1e-18 of its mass: every level matches
     r = 0.6
     dim = 64
-    assert np.abs(fock.squeezed_vacuum(r, dim) - squeezed_amps(r, dim)).max() <= 1e-15
+    assert np.abs(squeezed_seed(r, dim) - squeezed_amps(r, dim)).max() <= 1e-15
 
 
 def test_squeeze_vacuum_variances_at_e2r_50():
     r = 0.5 * math.log(50.0)
     dim = 512
-    psi = fock.squeezed_vacuum(r, dim)
+    psi = squeezed_seed(r, dim)
     _, _, _, vx, vy = vector_moments(psi)
     assert vy == pytest.approx(0.02, abs=1e-6)
     assert vx == pytest.approx(50.0, rel=1e-6)
 
 
 def test_squeeze_minimum_uncertainty():
-    psi = fock.squeezed_vacuum(0.5, 64)
+    psi = squeezed_seed(0.5, 64)
     _, _, _, vx, vy = vector_moments(psi)
     assert vx * vy == pytest.approx(1.0, abs=1e-8)
 
@@ -266,37 +292,41 @@ def test_squeeze_minimum_uncertainty():
 @example(e2r=1.0)
 @example(e2r=10.0)
 def test_squeezed_vacuum_equals_the_dense_expm(e2r):
-    """On the window of S(r)|0>, the closed form is the dense expm of the
-    a'^2 generator truncated to twice as many levels, whose truncation
-    bends only levels far above the window. It is real with zero odd
-    levels to the bit, which the mirrored Wigner walk relies on."""
+    """On the window of S(r)|0>, the recurrence at zero displacement and the
+    closed form oracles.squeezed_vacuum are the dense expm of the a'^2
+    generator truncated to twice as many levels, whose truncation bends
+    only levels far above the window. Both have zero odd levels to the
+    bit, and the recurrence's line is real."""
     r = 0.5 * math.log(e2r)
     _, dim = fock.window(0j, r, "the window of the seed")
-    psi = fock.squeezed_vacuum(r, dim)
-    assert np.abs(psi - oracles.squeeze(r, 2 * dim)[:dim, 0]).max() <= 1e-13
-    assert np.all(psi.imag == 0.0) and np.all(psi[1::2] == 0.0)
+    dense = oracles.squeeze(r, 2 * dim)[:dim, 0]
+    for psi in (squeezed_seed(r, dim), oracles.squeezed_vacuum(r, dim)):
+        assert np.abs(psi - dense).max() <= 1e-13
+        assert np.all(psi[1::2] == 0.0)
+    assert squeezed_seed(r, dim).dtype == np.float64
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(e2r=st.floats(1.0, 1000.0))
 @example(e2r=50.0)
 def test_squeezed_vacuum_moments_through_the_quadrature_stencil(e2r):
-    """Var Y = e^{-2r} and <n> = sinh^2 r of the closed form on its window,
-    taken through the banded stencil the block chain's moments use."""
+    """Var Y = e^{-2r} and <n> = sinh^2 r of the pulse output's block 0,
+    D(0) S(r)|0> from the recurrence on its window, taken through the
+    banded stencil the block chain's moments use."""
     r = 0.5 * math.log(e2r)
-    _, dim = fock.window(0j, r, "the window of the seed")
-    psi = fock.squeezed_vacuum(r, dim)
+    (off,), (psi,) = fock.displaced_squeezed([0.0], r)
+    assert off == 0
     _, ypsi = fock.quadrature_action(psi)
     assert np.vdot(ypsi, ypsi).real - np.vdot(psi, ypsi).real ** 2 == pytest.approx(
         1.0 / e2r, rel=1e-12)
-    assert np.dot(np.arange(dim), np.abs(psi) ** 2) == pytest.approx(math.sinh(r) ** 2,
-                                                                     rel=1e-12, abs=1e-300)
+    assert np.dot(np.arange(len(psi)), np.abs(psi) ** 2) == pytest.approx(
+        math.sinh(r) ** 2, rel=1e-12, abs=1e-300)
 
 
 def test_unitarity_guard_banded():
     eye = np.eye(64)
     for z in (1.5j, 2.0 - 1.0j):
-        assert oracles.unitarity_defect(fock.ladder_exp(eye, z)) <= 1e-10
+        assert oracles.unitarity_defect(oracles.ladder_exp(eye, z)) <= 1e-10
 
 
 BLOCKS = st.tuples(st.integers(2, 24), st.sampled_from([(), (1,), (3,)]))
@@ -314,7 +344,7 @@ def test_ladder_exp_property_against_dense_expm(re, im, k0, shape, seed):
     z = complex(re, im)
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=(dim, *cols)) + 1j * rng.normal(size=(dim, *cols))
-    got = fock.ladder_exp(psi, z, k0)
+    got = oracles.ladder_exp(psi, z, k0)
     want = expm(oracles.ladder_generator(z, 1, dim, k0)) @ psi
     scale = np.linalg.norm(psi, axis=0)
     assert got.shape == psi.shape
@@ -337,18 +367,52 @@ def test_chebyshev_coefficients_are_normalised_bessel_values(log_tau):
     assert abs(bessel[0] ** 2 + 2.0 * np.sum(bessel[1:] ** 2) - 1.0) <= 1e-13
 
 
-def test_ladder_exp_block_equals_its_columns_bit_for_bit(monkeypatch):
+def parity_oracle(phi, t, s):
+    """(<phi|P e^{itX}|phi>, e^{isX} phi) from scipy's dense expm of X
+    truncated to the levels of phi."""
+    x = oracles.quadrature_x(len(phi))
+    parity = 1.0 - 2.0 * (np.arange(len(phi)) % 2)
+    return np.vdot(phi, parity * (expm(1j * t * x) @ phi)), expm(1j * s * x) @ phi
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(dim=st.integers(2, 60), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       ts=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3), s=st.floats(-3.0, 3.0))
+def test_parity_series_on_real_blocks_against_dense_expm(dim, cols, seed, ts, s):
+    """Any real block and times: each parity moment and each end state
+    against the dense expm of the same truncated X; the moments are real."""
+    block = np.random.default_rng(seed).normal(size=(dim, cols))
+    rows, (end,) = fock.parity_series(block, ts, [s])
+    assert rows.dtype == np.float64 and rows.shape == (len(ts), cols)
+    for j, phi in enumerate(block.T):
+        scale = np.dot(phi, phi)
+        for i, t in enumerate(ts):
+            want, state = parity_oracle(phi, t, s)
+            assert abs(rows[i, j] - want) <= 1e-12 * scale
+        assert np.abs(end[:, j] - state).max() <= 1e-12 * math.sqrt(scale)
+
+
+def test_parity_series_block_equals_its_columns_bit_for_bit(monkeypatch):
     """A block's columns go through the recurrence in slabs of at most
-    fock.SLAB real entries; no slab size changes a bit of any column."""
+    fock.SLAB entries; no slab size changes a bit of any column's parity
+    moments or end states."""
     rng = np.random.default_rng(11)
-    cases = (((1831, 49), -1j / 60.0, 0), ((700, 40), 0.02 - 0.01j, 120))
+    cases = (((1831, 49), [-0.5, 0.2], [1.0 / 60.0]), ((700, 40), [0.03, 1.1], [-0.6, 0.4]))
     for slab in (fock.SLAB, 5 * 1831):
         monkeypatch.setattr(fock, "SLAB", slab)
-        for (dim, cols), z, k0 in cases:
-            block = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
-            got = fock.ladder_exp(block, z, k0)
+        for (dim, cols), ts, states in cases:
+            block = rng.normal(size=(dim, cols))
+            rows, ends = fock.parity_series(block, ts, states)
             for j in range(cols):
-                assert np.array_equal(got[:, j], fock.ladder_exp(block[:, j], z, k0))
+                col_rows, col_ends = fock.parity_series(block[:, j:j + 1], ts, states)
+                assert np.array_equal(rows[:, j], col_rows[:, 0])
+                for end, col_end in zip(ends, col_ends):
+                    assert np.array_equal(end[:, j], col_end[:, 0])
+
+
+def test_parity_series_refuses_a_complex_block():
+    with pytest.raises(TypeError, match="must be real"):
+        fock.parity_series(np.eye(8, dtype=complex)[:, :2], [0.3])
 
 
 def test_thermal_vacuum():
@@ -464,7 +528,7 @@ def test_displacement_squeeze_composition():
     for _ in range(10):
         alpha = (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) * 2.0
         r = rng.uniform(0.0, 1.0)
-        psi = fock.ladder_exp(fock.squeezed_vacuum(r, dim), alpha)
+        psi = oracles.ladder_exp(oracles.squeezed_vacuum(r, dim), alpha)
         ea, _, _, vx, vy = vector_moments(psi)
         assert ea == pytest.approx(alpha, abs=1e-7)
         assert vx == pytest.approx(math.exp(2 * r), rel=1e-6)
@@ -474,7 +538,7 @@ def test_displacement_squeeze_composition():
 def test_density_invariants_preserved_by_conjugation():
     dim = 64
     rho = np.diag(fock.thermal_pn(0.8, dim))
-    u = fock.ladder_exp(fock.ladder_exp(np.eye(dim), 0.3), 1.0j)
+    u = oracles.ladder_exp(oracles.ladder_exp(np.eye(dim), 0.3), 1.0j)
     out = u @ rho @ u.conj().T
     assert np.abs(out - out.conj().T).max() <= 1e-12
     assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)

@@ -270,7 +270,8 @@ def test_mixture_consistency_and_total_variance():
     # reconstructs the exact closed forms at the stated absolute tolerances
     A, r = 0.5, 0.5 * math.log(10.0)
     p = params(A=A, r=r, N=1.0)
-    state = protocol.CompositeState(fock.thermal_pn(1.0, 70), *protocol._displacement_chain(A, r, 69), p)
+    state = protocol.CompositeState(fock.thermal_pn(1.0, 70),
+                                   *fock.displaced_squeezed(A * np.arange(70), r), p)
     m = protocol.composite_field_moments(state)
     assert abs(m.mean_y - protocol.mean_Y(p)) <= 1e-10
     assert abs(m.var_y - protocol.var_Y(p)) <= 1e-8
@@ -288,7 +289,7 @@ def test_chain_norm_drift_and_embed_policing():
 def test_chain_against_sparse_exponential_route():
     # independent route: full-ladder Taylor exp(iAX) steps, no windowing
     A, r, n_top = 1.0, 0.5 * math.log(10.0), 20
-    offsets, blocks = protocol._displacement_chain(A, r, n_top)
+    offsets, blocks = fock.displaced_squeezed(A * np.arange(n_top + 1), r)
     dim = 1024
     psi = np.zeros(dim, dtype=complex)
     seed_dim = 320  # four times 8 e^{2r}
@@ -310,7 +311,7 @@ def test_window_holds_every_block(A, e2r, n_top):
     """Across the (A, r, n) range no block's window sheds more than
     EDGE_TOL (fock.displaced_squeezed raises TruncationError if one does)
     and every block is normalized."""
-    offs, vecs = protocol._displacement_chain(A, 0.5 * math.log(e2r), n_top)
+    offs, vecs = fock.displaced_squeezed(A * np.arange(n_top + 1), 0.5 * math.log(e2r))
     assert len(vecs) == n_top + 1 and min(offs) >= 0
     norms = np.array([np.linalg.norm(v) for v in vecs])
     assert np.abs(norms - 1.0).max() <= 1e-12

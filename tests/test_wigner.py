@@ -130,109 +130,117 @@ def test_numeric_vacuum_gaussian():
     assert wigner.marginal_P(grid).raw_integral == pytest.approx(1.0, abs=2e-3)
 
 
-def squeezed_coherent(dim):
-    return oracles.displacement(0.5 - 0.3j, dim) @ oracles.squeeze(0.3, dim)[:, 0]
+def stepped_rows(r, dim, re, im):
+    """oracles.stepped_parity_walk of each state of the walk's line
+    D(-x) S(r)|0>, x of re, on Re = 0: the line stepped along Im one grid
+    spacing at a time, as (parities, each row's largest edge mass)."""
+    line = fock.displaced_squeezed(-re, r, dim)
+    walks = [oracles.stepped_parity_walk(phi, np.zeros(1), im) for phi in line.T]
+    return np.hstack([w for w, _ in walks]), np.max([edge for _, edge in walks], axis=0)
+
+
+def squeezed_parity(r, re, im):
+    """The parity of D(-x - iy) S(r)|0>: exp(-2 x^2 e^{-2r} - 2 y^2 e^{2r})."""
+    return np.exp(-2.0 * re[None, :] ** 2 * math.exp(-2.0 * r)
+                  - 2.0 * im[:, None] ** 2 * math.exp(2.0 * r))
 
 
 def test_numeric_matches_expm_displaced_parity():
-    # One-shot exp(alpha a^dag - conj(alpha) a) per point against the walk.
-    # At d = 80 the walked states hold 4.2e-12 of their mass in their top
-    # EDGE_LEVELS levels, inside fock.EDGE_TOL, so the walk's budget passes
-    # (4.4e-9 at d = 72, which it refuses).
-    dim = 80
-    psi = squeezed_coherent(dim)
-    spec = wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)
-    walk = wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
-    rho = np.outer(psi, psi.conj())
-    parity = np.diag(1.0 - 2.0 * (np.arange(dim) % 2.0)).astype(complex)
-    for i, y in enumerate(spec.im_axis()):
-        for j, x in enumerate(spec.re_axis()):
-            d = oracles.displacement(complex(x, y), dim)
-            w = (2.0 / math.pi) * np.trace(d @ parity @ d.conj().T @ rho).real
-            assert (2.0 / math.pi) * walk[i, j] == pytest.approx(w, abs=1e-11)
-
-
-LOW_LEVELS = 6
-AMPLITUDE = st.floats(-1.0, 1.0)
-AXIS = st.tuples(st.floats(-1.5, 0.5), st.floats(0.2, 1.5), st.integers(2, 3))
-
-
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(parts=st.lists(st.tuples(AMPLITUDE, AMPLITUDE), min_size=LOW_LEVELS,
-                      max_size=LOW_LEVELS).filter(lambda p: sum(a * a + b * b for a, b in p) > 0.1),
-       re_axis=AXIS, im_axis=AXIS)
-def test_walk_from_the_centre_matches_expm_per_point(parts, re_axis, im_axis):
-    # Any state on the lowest levels, with no symmetry, on grids that hold 0,
-    # lie to one side of it or have a node on it: one expm per point against
-    # the walk out from the node nearest 0.
-    dim = 96
-    psi = np.zeros(dim, dtype=complex)
-    psi[:LOW_LEVELS] = [complex(a, b) for a, b in parts]
-    psi /= np.linalg.norm(psi)
-    (re_min, re_span, re_count), (im_min, im_span, im_count) = re_axis, im_axis
-    spec = wigner.GridSpec(re_min, re_min + re_span, re_count, im_min, im_min + im_span, im_count)
-    walk = wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
+    # One-shot exp(alpha a^dag - conj(alpha) a) per point on the dense
+    # squeezed vacuum against the walk (gap 1.6e-15). At d = 80 the line
+    # holds 9.9e-16 of its mass in its top EDGE_LEVELS levels, inside
+    # fock.EDGE_TOL, so the walk's budget passes.
+    dim, r = 80, 0.3
+    re, im = np.linspace(0.0, 1.2, 5), np.linspace(0.0, 1.1, 5)
+    walk = wigner._displaced_parity_walk(r, dim, re, im)
+    psi = oracles.squeeze(r, dim)[:, 0]
     parity = 1.0 - 2.0 * (np.arange(dim) % 2)
-    for i, y in enumerate(spec.im_axis()):
-        for j, x in enumerate(spec.re_axis()):
+    for i, y in enumerate(im):
+        for j, x in enumerate(re):
             moved = oracles.displacement(-complex(x, y), dim) @ psi
-            assert walk[i, j] == pytest.approx(parity @ np.abs(moved) ** 2, abs=1e-12)
+            assert walk[i, j] == pytest.approx(parity @ np.abs(moved) ** 2, abs=1e-14)
 
 
-# an axis from a float start, or a lattice of spacing h that has a node on 0
-# or lies to one side of it
-ANY_AXIS = st.one_of(
-    AXIS.map(lambda a: np.linspace(a[0], a[0] + a[1], a[2])),
-    st.tuples(st.floats(0.1, 0.6), st.integers(-4, 2), st.integers(2, 4)).map(
+E2R = st.floats(1.0, 4.0)
+# a quarter-grid axis from a float start >= 0, or a lattice of spacing h
+# that has a node on 0 or lies above it
+QUARTER_AXIS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.2, 1.5), st.integers(2, 3)).map(
+        lambda a: np.linspace(a[0], a[0] + a[1], a[2])),
+    st.tuples(st.floats(0.1, 0.6), st.integers(0, 2), st.integers(2, 4)).map(
         lambda a: a[0] * (a[1] + np.arange(a[2]))))
 
 
+def walk_dim(r, re, im):
+    """The walk's levels as wigner_numeric_protocol sizes them: the top of
+    the fock.window at the grid's far corner."""
+    return fock.window(complex(re.max(), im.max()), r, "the walked states")[1]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(e2r=E2R, re=QUARTER_AXIS, im=QUARTER_AXIS)
+def test_walk_from_the_centre_matches_expm_per_point(e2r, re, im):
+    # Squeezed vacua over a drawn r, on quarter grids that hold 0 or lie
+    # above it: dense expm displacements against the walk, whose line
+    # states each come from the recurrence, with no stepping out from 0.
+    # D(-x - iy) is D(-iy) D(-x) up to a phase, which the parity drops.
+    r = 0.5 * math.log(e2r)
+    dim = walk_dim(r, re, im)
+    walk = wigner._displaced_parity_walk(r, dim, re, im)
+    psi = oracles.squeeze(r, dim)[:, 0]
+    line = np.stack([oracles.displacement(-x, dim) @ psi for x in re], axis=1)
+    parity = 1.0 - 2.0 * (np.arange(dim) % 2)
+    for i, y in enumerate(im):
+        moved = oracles.displacement(-1j * y, dim) @ line
+        assert np.abs(walk[i] - parity @ np.abs(moved) ** 2).max() <= 1e-12
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(parts=st.lists(st.tuples(AMPLITUDE, AMPLITUDE), min_size=LOW_LEVELS,
-                      max_size=LOW_LEVELS).filter(lambda p: sum(a * a + b * b for a, b in p) > 0.1),
-       re=ANY_AXIS, im=ANY_AXIS)
-def test_parity_moments_match_the_stepped_walk(parts, re, im):
-    # Any complex state on the lowest levels: the rows from the parity
-    # moments of the Re line against the line stepped along Im.
-    psi = np.zeros(96, dtype=complex)
-    psi[:LOW_LEVELS] = [complex(a, b) for a, b in parts]
-    psi /= np.linalg.norm(psi)
-    stepped, _ = oracles.stepped_parity_walk(psi, re, im)
-    assert np.abs(wigner._displaced_parity_walk(psi, re, im) - stepped).max() <= 1e-12
+@given(e2r=E2R, re=QUARTER_AXIS, im=QUARTER_AXIS)
+def test_parity_moments_match_the_stepped_walk(e2r, re, im):
+    # Squeezed vacua over a drawn r, on quarter grids: the rows from the
+    # parity moments of the recurrence's Re line against the seed stepped
+    # out along Re and the line stepped along Im.
+    r = 0.5 * math.log(e2r)
+    dim = walk_dim(r, re, im)
+    stepped, _ = oracles.stepped_parity_walk(oracles.squeezed_vacuum(r, dim), re, im)
+    assert np.abs(wigner._displaced_parity_walk(r, dim, re, im) - stepped).max() <= 1e-12
 
 
 def test_parity_moments_match_the_stepped_walk_on_the_benchmark_quarter():
-    # The seed, distinct |Re| and Im rows that wigner_numeric_protocol walks at
-    # the demo point on the Re +-12, 49-column grid: 122 recurrence terms on
-    # the line against 51 steps along Im (gap 3.9e-15).
-    psi, re = fock.squeezed_vacuum(R50, 1934), np.unique(np.abs(np.linspace(-12.0, 12.0, 49)))
-    dn = np.arange(52) / 60.0
-    stepped, _ = oracles.stepped_parity_walk(psi, re, dn)
-    assert np.abs(wigner._displaced_parity_walk(psi, re, dn) - stepped).max() <= 5e-15
+    # The levels, distinct |Re| and Im rows that wigner_numeric_protocol walks
+    # at the demo point on the Re +-12, 49-column grid: 122 recurrence terms
+    # on the line against 51 steps along Im of each of its states (gap
+    # 2.6e-15). The map itself is 8.6e-16 from the closed form; the seed
+    # stepped out along Re by 24 displacements is 6.1e-15 from it.
+    re, dn = np.unique(np.abs(np.linspace(-12.0, 12.0, 49))), np.arange(52) / 60.0
+    walk = wigner._displaced_parity_walk(R50, 1934, re, dn)
+    stepped, _ = stepped_rows(R50, 1934, re, dn)
+    assert np.abs(walk - stepped).max() <= 5e-15
+    assert np.abs(walk - squeezed_parity(R50, re, dn)).max() <= 2e-15
 
 
 def test_walk_budget_sees_the_largest_edge_mass_of_any_row(monkeypatch):
-    # The walk checks the line and its end rows only. Wherever a row of the
-    # stepped walk holds more than rounding at its edge (here 3.0e-5, 4.4e-9
-    # and 1.7e-4), the largest such mass is at one of those rows, and the
-    # walk refuses just below it.
-    cases = ((fock.squeezed_vacuum(0.5 * math.log(10.0), 224), SQUEEZED_SPEC),
-             (squeezed_coherent(72), wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)),
-             (fock.squeezed_vacuum(R50, 643), wigner.GridSpec(-12.0, 12.0, 49, -0.85, 0.85, 103)))
-    for psi, spec in cases:
-        im = spec.im_axis()
-        _, edge = oracles.stepped_parity_walk(psi, spec.re_axis(), im)
-        checked = edge[[0, int(np.argmin(np.abs(im))), -1]].max()
+    # The walk checks its line and its farthest row only. Wherever a row of
+    # the line stepped along Im holds more than rounding at its edge (here
+    # 3.0e-5, 3.1e-5 and 1.2e-4), the largest such mass is at one of those
+    # rows, and the walk refuses just below it.
+    cases = ((0.5 * math.log(10.0), 224, *SQUEEZED_QUARTER),
+             (0.3, 56, np.linspace(0.0, 1.2, 4), np.linspace(0.0, 1.1, 4)),
+             (R50, 643, np.linspace(0.0, 12.0, 25), np.arange(52) / 60.0))
+    for r, dim, re, im in cases:
+        _, edge = stepped_rows(r, dim, re, im)
+        checked = edge[[0, -1]].max()
         assert edge.max() > 1e-14 and edge.max() == checked
         monkeypatch.setattr(fock, "EDGE_TOL", 0.99 * checked)
-        with pytest.raises(fock.TruncationError, match=f"walked state on {len(psi)} levels"):
-            wigner._displaced_parity_walk(psi, spec.re_axis(), im)
+        with pytest.raises(fock.TruncationError, match=f"walked state on {dim} levels"):
+            wigner._displaced_parity_walk(r, dim, re, im)
         monkeypatch.setattr(fock, "EDGE_TOL", 1.01 * checked)
-        wigner._displaced_parity_walk(psi, spec.re_axis(), im)
+        wigner._displaced_parity_walk(r, dim, re, im)
 
 
-def recurrence_terms(monkeypatch, walk, psi, re, im):
-    """Chebyshev recurrence terms walk(psi, re, im) runs, over all slabs."""
+def recurrence_terms(monkeypatch, walk):
+    """Chebyshev recurrence terms walk() runs, over all slabs."""
     counted = []
     sums = fock._chebyshev_sums
 
@@ -241,7 +249,7 @@ def recurrence_terms(monkeypatch, walk, psi, re, im):
         return sums(seed, lift, shift, cs, terms, visit)
 
     monkeypatch.setattr(fock, "_chebyshev_sums", counting)
-    walk(psi, re, im)
+    walk()
     monkeypatch.undo()
     return sum(counted)
 
@@ -249,13 +257,14 @@ def recurrence_terms(monkeypatch, walk, psi, re, im):
 def test_halving_the_im_spacing_leaves_the_recurrence_length(monkeypatch):
     # The rows come from one recurrence whose length the farthest row sets:
     # 55 terms at either spacing. The stepped walk pays for every row, with
-    # fewer terms per shorter step: 168 terms, then 272. On Re = 0 the line
-    # needs no displacement, so only the Im rows are counted.
-    psi = fock.squeezed_vacuum(0.5 * math.log(4.0), 200)
+    # fewer terms per shorter step: 168 terms, then 272. On Re = 0 the
+    # stepped line needs no displacement, so only the Im rows are counted.
+    r = 0.5 * math.log(4.0)
+    psi = oracles.squeezed_vacuum(r, 200)
     re, coarse, fine = np.zeros(1), np.linspace(0.0, 0.8, 9), np.linspace(0.0, 0.8, 17)
-    moments = [recurrence_terms(monkeypatch, wigner._displaced_parity_walk, psi, re, im)
+    moments = [recurrence_terms(monkeypatch, lambda: wigner._displaced_parity_walk(r, 200, re, im))
                for im in (coarse, fine)]
-    stepped = [recurrence_terms(monkeypatch, oracles.stepped_parity_walk, psi, re, im)
+    stepped = [recurrence_terms(monkeypatch, lambda: oracles.stepped_parity_walk(psi, re, im))
                for im in (coarse, fine)]
     assert moments[0] == moments[1] < stepped[0]
     assert stepped[1] > 1.5 * stepped[0]
@@ -269,6 +278,7 @@ def test_numeric_mixture_of_coherent_states():
 
 
 SQUEEZED_SPEC = wigner.GridSpec(-7.2, 7.2, 97, -0.8, 0.8, 49)
+SQUEEZED_QUARTER = (np.linspace(0.0, 7.2, 49), np.linspace(0.0, 0.8, 25))
 
 
 def test_numeric_squeezed_marginal_variances():
@@ -283,18 +293,17 @@ def test_numeric_squeezed_marginal_variances():
 
 
 def test_numeric_walk_budget_refuses_short_truncations(monkeypatch):
-    # Walked on these grids, the e^{2r} = 10 squeezed vacuum on 224 levels
-    # holds 3.0e-5 of its mass in its top EDGE_LEVELS levels, and the
-    # squeezed coherent state on 72 levels 4.4e-9.
-    squeezed = fock.squeezed_vacuum(0.5 * math.log(10.0), 224)
-    cases = ((squeezed, SQUEEZED_SPEC),
-             (squeezed_coherent(72), wigner.GridSpec(-1.2, 0.8, 5, -0.9, 1.1, 5)))
-    for psi, spec in cases:
-        with pytest.raises(fock.TruncationError, match=f"walked state on {len(psi)} levels"):
-            wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
+    # Walked on these quarter grids, the e^{2r} = 10 squeezed vacuum on 224
+    # levels holds 3.0e-5 of its mass in its top EDGE_LEVELS levels, and
+    # the r = 0.3 one on 64 levels 2.3e-8.
+    cases = ((0.5 * math.log(10.0), 224, *SQUEEZED_QUARTER),
+             (0.3, 64, np.linspace(0.0, 1.2, 4), np.linspace(0.0, 1.1, 4)))
+    for r, dim, re, im in cases:
+        with pytest.raises(fock.TruncationError, match=f"walked state on {dim} levels"):
+            wigner._displaced_parity_walk(r, dim, re, im)
     monkeypatch.setattr(fock, "EDGE_TOL", 1e-4)  # above both masses: the budget refused them
-    for psi, spec in cases:
-        wigner._displaced_parity_walk(psi, spec.re_axis(), spec.im_axis())
+    for r, dim, re, im in cases:
+        wigner._displaced_parity_walk(r, dim, re, im)
 
 
 def generic_gap(spec):
@@ -309,32 +318,37 @@ def generic_gap(spec):
 
 def test_protocol_path_matches_generic():
     # Re -2..2 in steps of 1/4 is symmetric to the bit: the walk covers its
-    # 9 columns at Re >= 0 and mirrors them (gap 1.9e-15).
-    assert generic_gap(wigner.GridSpec(-2.0, 2.0, 17, -0.18, 1.98, 37)) < 1e-12
+    # 9 columns at Re >= 0 and mirrors them (gap 1.7e-15).
+    assert generic_gap(wigner.GridSpec(-2.0, 2.0, 17, -0.18, 1.98, 37)) < 1e-14
 
 
 def test_protocol_path_matches_generic_on_an_asymmetric_re_grid():
     # Re -0.95..2.25 has no mirror image: its 17 distinct |Re| are walked,
-    # out from 0.05 in steps of 0.1 and then 0.2 (gap 3.0e-15).
-    assert generic_gap(wigner.GridSpec(-0.95, 2.25, 17, -0.18, 1.98, 37)) < 1e-12
+    # each line state from the recurrence (gap 1.9e-15).
+    assert generic_gap(wigner.GridSpec(-0.95, 2.25, 17, -0.18, 1.98, 37)) < 1e-14
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-8])
 def test_mirror_defect_bounds_the_mirrored_values(eps):
-    # A seed |delta| = eps off a real even state: its Wigner values at alpha,
-    # -alpha and conj(alpha) differ by 1.6 eps, linear in that norm, inside
-    # (4/pi)(2 eps + eps^2). The mirrored walk takes fock.squeezed_vacuum,
-    # whose delta is exactly 0.
+    # A seed |delta| = eps off a real even state, stepped over the whole grid:
+    # its Wigner values at alpha, -alpha and conj(alpha) differ by 1.3 eps,
+    # linear in that norm, inside (4/pi)(2 eps + eps^2). The walk's line is
+    # real, so its parities are even in Im to the bit, and they meet the
+    # unperturbed seed's on the mirrored grid (gap 1.3e-15).
     dim = 96
     r = 0.5 * math.log(4.0)
-    psi = fock.squeezed_vacuum(r, dim)
+    psi = oracles.squeezed_vacuum(r, dim)
     psi = psi + eps * (0.6 * np.eye(dim)[1] + 0.8j * np.eye(dim)[2])
     psi /= np.linalg.norm(psi)
     axis = np.array([-0.7, -0.2, 0.2, 0.7])
-    w = (2.0 / math.pi) * wigner._displaced_parity_walk(psi, axis, axis)
+    w = (2.0 / math.pi) * oracles.stepped_parity_walk(psi, axis, axis)[0]
     gap = max(np.abs(w - w[::-1, ::-1]).max(), np.abs(w - w[::-1]).max(),
               np.abs(w - w[:, ::-1]).max())
     assert eps < gap <= (4.0 / math.pi) * (2.0 * eps + eps**2)
+    walk = wigner._displaced_parity_walk(r, dim, axis[2:], axis)
+    assert np.array_equal(walk, walk[::-1])
+    unperturbed, _ = oracles.stepped_parity_walk(oracles.squeezed_vacuum(r, dim), axis, axis)
+    assert np.abs(np.hstack([walk[:, ::-1], walk]) - unperturbed).max() <= 1e-14
 
 
 def standard_closed_form(p, grid):
@@ -350,26 +364,21 @@ def standard_closed_form(p, grid):
 def test_protocol_path_matches_closed_form_at_demo_point():
     # Re +-12 reaches 1.7 antisqueezed standard deviations; a field dimension
     # sized for a coherent state of that amplitude is off by 3.7e-3 there.
-    # Walked out from the centre the map is 1.7e-15 off; a walk that starts
-    # with one displacement of |alpha| ~ 12 to the grid corner is 1.8e-11 off.
+    # With each line state from the recurrence the map is 3.0e-16 off.
     p = params()
     grid = wigner.wigner_numeric_protocol(p, demo_im_spec(12.0, 49))
-    assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 1e-12
+    assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 5e-15
 
 
 def test_protocol_path_walk_budget(monkeypatch):
     # The walked states' top-level mass is measured: at a coherent-state
-    # dimension it is above 1e-5, far above fock.EDGE_TOL.
-    r = R50
-    dim = 643
-    psi = fock.squeezed_vacuum(r, dim)
-    re = np.linspace(-12.0, 12.0, 49)
-    dn = np.arange(-51, 52) / 60.0
+    # dimension it is 1.2e-4, far above fock.EDGE_TOL.
+    re, dn = np.linspace(0.0, 12.0, 25), np.arange(52) / 60.0
     with pytest.raises(fock.TruncationError, match="walked state on 643 levels"):
-        wigner._displaced_parity_walk(psi, re, dn)
+        wigner._displaced_parity_walk(R50, 643, re, dn)
     monkeypatch.setattr(fock, "EDGE_TOL", 1e-5)
     with pytest.raises(fock.TruncationError, match="walked state on 643 levels"):
-        wigner._displaced_parity_walk(psi, re, dn)
+        wigner._displaced_parity_walk(R50, 643, re, dn)
 
 
 def test_protocol_path_requires_center_lattice():
