@@ -21,20 +21,20 @@ makes the two paths directly comparable without rescaling the axis.
 check_grid states what each convention needs of the grid; both maps call
 it, and the CLI calls it for every point before any map is computed.
 
-The walk builds no displacement operator and takes no step: each state
-D(-x) S(r)|0> of its Re line comes from the displaced-squeezed recurrence
-fock.displaced_squeezed, on the walk's Fock levels, and fock.parity_series
-gives every Im row from Chebyshev parity moments of that line. The line is
-real, so its map is symmetric under alpha -> -alpha and alpha ->
-conj(alpha) to the bit: the walk covers the quarter Im >= 0, Re >= 0, at
-each distinct |Re| of the grid, and mirrors it. The line states are
-normalised amplitudes and each Chebyshev term is bounded by 1, so the
+The walk builds no displacement operator and takes no step: the Fock
+amplitudes of each state D(-alpha) S(r)|0> of its grid come from the
+recurrence of their annihilation equation, fock.displaced_squeezed_sums,
+on the walk's Fock levels, and are reduced to their parity as they are
+made. The cost is linear in the grid's points, Im rows as well as Re
+columns. The map of the squeezed vacuum is symmetric under alpha -> -alpha
+and alpha -> conj(alpha), and so is the recurrence, to the bit: the walk
+covers the quarter Im >= 0, Re >= 0, at each distinct |Re| of the grid,
+and mirrors it. The recurrence is rescaled by powers of two, so the
 evaluation cannot overflow even for strongly squeezed states where a
-normally ordered expansion of D(alpha) would exceed double range. The
-line and the walk's farthest row are held to fock's edge budget. Nothing
-here warns: whether neighbouring peaks overlap is
-protocol.is_distinguishable, and a histogram's leakage estimates the mass
-the overlap moves.
+normally ordered expansion of D(alpha) would exceed double range. Every
+walked state is held to fock's edge budget. Nothing here warns: whether
+neighbouring peaks overlap is protocol.is_distinguishable, and a
+histogram's leakage estimates the mass the overlap moves.
 """
 
 from __future__ import annotations
@@ -173,23 +173,15 @@ def wigner_paper(params: protocol.ProtocolParams, spec: GridSpec) -> WignerGrid:
 
 def _displaced_parity_walk(r: float, dim: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Parities of D(-alpha) S(r)|0> on the levels [0, dim) at alpha = x + iy,
-    x of re and y of im, rows along im.
-
-    The line of states phi = D(-x) S(r)|0>, one per x, comes from
-    fock.displaced_squeezed, real. As P X P = -X also for the truncated X,
-    e^{iyX} P e^{-iyX} = P e^{-2iyX}: the parity at x + iy is
-    <phi|P e^{-2iyX}|phi>, summed by fock.parity_series for every row from
-    one recurrence on the line, and even in y. The line and the states
-    e^{-iyX} phi of the farthest row, which carry the largest top-level mass
-    (the number mean is convex in y), are held to the edge budget
-    fock.check_edge_mass.
+    x of re and y of im, rows along im: each state's Fock amplitudes from
+    fock.displaced_squeezed_sums, reduced to its parity and norm on those
+    levels. Every state is held to the edge budget fock.check_edge_mass.
     """
-    line = fock.displaced_squeezed(-np.asarray(re), r, dim)
-    far = float(np.abs(im).max())
-    out, ends = fock.parity_series(line, -2.0 * np.asarray(im), [-far] if far else [])
-    for prob in (line**2, *(end.real**2 + end.imag**2 for end in ends)):
-        fock.check_edge_mass(prob, f"a walked state on {dim} levels")
-    return out
+    alphas = -(np.asarray(re)[None, :] + 1j * np.asarray(im)[:, None])
+    parity, norm, edge = fock.displaced_squeezed_sums(alphas.ravel(), r, dim)
+    # each state's top-level mass, as a block of one level
+    fock.check_edge_mass((edge / norm)[None], f"a walked state on {dim} levels")
+    return (parity / norm).reshape(alphas.shape)
 
 
 def wigner_numeric_protocol(

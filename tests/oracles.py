@@ -6,20 +6,23 @@ through its sqrt(n) bands. Here the ladder and number matrices are dense,
 the exponentials of ladder operators are scipy's dense expm of the
 truncated generator, and squeezed_vacuum is the closed form of S(r)|0>,
 the seed of the stepped routes below. ladder_exp is the displacement
-action on any complex vector or block, run through the library's real
-Chebyshev kernel fock._x_series, and checked against that expm.
-displacement_chain steps a squeezed vacuum by ladder_exp, one D(iA) at a
-time: the independent route to the pulse output's blocks.
+action on any complex vector or block, its own complex Chebyshev series
+on Bessel coefficients from scipy's jv, checked against that expm; no
+library kernel runs in it. displacement_chain steps a squeezed vacuum by
+ladder_exp, one D(iA) at a time: the independent route to the pulse
+output's blocks.
 The protocol's blocked pulse output is densified here, with its mass
 policed, and reduced with partial_trace; phonon_marginal reads its
 phonon law from the block norms, and conditioned_dense turns a windowed
 conditioned field state into its density matrix. The library's Wigner map
 walks one squeezed-vacuum patch; wigner_dense evaluates the
 displaced-parity trace of any density matrix with dense displacements
-instead, and stepped_parity_walk is the walk the library's recurrence line
-and parity moments replaced: it steps a seed out along Re and then the
-whole Re line along Im, one grid spacing at a time, by ladder_exp, with the
-measured edge mass of every row. The three-level Hamiltonian is
+instead, and stepped_parity_walk is the walk the library's recurrence
+replaced: it steps a seed out along Re and then the whole Re line along
+Im, one grid spacing at a time, by ladder_exp, with the measured edge mass
+of every row. edge_masses measures the top-level mass of every state the
+library's walk builds, from the seed on a wider window displaced by dense
+expm and cut to the walk's levels. The three-level Hamiltonian is
 built here as the dense qutrit (x) field matrix from Kronecker products,
 which the library's parity chains are checked against; the trajectory,
 which the library samples from one
@@ -34,6 +37,7 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import jv
 
 from qndsim import fock, threelevel
 
@@ -119,18 +123,42 @@ def ladder_exp(psi, z, k0=0):
     """D(z) psi = exp(z a' - z* a) psi. psi is a vector or a block of column
     vectors on the Fock levels [k0, k0 + len(psi)), to which the generator
     is truncated. The generator is R i|z| X R' with X = a' + a and the
-    diagonal phase R = exp(i (arg z - pi/2) n): exp(i|z| X) is
-    fock._x_series, run on the real and imaginary parts of R' psi as real
-    columns of one block."""
+    diagonal phase R = exp(i (arg z - pi/2) n), and exp(i|z| X) R' psi is
+    the Chebyshev series of exp(i tau x) in x = X / (2 L), L the top ladder
+    entry, so ||x|| <= 1 (Gershgorin), and tau = 2 |z| L (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)): c_0 = J_0(tau) and c_m =
+    2 i^m J_m(tau), kept up to the last m whose tail sum of |c_m| is above
+    double precision (at least two terms). The J_m are scipy's jv,
+    normalised by J_0 + 2 sum_k J_2k = 1: at tau ~ 40 and above, jv's
+    values share a scale error of a few 1e-15, which a chain of
+    displacements would add up."""
     psi = np.asarray(psi, dtype=complex)
     n = len(psi)
     if z == 0 or n < 2:
         return psi.copy()
+    top = math.sqrt(k0 + n - 1)
+    tau = 2.0 * abs(z) * top
+    bessel = jv(np.arange(int(tau + 16.0 * tau ** (1.0 / 3.0) + 40.0) + 1), tau)
+    bessel /= bessel[0] + 2.0 * bessel[2::2].sum()  # J_0 + 2 sum_k J_2k = 1
+    tail = np.cumsum(np.abs(bessel[::-1]))[::-1]
+    m = np.arange(max(2, int(np.count_nonzero(2.0 * tail > np.finfo(float).eps))))
+    coef = np.where(m, 2.0, 1.0) * np.array([1, 1j, -1, -1j])[m % 4] * bessel[m]
+    lift = np.sqrt(np.arange(k0 + 1, k0 + n, dtype=float))[:, None] / (2.0 * top)
+
+    def x(v):
+        out = np.zeros_like(v)
+        out[1:] += lift * v[:-1]
+        out[:-1] += lift * v[1:]
+        return out
+
     phase = np.exp(1j * (np.angle(z) - 0.5 * np.pi) * np.arange(k0, k0 + n, dtype=float))[:, None]
-    seed = np.conj(phase) * psi.reshape(n, -1)
-    (out,), _ = fock._x_series(np.hstack([seed.real, seed.imag]), [abs(z)], k0=k0)
-    w = seed.shape[1]
-    return (phase * (out[:, :w] + 1j * out[:, w:])).reshape(psi.shape)
+    prev = np.conj(phase) * psi.reshape(n, -1)
+    cur = x(prev)
+    out = coef[0] * prev + coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, 2.0 * x(cur) - prev
+        out += c * cur
+    return (phase * out).reshape(psi.shape)
 
 
 def stepped_parity_walk(psi, re, im):
@@ -154,6 +182,28 @@ def stepped_parity_walk(psi, re, im):
             prob = block.real**2 + block.imag**2
             out[i], edge[i] = parity @ prob, prob[-fock.EDGE_LEVELS:].sum(axis=0).max()
     return out, edge
+
+
+def edge_masses(r, dim, re, im, margin=200):
+    """Mass in the top fock.EDGE_LEVELS levels of each D(-x - iy) S(r)|0>,
+    x of re and y of im, both evenly spaced, cut to the levels [0, dim) and
+    renormalised there, as [i, j] at y = im[i], x = re[j]: the closed-form
+    squeezed_vacuum on dim + margin levels, stepped along Re and then Im by
+    the dense expm of each axis's spacing. D(-x - iy) is D(-iy) D(-x) up to
+    a phase, which no mass sees."""
+    big = dim + margin
+    line = [displacement(-re[0], big) @ squeezed_vacuum(r, big)]
+    step = displacement(-(re[1] - re[0]), big)
+    for _ in re[1:]:
+        line.append(step @ line[-1])
+    block = displacement(-1j * im[0], big) @ np.stack(line, axis=1)
+    step = displacement(-1j * (im[1] - im[0]), big)
+    out = []
+    for _ in im:
+        prob = np.abs(block[:dim]) ** 2
+        out.append(prob[-fock.EDGE_LEVELS:].sum(axis=0) / prob.sum(axis=0))
+        block = step @ block
+    return np.array(out)
 
 
 def displacement_chain(A, r, n_top, margin=200):

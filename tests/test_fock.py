@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
-from scipy.special import jv
 
 import oracles
 from qndsim import fock
@@ -200,23 +199,22 @@ def test_displaced_squeezed_warmup_sheds_the_other_solution():
 
 
 def mp_displaced_squeezed(alpha, r, lo, hi):
-    """<m|D(alpha) S(r)|0> for m in [lo, hi), alpha on the Im or the Re axis:
-    the recurrence of fock.displaced_squeezed from its true start, in
-    50-digit arithmetic and without rescaling. At alpha = i beta that is
-    d_0 = exp(-beta^2 (1 + tanh r) / 2) / sqrt(cosh r), times i^m; at a real
-    alpha, c_0 = exp(-alpha^2 (1 - tanh r) / 2) / sqrt(cosh r), no gauge."""
-    on_re = alpha.imag == 0.0
+    """<m|D(alpha) S(r)|0> for m in [lo, hi): the recurrence of
+    fock._ladder_chunks, c_m = g / sqrt(m) c_{m-1} + tanh r sqrt((m-1)/m)
+    c_{m-2} with g = alpha - alpha* tanh r, from its true start c_0 =
+    exp(-|alpha|^2 / 2 + alpha*^2 tanh r / 2) / sqrt(cosh r), in 50-digit
+    arithmetic and without rescaling."""
     with mpmath.workdps(50):
-        r, x = mpmath.mpf(r), mpmath.mpf(alpha.real if on_re else alpha.imag)
+        r, a = mpmath.mpf(r), mpmath.mpc(alpha.real, alpha.imag)
         t = mpmath.tanh(r)
-        g, s = (x * (1 - t), t) if on_re else (x * (1 + t), -t)
-        prev, cur = mpmath.mpf(0), mpmath.exp(-x * g / 2) / mpmath.sqrt(mpmath.cosh(r))
+        g = a - mpmath.conj(a) * t
+        prev = mpmath.mpc(0)
+        cur = mpmath.exp(-abs(a) ** 2 / 2 + mpmath.conj(a) ** 2 * t / 2) / mpmath.sqrt(mpmath.cosh(r))
         amps = []
         for m in range(1, hi + 1):
-            amps.append(float(cur))
-            prev, cur = cur, (g * cur + s * mpmath.sqrt(m - 1) * prev) / mpmath.sqrt(m)
-    amps = np.array(amps[lo:])
-    return amps if on_re else amps * np.array([1, 1j, -1, -1j])[np.arange(lo, hi) % 4]
+            amps.append(complex(cur))
+            prev, cur = cur, (g * cur + t * mpmath.sqrt(m - 1) * prev) / mpmath.sqrt(m)
+    return np.array(amps[lo:])
 
 
 @pytest.mark.parametrize("beta, e2r", [(40.0, 1000.0), (160.0, 50.0), (12.0, 50.0),
@@ -230,21 +228,43 @@ def test_displaced_squeezed_against_a_50_digit_run(beta, e2r):
     assert np.abs(vec - mp_displaced_squeezed(1j * beta, r, off, off + len(vec))).max() <= 2e-14
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
-@given(x=st.floats(0.0, 40.0), e2r=st.floats(1.01, 1000.0))
-@example(x=12.0, e2r=50.0)
-@example(x=40.0, e2r=1.01)
-def test_displaced_squeezed_on_the_re_axis_against_a_50_digit_run(x, e2r):
-    """The real-axis branch, run forward from level 0 with its power-of-two
-    rescaling also where the window starts far above 0, against the same
-    recurrence from its true start at 50 digits, on [0, top of the window);
-    D(-x) S(r)|0> is D(x) S(r)|0> with its odd levels negated, to the bit."""
+def recurrence_amplitudes(alpha, r, dim):
+    """The amplitudes of D(alpha) S(r)|0> on the levels [0, dim) as
+    fock.displaced_squeezed_sums makes them: fock._ladder_chunks from level
+    0, each chunk times its power of two, normalised on those levels."""
+    t = math.tanh(r)
+    chunks = [(block[:, 0].copy(), scale[0]) for block, scale in
+              fock._ladder_chunks(np.array([alpha - t * np.conj(alpha)]), t, 0, dim)]
+    e = np.repeat([scale for _, scale in chunks], fock.CHUNK)[:dim]
+    amps = np.concatenate([block for block, _ in chunks])[:dim] * np.exp2(e - e.max())
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("alpha, e2r", [
+    pytest.param(-12.0 - 0.85j, 50.0, id="benchmark-corner"),
+    pytest.param(-36.0 - 0.85j, 50.0, id="readme-corner"),
+    pytest.param(-3.0 - 0.4j, 1000.0, id="e2r-1000"),
+    pytest.param(-7.2 + 0j, 10.0, id="real"),
+    pytest.param(-2.5j, 2.0, id="imaginary"),
+])
+def test_complex_recurrence_against_a_50_digit_run(alpha, e2r):
+    """The Wigner walk's float64 recurrence at a complex alpha, forward from
+    level 0 with its power-of-two rescaling, against the same recurrence
+    from its true start at 50 digits on the levels [0, dim), dim the top of
+    the state's fock.window, both normalised there: the amplitudes, up to
+    the global phase of the true start, and the parity and top-edge sums of
+    fock.displaced_squeezed_sums."""
     r = 0.5 * math.log(e2r)
-    _, hi = fock.window(complex(x), r, "the window")
-    block = fock.displaced_squeezed([x, -x], r, hi)
-    assert block.dtype == np.float64 and block.shape == (hi, 2)
-    assert np.abs(block[:, 0] - mp_displaced_squeezed(complex(x), r, 0, hi)).max() <= 2e-14
-    assert np.array_equal(block[:, 1], block[:, 0] * (-1.0) ** np.arange(hi))
+    _, dim = fock.window(complex(abs(alpha.real), abs(alpha.imag)), r, "the window")
+    exact = mp_displaced_squeezed(alpha, r, 0, dim)
+    exact /= np.linalg.norm(exact)
+    amps = recurrence_amplitudes(alpha, r, dim) * exact[0] / abs(exact[0])
+    assert np.abs(amps - exact).max() <= 1e-14
+    prob = np.abs(exact) ** 2
+    parity, norm, edge = fock.displaced_squeezed_sums([alpha], r, dim)[:, 0]
+    assert abs(parity / norm - prob[0::2].sum() + prob[1::2].sum()) <= 2e-15
+    want = prob[-fock.EDGE_LEVELS:].sum()
+    assert abs(edge / norm - want) <= 1e-11 * want
 
 
 def test_displacement_group_inverse():
@@ -256,9 +276,13 @@ def test_displacement_group_inverse():
 
 
 def squeezed_seed(r, dim):
-    """S(r)|0> on the levels [0, dim) as the library builds it: the real-axis
-    recurrence of fock.displaced_squeezed at zero displacement."""
-    return fock.displaced_squeezed([0.0], r, dim)[:, 0]
+    """S(r)|0> on the levels [0, dim) as the library builds it: the pulse
+    blocks' recurrence at zero displacement, on its fock.window, cut or
+    padded to dim levels and normalised there."""
+    (_,), (vec,) = fock.displaced_squeezed([0.0], r)
+    psi = np.zeros(dim, dtype=complex)
+    psi[:min(dim, len(vec))] = vec[:dim]
+    return psi / np.linalg.norm(psi)
 
 
 def test_squeeze_identity_at_zero():
@@ -295,15 +319,14 @@ def test_squeezed_vacuum_equals_the_dense_expm(e2r):
     """On the window of S(r)|0>, the recurrence at zero displacement and the
     closed form oracles.squeezed_vacuum are the dense expm of the a'^2
     generator truncated to twice as many levels, whose truncation bends
-    only levels far above the window. Both have zero odd levels to the
-    bit, and the recurrence's line is real."""
+    only levels far above the window. Both have zero odd levels and a zero
+    imaginary part to the bit."""
     r = 0.5 * math.log(e2r)
     _, dim = fock.window(0j, r, "the window of the seed")
     dense = oracles.squeeze(r, 2 * dim)[:dim, 0]
     for psi in (squeezed_seed(r, dim), oracles.squeezed_vacuum(r, dim)):
         assert np.abs(psi - dense).max() <= 1e-13
-        assert np.all(psi[1::2] == 0.0)
-    assert squeezed_seed(r, dim).dtype == np.float64
+        assert np.all(psi[1::2] == 0.0) and np.all(psi.imag == 0.0)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -350,69 +373,6 @@ def test_ladder_exp_property_against_dense_expm(re, im, k0, shape, seed):
     assert got.shape == psi.shape
     assert np.abs(got - want).max() <= 1e-12 * scale.max()
     assert np.abs(np.linalg.norm(got, axis=0) - scale).max() <= 1e-12 * scale.max()
-
-
-@pytest.mark.filterwarnings("error")
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(log_tau=st.floats(math.log(1e-300), math.log(4000.0)))
-def test_chebyshev_coefficients_are_normalised_bessel_values(log_tau):
-    """Miller's recurrence against scipy's jv, whose own error at tau ~ 4000
-    is about 5e-14, and against the identity J_0^2 + 2 sum_m J_m^2 = 1."""
-    tau = math.exp(log_tau)
-    coef = fock.chebyshev_coefficients(tau)
-    m = np.arange(len(coef))
-    bessel = (np.array([1, -1j, -1, 1j])[m % 4] * coef).real / np.where(m, 2.0, 1.0)
-    assert np.all(np.isfinite(coef))
-    assert np.abs(bessel - jv(m, tau)).max() <= 1e-13
-    assert abs(bessel[0] ** 2 + 2.0 * np.sum(bessel[1:] ** 2) - 1.0) <= 1e-13
-
-
-def parity_oracle(phi, t, s):
-    """(<phi|P e^{itX}|phi>, e^{isX} phi) from scipy's dense expm of X
-    truncated to the levels of phi."""
-    x = oracles.quadrature_x(len(phi))
-    parity = 1.0 - 2.0 * (np.arange(len(phi)) % 2)
-    return np.vdot(phi, parity * (expm(1j * t * x) @ phi)), expm(1j * s * x) @ phi
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(dim=st.integers(2, 60), cols=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       ts=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3), s=st.floats(-3.0, 3.0))
-def test_parity_series_on_real_blocks_against_dense_expm(dim, cols, seed, ts, s):
-    """Any real block and times: each parity moment and each end state
-    against the dense expm of the same truncated X; the moments are real."""
-    block = np.random.default_rng(seed).normal(size=(dim, cols))
-    rows, (end,) = fock.parity_series(block, ts, [s])
-    assert rows.dtype == np.float64 and rows.shape == (len(ts), cols)
-    for j, phi in enumerate(block.T):
-        scale = np.dot(phi, phi)
-        for i, t in enumerate(ts):
-            want, state = parity_oracle(phi, t, s)
-            assert abs(rows[i, j] - want) <= 1e-12 * scale
-        assert np.abs(end[:, j] - state).max() <= 1e-12 * math.sqrt(scale)
-
-
-def test_parity_series_block_equals_its_columns_bit_for_bit(monkeypatch):
-    """A block's columns go through the recurrence in slabs of at most
-    fock.SLAB entries; no slab size changes a bit of any column's parity
-    moments or end states."""
-    rng = np.random.default_rng(11)
-    cases = (((1831, 49), [-0.5, 0.2], [1.0 / 60.0]), ((700, 40), [0.03, 1.1], [-0.6, 0.4]))
-    for slab in (fock.SLAB, 5 * 1831):
-        monkeypatch.setattr(fock, "SLAB", slab)
-        for (dim, cols), ts, states in cases:
-            block = rng.normal(size=(dim, cols))
-            rows, ends = fock.parity_series(block, ts, states)
-            for j in range(cols):
-                col_rows, col_ends = fock.parity_series(block[:, j:j + 1], ts, states)
-                assert np.array_equal(rows[:, j], col_rows[:, 0])
-                for end, col_end in zip(ends, col_ends):
-                    assert np.array_equal(end[:, j], col_end[:, 0])
-
-
-def test_parity_series_refuses_a_complex_block():
-    with pytest.raises(TypeError, match="must be real"):
-        fock.parity_series(np.eye(8, dtype=complex)[:, :2], [0.3])
 
 
 def test_thermal_vacuum():

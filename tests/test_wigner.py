@@ -130,15 +130,6 @@ def test_numeric_vacuum_gaussian():
     assert wigner.marginal_P(grid).raw_integral == pytest.approx(1.0, abs=2e-3)
 
 
-def stepped_rows(r, dim, re, im):
-    """oracles.stepped_parity_walk of each state of the walk's line
-    D(-x) S(r)|0>, x of re, on Re = 0: the line stepped along Im one grid
-    spacing at a time, as (parities, each row's largest edge mass)."""
-    line = fock.displaced_squeezed(-re, r, dim)
-    walks = [oracles.stepped_parity_walk(phi, np.zeros(1), im) for phi in line.T]
-    return np.hstack([w for w, _ in walks]), np.max([edge for _, edge in walks], axis=0)
-
-
 def squeezed_parity(r, re, im):
     """The parity of D(-x - iy) S(r)|0>: exp(-2 x^2 e^{-2r} - 2 y^2 e^{2r})."""
     return np.exp(-2.0 * re[None, :] ** 2 * math.exp(-2.0 * r)
@@ -147,9 +138,9 @@ def squeezed_parity(r, re, im):
 
 def test_numeric_matches_expm_displaced_parity():
     # One-shot exp(alpha a^dag - conj(alpha) a) per point on the dense
-    # squeezed vacuum against the walk (gap 1.6e-15). At d = 80 the line
-    # holds 9.9e-16 of its mass in its top EDGE_LEVELS levels, inside
-    # fock.EDGE_TOL, so the walk's budget passes.
+    # squeezed vacuum against the walk (gap 1.6e-15). At d = 80 no walked
+    # state holds more than 4.4e-15 of its mass in its top EDGE_LEVELS
+    # levels, inside fock.EDGE_TOL, so the walk's budget passes.
     dim, r = 80, 0.3
     re, im = np.linspace(0.0, 1.2, 5), np.linspace(0.0, 1.1, 5)
     walk = wigner._displaced_parity_walk(r, dim, re, im)
@@ -181,8 +172,8 @@ def walk_dim(r, re, im):
 @given(e2r=E2R, re=QUARTER_AXIS, im=QUARTER_AXIS)
 def test_walk_from_the_centre_matches_expm_per_point(e2r, re, im):
     # Squeezed vacua over a drawn r, on quarter grids that hold 0 or lie
-    # above it: dense expm displacements against the walk, whose line
-    # states each come from the recurrence, with no stepping out from 0.
+    # above it: dense expm displacements against the walk, whose states
+    # each come from the recurrence, with no stepping out from 0.
     # D(-x - iy) is D(-iy) D(-x) up to a phase, which the parity drops.
     r = 0.5 * math.log(e2r)
     dim = walk_dim(r, re, im)
@@ -198,9 +189,9 @@ def test_walk_from_the_centre_matches_expm_per_point(e2r, re, im):
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(e2r=E2R, re=QUARTER_AXIS, im=QUARTER_AXIS)
 def test_parity_moments_match_the_stepped_walk(e2r, re, im):
-    # Squeezed vacua over a drawn r, on quarter grids: the rows from the
-    # parity moments of the recurrence's Re line against the seed stepped
-    # out along Re and the line stepped along Im.
+    # Squeezed vacua over a drawn r, on quarter grids: the parities of the
+    # recurrence's states against the seed stepped out along Re and the
+    # line stepped along Im.
     r = 0.5 * math.log(e2r)
     dim = walk_dim(r, re, im)
     stepped, _ = oracles.stepped_parity_walk(oracles.squeezed_vacuum(r, dim), re, im)
@@ -209,65 +200,46 @@ def test_parity_moments_match_the_stepped_walk(e2r, re, im):
 
 def test_parity_moments_match_the_stepped_walk_on_the_benchmark_quarter():
     # The levels, distinct |Re| and Im rows that wigner_numeric_protocol walks
-    # at the demo point on the Re +-12, 49-column grid: 122 recurrence terms
-    # on the line against 51 steps along Im of each of its states (gap
-    # 2.6e-15). The map itself is 8.6e-16 from the closed form; the seed
-    # stepped out along Re by 24 displacements is 6.1e-15 from it.
+    # at the demo point on the Re +-12, 49-column grid: the recurrence's
+    # 1300 states against the seed stepped out along Re by 24 displacements
+    # and the line along Im by 51 (gap 3.6e-15). The walk itself is 1.3e-15
+    # from the closed form.
     re, dn = np.unique(np.abs(np.linspace(-12.0, 12.0, 49))), np.arange(52) / 60.0
     walk = wigner._displaced_parity_walk(R50, 1934, re, dn)
-    stepped, _ = stepped_rows(R50, 1934, re, dn)
+    stepped, _ = oracles.stepped_parity_walk(oracles.squeezed_vacuum(R50, 1934), re, dn)
     assert np.abs(walk - stepped).max() <= 5e-15
     assert np.abs(walk - squeezed_parity(R50, re, dn)).max() <= 2e-15
 
 
 def test_walk_budget_sees_the_largest_edge_mass_of_any_row(monkeypatch):
-    # The walk checks its line and its farthest row only. Wherever a row of
-    # the line stepped along Im holds more than rounding at its edge (here
-    # 3.0e-5, 3.1e-5 and 1.2e-4), the largest such mass is at one of those
-    # rows, and the walk refuses just below it.
+    # The walk holds every state of its quarter grid to the budget: it
+    # refuses just below the largest top-level mass of any of them, as the
+    # dense oracle measures it (here 2.95e-5, 3.13e-5 and 1.14e-4), and
+    # passes just above it.
     cases = ((0.5 * math.log(10.0), 224, *SQUEEZED_QUARTER),
              (0.3, 56, np.linspace(0.0, 1.2, 4), np.linspace(0.0, 1.1, 4)),
              (R50, 643, np.linspace(0.0, 12.0, 25), np.arange(52) / 60.0))
     for r, dim, re, im in cases:
-        _, edge = stepped_rows(r, dim, re, im)
-        checked = edge[[0, -1]].max()
-        assert edge.max() > 1e-14 and edge.max() == checked
-        monkeypatch.setattr(fock, "EDGE_TOL", 0.99 * checked)
+        largest = oracles.edge_masses(r, dim, re, im).max()
+        assert largest > 1e-14
+        monkeypatch.setattr(fock, "EDGE_TOL", 0.99 * largest)
         with pytest.raises(fock.TruncationError, match=f"walked state on {dim} levels"):
             wigner._displaced_parity_walk(r, dim, re, im)
-        monkeypatch.setattr(fock, "EDGE_TOL", 1.01 * checked)
+        monkeypatch.setattr(fock, "EDGE_TOL", 1.01 * largest)
         wigner._displaced_parity_walk(r, dim, re, im)
 
 
-def recurrence_terms(monkeypatch, walk):
-    """Chebyshev recurrence terms walk() runs, over all slabs."""
-    counted = []
-    sums = fock._chebyshev_sums
-
-    def counting(seed, lift, shift, cs, terms, visit):
-        counted.append(terms)
-        return sums(seed, lift, shift, cs, terms, visit)
-
-    monkeypatch.setattr(fock, "_chebyshev_sums", counting)
-    walk()
-    monkeypatch.undo()
-    return sum(counted)
-
-
-def test_halving_the_im_spacing_leaves_the_recurrence_length(monkeypatch):
-    # The rows come from one recurrence whose length the farthest row sets:
-    # 55 terms at either spacing. The stepped walk pays for every row, with
-    # fewer terms per shorter step: 168 terms, then 272. On Re = 0 the
-    # stepped line needs no displacement, so only the Im rows are counted.
-    r = 0.5 * math.log(4.0)
-    psi = oracles.squeezed_vacuum(r, 200)
-    re, coarse, fine = np.zeros(1), np.linspace(0.0, 0.8, 9), np.linspace(0.0, 0.8, 17)
-    moments = [recurrence_terms(monkeypatch, lambda: wigner._displaced_parity_walk(r, 200, re, im))
-               for im in (coarse, fine)]
-    stepped = [recurrence_terms(monkeypatch, lambda: oracles.stepped_parity_walk(psi, re, im))
-               for im in (coarse, fine)]
-    assert moments[0] == moments[1] < stepped[0]
-    assert stepped[1] > 1.5 * stepped[0]
+def test_walk_peak_memory_on_the_benchmark_quarter():
+    # The states run in slabs of at most fock.SLAB alphas, each reduced a
+    # chunk of levels at a time: 3.1 MB on the 1300 states of 1934 levels.
+    re, dn = np.unique(np.abs(np.linspace(-12.0, 12.0, 49))), np.arange(52) / 60.0
+    tracemalloc.start()
+    try:
+        wigner._displaced_parity_walk(R50, 1934, re, dn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_numeric_mixture_of_coherent_states():
@@ -324,7 +296,7 @@ def test_protocol_path_matches_generic():
 
 def test_protocol_path_matches_generic_on_an_asymmetric_re_grid():
     # Re -0.95..2.25 has no mirror image: its 17 distinct |Re| are walked,
-    # each line state from the recurrence (gap 1.9e-15).
+    # each state from the recurrence (gap 1.8e-15).
     assert generic_gap(wigner.GridSpec(-0.95, 2.25, 17, -0.18, 1.98, 37)) < 1e-14
 
 
@@ -332,9 +304,10 @@ def test_protocol_path_matches_generic_on_an_asymmetric_re_grid():
 def test_mirror_defect_bounds_the_mirrored_values(eps):
     # A seed |delta| = eps off a real even state, stepped over the whole grid:
     # its Wigner values at alpha, -alpha and conj(alpha) differ by 1.3 eps,
-    # linear in that norm, inside (4/pi)(2 eps + eps^2). The walk's line is
-    # real, so its parities are even in Im to the bit, and they meet the
-    # unperturbed seed's on the mirrored grid (gap 1.3e-15).
+    # linear in that norm, inside (4/pi)(2 eps + eps^2). The recurrence at
+    # conj(alpha) gives the conjugate amplitudes, so the walk's parities are
+    # even in Im to the bit, and they meet the unperturbed seed's on the
+    # mirrored grid (gap 2.1e-15).
     dim = 96
     r = 0.5 * math.log(4.0)
     psi = oracles.squeezed_vacuum(r, dim)
@@ -364,7 +337,7 @@ def standard_closed_form(p, grid):
 def test_protocol_path_matches_closed_form_at_demo_point():
     # Re +-12 reaches 1.7 antisqueezed standard deviations; a field dimension
     # sized for a coherent state of that amplitude is off by 3.7e-3 there.
-    # With each line state from the recurrence the map is 3.0e-16 off.
+    # With each state from the recurrence the map is 4.2e-16 off.
     p = params()
     grid = wigner.wigner_numeric_protocol(p, demo_im_spec(12.0, 49))
     assert np.max(np.abs(grid.values - standard_closed_form(p, grid))) < 5e-15
