@@ -523,12 +523,12 @@ def _apply_sets(raw, assignments):
             value = json.loads(text)
         except ValueError:
             value = text
-        node = raw
+        node, path = raw, "config"
         parts = key.split(".")
         for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                node[part] = {}
-            node = node[part]
+            node, path = node.setdefault(part, {}), f"{path}.{part}"
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {item}: {path} is not an object")
         node[parts[-1]] = value
     return raw
 

@@ -34,9 +34,9 @@ with kappa = g1 g2 G3 beta / Delta^2 and x = G3 beta / Delta:
   reproduces the a^dag^2 coefficient kappa_d up to O((g/Delta)^2).
 
 H keeps the parity of n + [atom in {g, e}], and each parity sector is one
-tridiagonal chain (_parity_chain). H is time-independent and Hermitian, so
-evolve_full samples the whole trajectory from one eigendecomposition per
-chain the initial state touches, checked by its eigen-residual and
+tridiagonal chain. H is time-independent and Hermitian, so evolve_full
+samples the whole trajectory from |i, 0> by one eigendecomposition of the
+chain that holds it (_parity_chain), checked by its eigen-residual and
 unitarity defect, and the field moments come from the banded stencil
 fock.quadrature_action applied to all samples at once.
 
@@ -165,17 +165,21 @@ class SqueezeValidationReport:
     leakage_ok: bool
     times: np.ndarray
     varY_full: np.ndarray
-    varY_effective: np.ndarray
+
+    @property
+    def varY_effective(self) -> np.ndarray:
+        """The effective model's exp(-2 gamma_eff_predicted t) at the samples."""
+        return np.exp(-2.0 * self.gamma_eff_predicted * self.times)
 
 
-def _parity_chain(q: ThreeLevelParams, parity: int):
+def _parity_chain(q: ThreeLevelParams):
     """Indices into the (3, d_a) state layout, diagonal and off-diagonal
-    (entry j couples states j and j + 1) of one parity sector of H: the
-    chain of triples |i, n>, |e, n + 1>, |g, n + 1> with links g2 sqrt(n + 1),
-    -i beta G3 and g1 sqrt(n + 2), for n = 0, 2, ... at parity 0 and for
-    n = -1, 1, ... (so from |e, 0>) at parity 1."""
-    j = np.arange(parity, 3 * q.d_a + parity)
-    n = 2 * (j // 3) + (j % 3 > 0) - parity
+    (entry j couples states j and j + 1) of the parity sector of H that
+    holds |i, 0>: the chain of triples |i, n>, |e, n + 1>, |g, n + 1> with
+    links g2 sqrt(n + 1), -i beta G3 and g1 sqrt(n + 2), for n = 0, 2, ...
+    H couples no state of the chain to a state outside it."""
+    j = np.arange(3 * q.d_a)
+    n = 2 * (j // 3) + (j % 3 > 0)
     pos, n = j[n < q.d_a] % 3, n[n < q.d_a]  # the atom is in i, e, g at pos 0, 1, 2
     level = np.array([LEVELS["i"], LEVELS["e"], LEVELS["g"]])[pos]
     shift = np.array([0.0, -1.0, 1.0])[pos]  # sigma_gg - sigma_ee
@@ -191,51 +195,37 @@ def initial_vacuum_i(q: ThreeLevelParams) -> np.ndarray:
     return psi
 
 
-def evolve_full(
-    q: ThreeLevelParams,
-    t_final: float,
-    steps: int,
-    initial: np.ndarray | None = None,
-) -> Trajectory:
-    """Unitary evolution sampled at steps + 1 equally spaced times.
+def evolve_full(q: ThreeLevelParams, t_final: float, steps: int) -> Trajectory:
+    """Unitary evolution from |i, 0> sampled at steps + 1 equally spaced times.
 
-    H is time-independent and Hermitian, so on each parity chain the
-    initial state touches, one eigendecomposition H V = V E gives every
-    sample as psi(t) = V exp(-i E t) V' psi(0), with no error accumulated
-    over steps (the eigenvector method, well conditioned for normal
-    matrices; Moler & Van Loan, SIAM Rev. 45, 3 (2003)). Each decomposition
-    is checked first: the eigen-residual over the run, t_final max|HV - VE|,
-    plus the unitarity defect max|V'V - I| must stay below PROPAGATOR_TOL,
-    or ValueError naming t_final is raised.
+    H is time-independent and Hermitian, and |i, 0> is the first state of
+    one parity chain, so one eigendecomposition H V = V E of that chain
+    gives every sample as psi(t) = V exp(-i E t) V' psi(0), with no error
+    accumulated over steps (the eigenvector method, well conditioned for
+    normal matrices; Moler & Van Loan, SIAM Rev. 45, 3 (2003)). The
+    decomposition is checked first: the eigen-residual over the run,
+    t_final max|HV - VE|, plus the unitarity defect max|V'V - I| must stay
+    below PROPAGATOR_TOL, or ValueError naming t_final is raised.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError("t_final must be positive")
-    psi = initial_vacuum_i(q) if initial is None else np.asarray(initial, dtype=complex)
-    if psi.shape != (3 * q.d_a,):
-        raise ValueError(f"initial state must have length {3 * q.d_a}")
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:
-        raise ValueError("initial state must be finite and normalized")
-
+    idx, diag, off = _parity_chain(q)
+    h = np.diag(diag) + np.diag(off, 1) + np.diag(off.conj(), -1)
+    energies, vecs = np.linalg.eigh(h)
+    defect = (t_final * np.max(np.abs(h @ vecs - vecs * energies))
+              + np.max(np.abs(vecs.conj().T @ vecs - np.eye(idx.size))))
+    if not defect <= PROPAGATOR_TOL:
+        raise ValueError(f"t_final = {t_final:g}: eigendecomposition defect "
+                         f"{defect:.3g} > {PROPAGATOR_TOL:g}")
     times = np.linspace(0.0, t_final, steps + 1)
-    states = np.zeros((steps + 1, psi.size), dtype=complex)
-    for parity in (0, 1):
-        idx, diag, off = _parity_chain(q, parity)
-        if not psi[idx].any():
-            continue
-        h = np.diag(diag) + np.diag(off, 1) + np.diag(off.conj(), -1)
-        energies, vecs = np.linalg.eigh(h)
-        defect = (t_final * np.max(np.abs(h @ vecs - vecs * energies))
-                  + np.max(np.abs(vecs.conj().T @ vecs - np.eye(idx.size))))
-        if not defect <= PROPAGATOR_TOL:
-            raise ValueError(f"t_final = {t_final:g}: eigendecomposition defect "
-                             f"{defect:.3g} > {PROPAGATOR_TOL:g}")
-        coef = vecs.conj().T @ psi[idx]
-        for lo in range(1, steps + 1, ROW_BLOCK):
-            t = times[lo:lo + ROW_BLOCK, None]
-            states[lo:lo + ROW_BLOCK, idx] = (np.exp(-1j * energies * t) * coef) @ vecs.T
-    states[0] = psi  # exactly the initial vector, not V V' psi
+    states = np.zeros((steps + 1, 3 * q.d_a), dtype=complex)
+    coef = vecs[0].conj()  # V' psi(0)
+    for lo in range(1, steps + 1, ROW_BLOCK):
+        t = times[lo:lo + ROW_BLOCK, None]
+        states[lo:lo + ROW_BLOCK, idx] = (np.exp(-1j * energies * t) * coef) @ vecs.T
+    states[0] = initial_vacuum_i(q)  # exactly the initial vector, not V V' psi
     return Trajectory(times, states, q)
 
 
@@ -349,7 +339,6 @@ def validate_effective_gamma(
         params=q,
         times=traj.times,
         varY_full=v_full,
-        varY_effective=v_eff,
         gamma_eff_predicted=q.gamma_eff_predicted,
         gamma_eff_fit=fit,
         max_rel_error=max_rel,

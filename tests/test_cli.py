@@ -190,6 +190,24 @@ def test_set_overrides_and_hz_unit(tmp_path):
     payload = read_json(out / "moments.json")
     assert payload["params"]["A"] == 2.0
     assert payload["mean_y"] == 4.0
+    # a missing object on a --set path is created
+    assert cli._apply_sets({"seed": 1}, ["grid.re_min=-2"]) == {"seed": 1, "grid": {"re_min": -2}}
+
+
+@pytest.mark.parametrize("sweep, sets, bad", [
+    ([{"N": 1.0}, {"N": 3.0}], ["sweep.0.N=2"], "config.sweep"),
+    (None, ["params=3", "params.A=2"], "config.params"),
+], ids=["into-a-list", "into-a-scalar"])
+def test_set_through_a_non_object_exits_2_without_output(tmp_path, capsys, sweep, sets, bad):
+    out = tmp_path / "out"
+    config = {"seed": 1, "output_dir": str(out), "params": PROTOCOL_PARAMS}
+    cfg = write_config(tmp_path, config if sweep is None else {**config, "sweep": sweep})
+    argv = ["moments", "--config", cfg]
+    for item in sets:
+        argv += ["--set", item]
+    assert cli.main(argv) == 2
+    assert f"--set {sets[-1]}: {bad} is not an object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wigner_records_tv_and_sidecars(tmp_path):
@@ -320,7 +338,7 @@ def test_validate_jj_fit_reference_passes(tmp_path):
     # Stark shift as resolved, then the run's gate
     assert list(report) == ["params", "gamma_eff_predicted", "gamma_eff_fit", "max_rel_error",
                             "population_leakage", "leakage_band", "leakage_ok", "times",
-                            "varY_full", "varY_effective", "reference", "reference_rel_error",
+                            "varY_full", "reference", "reference_rel_error",
                             "tolerance", "tolerance_ok"]
     assert list(report["params"]) == [f.name for f in dataclasses.fields(
         threelevel.ThreeLevelParams)] + ["delta_small"]
@@ -366,6 +384,29 @@ def test_sweep_jobs_fanout_is_deterministic(tmp_path):
     seeds = [r["seed"] for r in m1["results"]]
     assert len(set(seeds)) == 3
     assert m1["config"]["sweep"][2]["r"] == pytest.approx(0.5 * math.log(10.0))
+
+
+def test_wigner_and_validate_jj_sweeps_are_the_same_bytes_at_two_jobs(tmp_path):
+    grid = {"re_min": -4.0, "re_max": 4.0, "re_count": 9,
+            "im_min": -0.5, "im_max": 20.0, "im_count": 165}
+    runs = [("wigner", 12, {"convention": "standard", "grid": grid,
+                            "params": dict(PROTOCOL_PARAMS, e2r=10.0),
+                            "sweep": [{"N": 0.2}, {"N": 0.3}]}),
+            ("validate-jj", 4, {"params": dict(JJ_PARAMS, d_a=12), "t_final": 5.0,
+                                "steps": 40, "sweep": [{"beta": 10.0}, {"beta": 5.0}]})]
+    for experiment, n_artifacts, config in runs:
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"{experiment}-{jobs}"
+            cfg = write_config(tmp_path, {"seed": 5, "output_dir": str(out), **config},
+                               name=f"{experiment}-{jobs}.json")
+            assert cli.main([experiment, "--config", cfg, "--jobs", jobs]) == 0
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+        assert len(names) == n_artifacts
+        assert names == sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_manifest_rerun_regenerates_identical_artifacts(tmp_path):
