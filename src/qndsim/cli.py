@@ -32,10 +32,10 @@ package version, wall time, sha256 of every artifact). The echoed config
 block is itself a valid config, and --config accepts a manifest file
 directly, so any output can be regenerated from its manifest alone.
 
-Exit codes: 0 success, 2 on a validation error or a precondition a
-library module refuses during the run (nothing is written), 3 when a
-computed result misses the configured numerical tolerance (files are still
-written so the failure can be inspected).
+Exit codes: 0 success, 2 on a validation error, a precondition a library
+module refuses during the run or an array numpy cannot allocate (nothing
+is written), 3 when a computed result misses the configured numerical
+tolerance (files are still written so the failure can be inspected).
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def _protocol_point(cfg, point, path):
     """ProtocolParams of a point whose thermal law has a truncation."""
     try:
         p = protocol.ProtocolParams(**point)
-        fock.thermal_dim(p.N)
+        p.law  # built here, once per point: TruncationError if it has no truncation
     except ValueError as exc:
         _fail(path, str(exc))
     return p
@@ -231,7 +231,7 @@ def _sample_point(cfg, point, path):
     level count m, and their squares are doubles: the record and its
     statistics cannot overflow short of a sum over shots."""
     p = _protocol_point(cfg, point, path)
-    dim = fock.thermal_dim(p.N)
+    dim = p.law.dim
     top = 2.0 * p.A * dim
     if not math.isfinite(top * top):
         _fail(path, f"the outcome 2Am = {top:g} at m = {dim}, the thermal law's level count, "
@@ -240,8 +240,8 @@ def _sample_point(cfg, point, path):
 
 
 def _wigner_point(cfg, point, path):
-    """ProtocolParams and GridSpec of a point whose grid holds its map and,
-    over the histogram bins, the thermal law the run's TV is taken against."""
+    """ProtocolParams and GridSpec of a point whose grid holds its map and
+    whose histogram bins hold its thermal law to the tail budget."""
     p = _protocol_point(cfg, point, path)
     try:
         spec = wigner.GridSpec(**cfg["grid"])
@@ -249,8 +249,7 @@ def _wigner_point(cfg, point, path):
         _fail("config.grid", str(exc))
     try:
         wigner.check_grid(p, spec, _MAPS[cfg["convention"]][0])
-        fock.check_thermal_tail(p.N, wigner.histogram_bins(spec.im_max, p.A, spec.im_count),
-                                "bins")
+        p.law.check_tail(wigner.histogram_bins(spec.im_max, p.A, spec.im_count), "bins")
     except wigner.GridError as exc:
         _fail(f"config.grid.{exc.field}", f"{exc.reason} for {path}")
     except fock.TruncationError as exc:
@@ -352,8 +351,7 @@ def _run_wigner(cfg, point, inputs, point_seed):
     grid = _MAPS[cfg["convention"]][1](p, spec)
     marg = wigner.marginal_P(grid)
     hist = wigner.reconstruct_pn(marg, p)
-    tv = wigner.total_variation(
-        hist.probabilities, fock.thermal_pn(p.N, len(hist.probabilities)))
+    tv = wigner.total_variation(hist.probabilities, p.law.pn)
 
     meta = {"convention": grid.convention, "seed": point_seed, "params": point}
     artifacts = {
@@ -556,7 +554,7 @@ def main(argv=None):
             raise ConfigError("--jobs must be >= 1")
         raw = _apply_sets(_load_config(args.config, args.experiment), args.set)
         code, _ = run(args.experiment, resolve_config(args.experiment, raw), jobs=args.jobs)
-    except ValueError as exc:  # ConfigError, or a library precondition: nothing is written
+    except (ValueError, MemoryError) as exc:  # nothing is written; see "Exit codes"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -2,9 +2,9 @@
 S(r)|0> from the one recurrence of their annihilation equation, as
 windowed vectors at alpha = i beta or as parity, norm and edge sums at any
 complex alpha, the quadrature stencil, the one Fock-window rule, the edge
-budget every state is held to, the thermal law with its tail budget, and
-the CSV renderer of an artifact's bytes. Every operator acts on state
-vectors through its sqrt(n) bands; no dense Fock matrix is built.
+budget every state is held to, the thermal phonon law with its truncation
+and draw, and the CSV renderer of an artifact's bytes. Every operator acts
+on state vectors through its sqrt(n) bands; no dense Fock matrix is built.
 
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
@@ -19,6 +19,7 @@ rewrites orjson's exponents into repr's form in numpy, so its bytes equal
 those of repr on every value.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -221,44 +222,47 @@ def window(alpha, r, where):
     return lo, hi
 
 
-def thermal_dim(N):
-    """Smallest dimension with truncated thermal tail mass <= THERMAL_TAIL,
-    and at least 2 at N > 0, so the law keeps the level that carries its
-    mean. TruncationError when N/(N+1) rounds to 1: no dimension holds
-    the tail then."""
-    if N < 0:
-        raise ValueError("mean occupation must be >= 0, got %r" % N)
-    if N == 0:
-        return 1
-    ratio = N / (N + 1.0)
-    if ratio == 1.0:
-        raise TruncationError("the thermal law at N = %g has no truncation: N/(N+1) rounds "
-                              "to 1 in double precision" % N)
-    return max(2, int(np.ceil(np.log(THERMAL_TAIL) / np.log(ratio))))
+class ThermalLaw:
+    """The thermal phonon law P(n) = N^n/(N+1)^{n+1} at mean occupation N. Its
+    one tail rule: a truncation keeps need levels, past which the tail mass
+    ratio^need is THERMAL_TAIL. dim is that many, and 2 at least at N > 0 to
+    keep the mean's level; TruncationError when ratio = N/(N+1) rounds to 1.
+    pn, P(n) renormalised on dim levels, is made on first use, never by a draw."""
 
+    def __init__(self, N):
+        if N < 0:
+            raise ValueError("mean occupation must be >= 0, got %r" % N)
+        self.N, self.ratio, self.p0 = N, N / (N + 1.0), 1.0 / (N + 1.0)
+        if self.ratio == 1.0:
+            raise TruncationError("the thermal law at N = %g has no truncation: N/(N+1) rounds "
+                                  "to 1 in double precision" % N)
+        self.need = float(np.log(THERMAL_TAIL) / np.log(self.ratio)) if N > 0 else 1
+        self.dim = max(2, int(np.ceil(self.need))) if N > 0 else 1
 
-def check_thermal_tail(N, dim, name="dim"):
-    """Raise TruncationError when the thermal mass beyond the first dim
-    levels, (N/(N+1))^dim (all of it when dim < 1), exceeds THERMAL_TAIL;
-    name is the truncation's name in the message, or thermal_dim's error
-    when no dim would do."""
-    if N < 0:
-        raise ValueError("mean occupation must be >= 0, got %r" % N)
-    tail = (N / (N + 1.0)) ** max(dim, 0)  # 0.0 ** 0 is 1: no level keeps all
-    if tail > THERMAL_TAIL:
-        raise TruncationError(
-            "thermal tail mass %.3g exceeds %.3g at %s %d; need %s >= %d"
-            % (tail, THERMAL_TAIL, name, dim, name, thermal_dim(N)))
+    def check_tail(self, levels, name):
+        """Raise TruncationError, naming the truncation name, when it keeps
+        fewer than need levels: by dim's own rule, so dim passes even where
+        ratio^dim rounds above THERMAL_TAIL (N above about 3e11)."""
+        if levels < self.need:  # a Python float: compared exactly, past 2^53 too
+            raise TruncationError("thermal tail mass %.3g exceeds %.3g at %s %d; need %s >= %d"
+                                  % (self.ratio ** max(levels, 0), THERMAL_TAIL, name, levels,
+                                     name, self.dim))
 
+    def draw(self, rng, shots):
+        """shots phonon numbers from rng: geometric(p0) - 1 has the law exactly.
+        numpy draws it as int64, which saturates, so the law must lie below
+        2^62 levels to the tail budget, or TruncationError is raised."""
+        self.check_tail(2**62, "int64 draw levels")
+        return rng.geometric(self.p0, size=shots) - 1
 
-def thermal_pn(N, dim):
-    """Occupation probabilities P(n) = N^n/(N+1)^{n+1}, renormalized, under
-    check_thermal_tail."""
-    check_thermal_tail(N, dim)
-    n = np.arange(dim)
-    p = np.exp(n * np.log(N / (N + 1.0)) - np.log(N + 1.0)) if N > 0 else \
-        np.concatenate(([1.0], np.zeros(dim - 1)))
-    return p / p.sum()
+    @functools.cached_property
+    def pn(self):
+        n = np.arange(self.dim)
+        p = np.exp(n * np.log(self.ratio) - np.log(self.N + 1.0)) if self.N > 0 else \
+            np.concatenate(([1.0], np.zeros(self.dim - 1)))
+        p /= p.sum()
+        p.flags.writeable = False  # one array, read by every consumer of the law
+        return p
 
 
 def _repr_exponents(text):

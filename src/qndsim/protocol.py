@@ -17,6 +17,7 @@ law the blocks are weighted by, the kept and renormalised P(n), which the
 matrix moments meet up to rounding.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,6 +60,11 @@ class ProtocolParams:
         if self.nu <= 0:
             raise ValueError("mechanical frequency nu must be > 0")
 
+    @functools.cached_property
+    def law(self):
+        """fock.ThermalLaw(N), built once per point and pickled with it."""
+        return fock.ThermalLaw(self.N)
+
 
 @dataclass(frozen=True)
 class CompositeState:
@@ -99,10 +105,9 @@ class FieldMoments:
 # states
 
 def evolve_pulse(p):
-    """The pulse output: thermal(N) weights, block n holding D(inA) S(r)|0>."""
-    pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
-    offs, vecs = fock.displaced_squeezed(p.A * np.arange(len(pn)), p.r)
-    return CompositeState(pn=pn, offsets=tuple(offs), blocks=tuple(vecs), params=p)
+    """The pulse output: p.law's weights, block n holding D(inA) S(r)|0>."""
+    offs, vecs = fock.displaced_squeezed(p.A * np.arange(p.law.dim), p.r)
+    return CompositeState(pn=p.law.pn, offsets=tuple(offs), blocks=tuple(vecs), params=p)
 
 
 def conditioned_state(rho_tau, m):

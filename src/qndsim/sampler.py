@@ -39,18 +39,12 @@ class EstimateReport:
 
 
 def sample_record(p, shots, seed):
-    """Draw a reproducible record of (y, m_true) pairs.
-
-    The thermal draw uses the geometric identity: with q = 1/(N+1),
-    (geometric(q) - 1) has law N^m / (N+1)^{m+1} exactly. numpy draws it
-    as int64, which saturates, so the law must lie below 2^62 levels to
-    fock.check_thermal_tail's budget, or TruncationError is raised.
-    """
+    """Draw a reproducible record of (y, m_true) pairs: m from p.law.draw,
+    then y from the conditional Gaussian, on one generator seeded by seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    fock.check_thermal_tail(p.N, 2**62, "int64 draw levels")
     rng = np.random.default_rng(seed)
-    m = rng.geometric(1.0 / (p.N + 1.0), size=shots) - 1
+    m = p.law.draw(rng, shots)
     y = 2.0 * p.A * m + math.exp(-p.r) * rng.standard_normal(shots)
     return MeasurementRecord(y=y, m_true=m, params=p, seed=seed)
 
@@ -78,8 +72,7 @@ def misassignment_probability(p):
     """
     if p.A <= 0:
         raise ValueError("pulse area A must be > 0")
-    p0 = 1.0 / (p.N + 1.0)
-    return (1.0 - 0.5 * p0) * interior_misassignment(p.A, p.r)
+    return (1.0 - 0.5 * p.law.p0) * interior_misassignment(p.A, p.r)
 
 
 def _dT_dN(N, nu):

@@ -131,7 +131,7 @@ def check_grid(params: protocol.ProtocolParams, spec: GridSpec, convention: str)
     of steps within float range.
     """
     if convention == PAPER:
-        top = (fock.thermal_dim(params.N) - 1) * params.A
+        top = (params.law.dim - 1) * params.A
         reach_re = COVERAGE_SIGMAS * math.exp(params.r)
         reach_im = COVERAGE_SIGMAS * math.exp(-params.r)
         reason = f"does not cover the peak centers plus {COVERAGE_SIGMAS:g} standard deviations"
@@ -159,7 +159,7 @@ def wigner_paper(params: protocol.ProtocolParams, spec: GridSpec) -> WignerGrid:
     """Closed-form Wigner map of the pulse output (``paper-closed-form``),
     on a grid that passes check_grid."""
     check_grid(params, spec, PAPER)
-    pn = fock.thermal_pn(params.N, fock.thermal_dim(params.N))
+    pn = params.law.pn
     re = spec.re_axis()
     im = spec.im_axis()
     g_re = np.exp(-0.5 * math.exp(-2.0 * params.r) * re**2)
@@ -222,7 +222,7 @@ def wigner_numeric_protocol(
     patch = quarter[np.abs(np.arange(-half_rows, half_rows + 1))][:, cols]
 
     values = np.zeros((im.size, re.size))
-    for n, weight in enumerate(fock.thermal_pn(params.N, fock.thermal_dim(params.N))):
+    for n, weight in enumerate(params.law.pn):
         center = base + n * step
         lo = max(0, center - half_rows)
         hi = min(im.size, center + half_rows + 1)
@@ -275,8 +275,8 @@ def reconstruct_pn(marginal: Marginal, params: protocol.ProtocolParams) -> Phono
         raise ValueError("no marginal mass inside the reconstruction bins")
 
     sig_conv = math.exp(-params.r) if marginal.convention == PAPER else math.exp(-params.r) / 2.0
-    p0 = 1.0 / (params.N + 1.0)
-    leak = (1.0 - 0.5 * p0) * math.erfc(A / (2.0 * math.sqrt(2.0) * sig_conv))  # see sampler's erfc
+    # math.erfc for the reason sampler.interior_misassignment gives
+    leak = (1.0 - 0.5 * params.law.p0) * math.erfc(A / (2.0 * math.sqrt(2.0) * sig_conv))
     return PhononHistogram(masses / total, "marginal-integration", leak)
 
 

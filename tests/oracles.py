@@ -30,7 +30,9 @@ eigendecomposition per chain, is stepped here with the dense expm
 propagator, its field moments come from per-sample dense traces, and
 norm_drift measures how far its samples leave the unit sphere. The CSV
 renderer's oracle writes each value with repr, as the library once did,
-and the library's bytes are checked against it.
+and the library's bytes are checked against it. thermal_pn is the thermal
+law renormalised on any number of levels, for tests that want it at a
+dimension other than fock.ThermalLaw's own.
 """
 
 import math
@@ -57,6 +59,12 @@ def annihilation(dim):
 
 def number(dim):
     return np.diag(np.arange(dim, dtype=complex))
+
+
+def thermal_pn(N, dim):
+    """P(n) = N^n/(N+1)^{n+1} on the levels [0, dim), renormalised on them."""
+    p = (N / (N + 1.0)) ** np.arange(dim) / (N + 1.0)
+    return p / p.sum()
 
 
 def ladder_generator(z, k, dim, k0=0):

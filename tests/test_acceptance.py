@@ -103,7 +103,7 @@ def test_criterion_2_demo_histogram_total_variation():
     grid = wigner.wigner_paper(p, DEMO_SPEC)
     hist = wigner.reconstruct_pn(wigner.marginal_P(grid), p)
     tv = wigner.total_variation(
-        hist.probabilities, fock.thermal_pn(1.0, len(hist.probabilities)))
+        hist.probabilities, oracles.thermal_pn(1.0, len(hist.probabilities)))
     elapsed = time.perf_counter() - t0
     ok = tv < 0.02 and elapsed < 30.0
     _report(2, ok, f"TV to geometric {tv:.2e} (gate 0.02), "
@@ -158,7 +158,7 @@ def test_criterion_4_squeezed_vacuum_variance():
 def test_criterion_5_qnd_phonon_marginal_invariance(grid_pass):
     worst = 0.0
     for p, _, _, marginal in grid_pass[0]:
-        pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
+        pn = p.law.pn
         worst = max(worst, float(np.abs(marginal - pn).max()))
     ok = worst <= 1e-12
     _report(5, ok, f"max phonon-marginal change {worst:.2e} (gate 1e-12)")

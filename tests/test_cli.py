@@ -164,6 +164,23 @@ def test_sizes_past_float_range_exit_2(tmp_path, capsys, experiment, patch, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs, sweep", [(1, None), (2, [{"N": 1.0}, {}])], ids=["point", "pool"])
+def test_an_allocation_numpy_refuses_exits_2(tmp_path, capsys, jobs, sweep):
+    # N = 1e12 has a thermal law of 2.3e13 levels, whose P(n) asks numpy for
+    # 168 TiB, above x86-64's 128 TiB of user address space: refused at once,
+    # with nothing allocated. It passed validation and exited 1 with a
+    # traceback; a --jobs worker's MemoryError is raised again in the parent.
+    out = tmp_path / "out"
+    config = {"seed": 1, "output_dir": str(out), "params": {**PROTOCOL_PARAMS, "N": 1e12}}
+    if sweep:
+        config["sweep"] = sweep
+    assert cli.main(["moments", "--config", write_config(tmp_path, config),
+                     "--jobs", str(jobs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 168. TiB") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
 def test_output_dir_that_is_no_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
                                                                 under):

@@ -376,7 +376,7 @@ def test_ladder_exp_property_against_dense_expm(re, im, k0, shape, seed):
 
 
 def test_thermal_vacuum():
-    rho = np.diag(fock.thermal_pn(0.0, 8))
+    rho = np.diag(oracles.thermal_pn(0.0, 8))
     expect = np.zeros((8, 8), dtype=complex)
     expect[0, 0] = 1.0
     assert np.abs(rho - expect).max() <= 1e-15
@@ -384,7 +384,7 @@ def test_thermal_vacuum():
 
 def test_thermal_n1_diagonal():
     dim = 40
-    rho = np.diag(fock.thermal_pn(1.0, dim))
+    rho = np.diag(oracles.thermal_pn(1.0, dim))
     diag = np.diag(rho)
     # renormalization shifts entries by ~2^-dim, far below rtol
     assert np.allclose(diag[:10], 0.5 ** (np.arange(10) + 1), rtol=1e-9)
@@ -398,35 +398,54 @@ def test_thermal_n1_diagonal():
 
 
 def test_thermal_tail_rule():
-    assert fock.thermal_dim(0.0) == 1
-    assert fock.thermal_dim(0.5) == 21
-    assert fock.thermal_dim(1.0) == 34
-    assert fock.thermal_dim(3.0) == 81
-    with pytest.raises(fock.TruncationError):
-        fock.thermal_pn(3.0, 40)
+    assert fock.ThermalLaw(0.0).dim == 1
+    assert fock.ThermalLaw(0.5).dim == 21
+    assert fock.ThermalLaw(1.0).dim == 34
+    assert fock.ThermalLaw(3.0).dim == 81
+    with pytest.raises(fock.TruncationError, match="at dim 40; need dim >= 81"):
+        fock.ThermalLaw(3.0).check_tail(40, "dim")
     with pytest.raises(ValueError):
-        fock.thermal_pn(-0.1, 8)
+        fock.ThermalLaw(-0.1)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(N=st.floats(min_value=0.0, max_value=1.7e308))
-@example(N=5e-324)
-@example(N=1e-10)
-@example(N=1.1e-10)
-@example(N=1e16)
-@example(N=1e300)
-def test_thermal_dim_is_the_tail_rule_with_two_levels_or_refuses(N):
+@given(N=st.floats(min_value=0.0, max_value=1.7e308), seed=st.integers(0, 2**64 - 1),
+       shots=st.integers(1, 50))
+@example(N=5e-324, seed=0, shots=1)
+@example(N=1e-10, seed=0, shots=1)
+@example(N=1.1e-10, seed=0, shots=1)
+@example(N=1e16, seed=0, shots=1)
+@example(N=1e300, seed=0, shots=1)
+@example(N=1e15, seed=0, shots=50)
+def test_thermal_dim_is_the_tail_rule_with_two_levels_or_refuses(N, seed, shots):
     """The tail rule's dimension, at least 2 at N > 0 (one level would put
     the law's mean at 0), or TruncationError where N/(N+1) rounds to 1 and
-    the rule has no finite dimension."""
-    if N == 0.0:
-        assert fock.thermal_dim(N) == 1
-    elif N / (N + 1.0) == 1.0:
+    the rule has no finite dimension. The law's parts agree: its dim is the
+    fewest levels check_tail passes (where the rule, not the floor of 2,
+    sets it), pn is the law renormalised on dim levels, and draw is numpy's
+    geometric draw at p0, bit for bit. pn is made on the rounded ratio,
+    whose 1 - ratio is p0 only to eps / 2 absolute (2e-13 relative at
+    N = 4229), so P(0) meets p0 to an absolute bound."""
+    ratio = N / (N + 1.0)
+    if ratio == 1.0:
         with pytest.raises(fock.TruncationError, match=r"N/\(N\+1\) rounds to 1"):
-            fock.thermal_dim(N)
+            fock.ThermalLaw(N)
+        return
+    law = fock.ThermalLaw(N)
+    if N == 0.0:
+        assert law.dim == 1
     else:
-        rule = int(np.ceil(np.log(fock.THERMAL_TAIL) / np.log(N / (N + 1.0))))
-        assert fock.thermal_dim(N) == max(2, rule)
+        rule = int(np.ceil(np.log(fock.THERMAL_TAIL) / np.log(ratio)))
+        assert law.dim == max(2, rule)
+    law.check_tail(law.dim, "dim")
+    if law.dim > 2:
+        with pytest.raises(fock.TruncationError, match="need dim >= %d" % law.dim):
+            law.check_tail(law.dim - 1, "dim")
+    if law.dim <= 1e5:
+        assert abs(law.pn.sum() - 1.0) <= 1e-15
+        assert abs(law.pn[0] * (1.0 - ratio ** law.dim) - law.p0) <= 1e-15
+    want = np.random.default_rng(seed).geometric(law.p0, shots) - 1
+    assert np.array_equal(law.draw(np.random.default_rng(seed), shots), want)
 
 
 def test_partial_trace_product_state():
@@ -497,7 +516,7 @@ def test_displacement_squeeze_composition():
 
 def test_density_invariants_preserved_by_conjugation():
     dim = 64
-    rho = np.diag(fock.thermal_pn(0.8, dim))
+    rho = np.diag(oracles.thermal_pn(0.8, dim))
     u = oracles.ladder_exp(oracles.ladder_exp(np.eye(dim), 0.3), 1.0j)
     out = u @ rho @ u.conj().T
     assert np.abs(out - out.conj().T).max() <= 1e-12

@@ -105,6 +105,27 @@ def test_cli_keeps_each_experiment_and_convention_in_one_table():
     assert branches == []
 
 
+def test_the_thermal_law_lives_in_fock():
+    """Outside fock.py no library module reads THERMAL_TAIL, names a
+    geometric draw or divides by an N + 1 sum: the law's tail rule, its
+    draw and its weight 1/(N+1) are fock.ThermalLaw's, read as p.law. A
+    product such as var_Y's N (N + 1) is no weight and stays allowed."""
+    def n_plus_one(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and any(
+            getattr(side, "id", getattr(side, "attr", None)) == "N"
+            for side in (node.left, node.right))
+
+    found = {}
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (getattr(node, "id", getattr(node, "attr", None)) in ("THERMAL_TAIL", "geometric")
+                    or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                    and n_plus_one(node.right)):
+                found.setdefault(path.stem, []).append(f"{node.lineno}: {ast.unparse(node)}")
+    assert "fock" in found  # the walk sees the law where it lives
+    assert {module: lines for module, lines in found.items() if module != "fock"} == {}
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     """A module the library imports is in the standard library or named in
     pyproject.toml's [project] dependencies: orjson cannot go undeclared,

@@ -134,7 +134,7 @@ def test_squeeze_is_refused_past_the_range_of_e2r(e2r):
 def dense_initial_state(p, d_a):
     """thermal(N) on the phonon mode (x) vacuum on the field mode."""
     vacuum = np.diag(np.eye(d_a)[0])
-    return np.kron(np.diag(fock.thermal_pn(p.N, fock.thermal_dim(p.N))), vacuum)
+    return np.kron(np.diag(p.law.pn), vacuum)
 
 
 def test_initial_state_examples():
@@ -192,13 +192,13 @@ def test_qnd_phonon_marginal_invariant():
     for A, N, e2r in ((0.25, 0.5, 1.0), (1.0, 1.0, 50.0), (2.0, 3.0, 50.0)):
         p = params(A=A, r=0.5 * math.log(e2r), N=N)
         s1 = protocol.evolve_pulse(p)
-        pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
+        pn = p.law.pn
         assert np.abs(oracles.phonon_marginal(s1) - pn).max() <= 1e-12
 
 
 def test_block_path_agrees_with_dense_propagator():
     A, r, N = 0.3, 0.5 * math.log(2.0), 0.02
-    d_b, d_a = fock.thermal_dim(N), 144
+    d_b, d_a = fock.ThermalLaw(N).dim, 144
     p = params(A=A, r=r, N=N)
     s1 = protocol.evolve_pulse(p)
     u = dense_pulse_unitary(A, r, d_b, d_a)
@@ -270,7 +270,7 @@ def test_mixture_consistency_and_total_variance():
     # reconstructs the exact closed forms at the stated absolute tolerances
     A, r = 0.5, 0.5 * math.log(10.0)
     p = params(A=A, r=r, N=1.0)
-    state = protocol.CompositeState(fock.thermal_pn(1.0, 70),
+    state = protocol.CompositeState(oracles.thermal_pn(1.0, 70),
                                    *fock.displaced_squeezed(A * np.arange(70), r), p)
     m = protocol.composite_field_moments(state)
     assert abs(m.mean_y - protocol.mean_Y(p)) <= 1e-10

@@ -326,7 +326,7 @@ def test_mirror_defect_bounds_the_mirrored_values(eps):
 
 def standard_closed_form(p, grid):
     """(2/pi) sum_n P(n) exp(-2 Re^2 e^{-2r} - 2 (Im - nA)^2 e^{2r})."""
-    pn = fock.thermal_pn(p.N, fock.thermal_dim(p.N))
+    pn = p.law.pn
     re = grid.re_axis[None, :]
     im = grid.im_axis[:, None]
     return TWO_OVER_PI * sum(
@@ -387,7 +387,7 @@ def test_reconstruct_demo_matches_geometric():
     assert hist.method == "marginal-integration"
     assert hist.probabilities.sum() == pytest.approx(1.0, abs=1e-3)
     assert hist.probabilities.min() >= 0.0
-    assert tv(hist.probabilities, fock.thermal_pn(1.0, 34)) < 2e-3
+    assert tv(hist.probabilities, fock.ThermalLaw(1.0).pn) < 2e-3
 
 
 def test_reconstruct_vacuum():
@@ -418,7 +418,7 @@ def test_reconstruct_below_threshold_warns(tmp_path):
 
 
 def test_reconstruct_tv_ladder_monotone():
-    exact = fock.thermal_pn(1.0, 34)
+    exact = fock.ThermalLaw(1.0).pn
     tvs = []
     for e2r in (2.0, 10.0, 50.0, 200.0):
         r = 0.5 * math.log(e2r)
