@@ -53,7 +53,7 @@ class TruncationError(ValueError):
 def quadrature_action(psi, k0=0):
     """(X psi, Y psi) with X and Y truncated to the Fock levels
     [k0, k0 + n) of psi's last axis, n its length: the banded ladder
-    stencil behind every quadrature moment."""
+    stencil behind protocol's quadrature moments of the pulse output."""
     ks = np.sqrt(np.arange(k0 + 1, k0 + psi.shape[-1], dtype=float))
     xpsi = np.zeros_like(psi)
     xpsi[..., 1:] += ks * psi[..., :-1]

@@ -140,13 +140,6 @@ def var_Y(p):
     return 4.0 * p.A ** 2 * p.N * (p.N + 1.0) + math.exp(-2.0 * p.r)
 
 
-def relative_uncertainty(p):
-    """sqrt(Var Y)/<Y>; tends to sqrt(1 + 1/N) as r grows."""
-    if p.N == 0:
-        raise ValueError("relative uncertainty undefined at N = 0")
-    return math.sqrt(var_Y(p)) / mean_Y(p)
-
-
 def distinguishability_threshold(A):
     """Squeeze parameter beyond which neighbouring outcomes separate."""
     return -0.5 * math.log(2.0 * A)

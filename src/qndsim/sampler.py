@@ -70,8 +70,6 @@ def misassignment_probability(p):
     (the clamp absorbs the negative side), so its tail carries half weight:
     total = (1 - P(0)/2) erfc(A e^r / sqrt 2).
     """
-    if p.A <= 0:
-        raise ValueError("pulse area A must be > 0")
     return (1.0 - 0.5 * p.law.p0) * interior_misassignment(p.A, p.r)
 
 

@@ -37,8 +37,8 @@ H keeps the parity of n + [atom in {g, e}], and each parity sector is one
 tridiagonal chain. H is time-independent and Hermitian, so evolve_full
 samples the whole trajectory from |i, 0> by one eigendecomposition of the
 chain that holds it (_parity_chain), checked by its eigen-residual and
-unitarity defect, and the field moments come from the banded stencil
-fock.quadrature_action applied to all samples at once.
+unitarity defect. Every observable is a weighted sum over the chain: the
+chain never holds a nonzero <a>, <Y>, sigma_ig or sigma_ie.
 
 Everything is expressed in angular-frequency units of the couplings; the
 bare field and level frequencies are absorbed by the frame.
@@ -61,7 +61,6 @@ RATIO_MIN = 20.0  # least Delta / max(g) for the adiabatic elimination
 
 PROPAGATOR_TOL = 1e-8  # bound on evolve_full's eigendecomposition defect
 FIELD_TOL = 1e-6  # bound on the mass in the top two field levels over a validation run
-ROW_BLOCK = 512  # samples per block of states and observables
 
 
 @dataclass(frozen=True)
@@ -131,28 +130,6 @@ class ThreeLevelParams:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: np.ndarray
-    params: ThreeLevelParams
-
-
-@dataclass(frozen=True)
-class AdiabaticReport:
-    times: np.ndarray
-    sigma_ig: np.ndarray
-    adiabatic_ig: np.ndarray
-    sigma_ie: np.ndarray
-    adiabatic_ie: np.ndarray
-    max_rel_residual_ig: float
-    max_rel_residual_ie: float
-
-    @property
-    def max_rel_residual(self) -> float:
-        return max(self.max_rel_residual_ig, self.max_rel_residual_ie)
-
-
-@dataclass(frozen=True)
 class SqueezeValidationReport:
     """The fields in the order the CLI's validate_report.json exports them."""
 
@@ -173,11 +150,12 @@ class SqueezeValidationReport:
 
 
 def _parity_chain(q: ThreeLevelParams):
-    """Indices into the (3, d_a) state layout, diagonal and off-diagonal
-    (entry j couples states j and j + 1) of the parity sector of H that
-    holds |i, 0>: the chain of triples |i, n>, |e, n + 1>, |g, n + 1> with
-    links g2 sqrt(n + 1), -i beta G3 and g1 sqrt(n + 2), for n = 0, 2, ...
-    H couples no state of the chain to a state outside it."""
+    """Atom level and photon number n of each state, diagonal and
+    off-diagonal (entry j couples states j and j + 1) of the parity sector
+    of H that holds |i, 0>: the chain of triples |i, n>, |e, n + 1>,
+    |g, n + 1> with links g2 sqrt(n + 1), -i beta G3 and g1 sqrt(n + 2), for
+    n = 0, 2, ... below d_a. H couples no state of the chain to a state
+    outside it, and states 3 apart share their atom level, n 2 apart."""
     j = np.arange(3 * q.d_a)
     n = 2 * (j // 3) + (j % 3 > 0)
     pos, n = j[n < q.d_a] % 3, n[n < q.d_a]  # the atom is in i, e, g at pos 0, 1, 2
@@ -186,17 +164,12 @@ def _parity_chain(q: ThreeLevelParams):
     diag = -q.Delta * (pos > 0) - 0.5 * q.pump * (n + shift)
     ladder = np.array([q.g2, 0.0, q.g1])[pos[:-1]] * np.sqrt(n[1:])
     off = np.where(pos[:-1] == 1, -1j * q.beta * q.G3, ladder)
-    return level * q.d_a + n, diag, off
+    return level, n, diag, off
 
 
-def initial_vacuum_i(q: ThreeLevelParams) -> np.ndarray:
-    psi = np.zeros(3 * q.d_a, dtype=complex)
-    psi[LEVELS["i"] * q.d_a] = 1.0
-    return psi
-
-
-def evolve_full(q: ThreeLevelParams, t_final: float, steps: int) -> Trajectory:
-    """Unitary evolution from |i, 0> sampled at steps + 1 equally spaced times.
+def evolve_full(q: ThreeLevelParams, t_final: float, steps: int) -> np.ndarray:
+    """The (steps + 1, chain) amplitudes on _parity_chain's states of the
+    unitary evolution from |i, 0>, sampled at steps + 1 equally spaced times.
 
     H is time-independent and Hermitian, and |i, 0> is the first state of
     one parity chain, so one eigendecomposition H V = V E of that chain
@@ -211,97 +184,21 @@ def evolve_full(q: ThreeLevelParams, t_final: float, steps: int) -> Trajectory:
         raise ValueError("steps must be at least 1")
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError("t_final must be positive")
-    idx, diag, off = _parity_chain(q)
+    _, _, diag, off = _parity_chain(q)
     h = np.diag(diag) + np.diag(off, 1) + np.diag(off.conj(), -1)
     energies, vecs = np.linalg.eigh(h)
     defect = (t_final * np.max(np.abs(h @ vecs - vecs * energies))
-              + np.max(np.abs(vecs.conj().T @ vecs - np.eye(idx.size))))
+              + np.max(np.abs(vecs.conj().T @ vecs - np.eye(diag.size))))
     if not defect <= PROPAGATOR_TOL:
         raise ValueError(f"t_final = {t_final:g}: eigendecomposition defect "
                          f"{defect:.3g} > {PROPAGATOR_TOL:g}")
-    times = np.linspace(0.0, t_final, steps + 1)
-    states = np.zeros((steps + 1, 3 * q.d_a), dtype=complex)
-    coef = vecs[0].conj()  # V' psi(0)
-    for lo in range(1, steps + 1, ROW_BLOCK):
-        t = times[lo:lo + ROW_BLOCK, None]
-        states[lo:lo + ROW_BLOCK, idx] = (np.exp(-1j * energies * t) * coef) @ vecs.T
-    states[0] = initial_vacuum_i(q)  # exactly the initial vector, not V V' psi
-    return Trajectory(times, states, q)
-
-
-def _field_moments(traj: Trajectory) -> list[np.ndarray]:
-    """Per-sample atom populations (samples, 3), field <n>, <a> = (<X> + i<Y>)/2
-    and Var(Y) from the (samples, 3, d_a) view of the states, in row blocks."""
-    view = traj.states.reshape(traj.times.size, 3, traj.params.d_a)
-    levels = np.arange(traj.params.d_a, dtype=float)
-    parts = []
-    for lo in range(0, len(view), ROW_BLOCK):
-        b = view[lo:lo + ROW_BLOCK]
-        prob = b.real**2 + b.imag**2
-        xb, yb = fock.quadrature_action(b)
-        ex, ey = (np.einsum("kij,kij->k", b.conj(), v).real for v in (xb, yb))
-        parts.append((prob.sum(axis=2), prob.sum(axis=1) @ levels, 0.5 * (ex + 1j * ey),
-                      (yb.real**2 + yb.imag**2).sum(axis=(1, 2)) - ey**2))
-    return [np.concatenate(column) for column in zip(*parts)]
-
-
-def check_adiabatic_coherences(
-    traj: Trajectory,
-    q: ThreeLevelParams,
-    smooth_cycles: float = 0.0,
-) -> AdiabaticReport:
-    """Residuals of the adiabatic formulas for <sigma_ig> and <sigma_ie>.
-
-    The adiabatic solution keeps the leading field term plus the
-    pump-mediated correction, with the pump amplitude replaced by the
-    classical i*beta. Both sides are evaluated in the same
-    time-independent frame, where the frame corrections are O(dp/Delta)
-    below the reported residual.
-
-    With smooth_cycles = 0 the raw sampled coherences are compared. The
-    evolution is unitary, so an initial state off the adiabatic manifold
-    carries an undamped oscillation at frequency ~Delta whose amplitude is
-    comparable to the coherence itself; the adiabatic formulas describe
-    the coarse-grained motion. Passing smooth_cycles > 0 averages every
-    series over a boxcar window of that many fast periods (2*pi/Delta)
-    before forming residuals, which requires the trajectory to resolve the
-    fast scale.
-    """
-    n_t = traj.times.size
-    b = traj.states.reshape(n_t, 3, q.d_a)
-    b_i = b[:, LEVELS["i"]].conj()
-    s_ig = np.einsum("kj,kj->k", b_i, b[:, LEVELS["g"]])
-    s_ie = np.einsum("kj,kj->k", b_i, b[:, LEVELS["e"]])
-    a_mean = _field_moments(traj)[2]
-    times = traj.times
-
-    if smooth_cycles > 0.0:
-        dt = times[1] - times[0]
-        w = round(smooth_cycles * 2.0 * math.pi / (q.Delta * dt))
-        if w < 2 or w > n_t:
-            raise ValueError(
-                "trajectory sampling does not resolve the fast scale for the "
-                "requested smoothing window"
-            )
-        kernel = np.full(w, 1.0 / w)
-
-        def smooth(series):
-            return np.convolve(series, kernel, mode="valid")
-
-        s_ig, s_ie, a_mean = smooth(s_ig), smooth(s_ie), smooth(a_mean)
-        times = smooth(times)
-
-    pump_amp = 1j * q.beta * q.G3
-    adia_ig = (q.g1 / q.Delta) * a_mean + (q.g2 / q.Delta**2) * np.conj(a_mean) * pump_amp
-    adia_ie = (q.g2 / q.Delta) * np.conj(a_mean) + (q.g1 / q.Delta**2) * a_mean * np.conj(pump_amp)
-
-    def rel(measured, target):
-        scale = max(float(np.max(np.abs(target))), 1e-300)
-        return float(np.max(np.abs(measured - target))) / scale
-
-    return AdiabaticReport(
-        times, s_ig, adia_ig, s_ie, adia_ie, rel(s_ig, adia_ig), rel(s_ie, adia_ie)
-    )
+    phase = np.multiply.outer(np.linspace(0.0, t_final, steps + 1), -1j * energies)
+    np.exp(phase, out=phase)
+    phase *= vecs[0].conj()  # V' psi(0)
+    amps = phase @ vecs.T
+    amps[0] = 0.0
+    amps[0, 0] = 1.0  # exactly the initial vector, not V V' psi
+    return amps
 
 
 def validate_effective_gamma(
@@ -320,24 +217,31 @@ def validate_effective_gamma(
     of each parity) must hold at most FIELD_TOL of the mass at every sample,
     or fock.TruncationError naming t_final is raised.
     """
-    traj = evolve_full(q, t_final, steps)
-    top = traj.states.reshape(traj.times.size, 3, q.d_a)[..., -2:]
-    top = np.max(np.sum(top.real**2 + top.imag**2, axis=(1, 2)))
+    times = np.linspace(0.0, t_final, steps + 1)
+    amps = evolve_full(q, t_final, steps)
+    level, n, _, _ = _parity_chain(q)
+    re, im = amps.real, amps.imag
+    prob = re**2 + im**2
+    top = np.max(prob @ (n >= q.d_a - 2))
     if top > FIELD_TOL:
         raise fock.TruncationError(f"t_final = {t_final:g}: the field holds {top:.3g} of its "
                                    f"mass in its top two levels, above {FIELD_TOL:g}")
-    pops, n_mean, _, v_full = _field_moments(traj)
-    v_eff = np.exp(-2.0 * q.gamma_eff_predicted * traj.times)
+    # <Y_d^2> for Y = i(a' - a) truncated to d_a levels: a a' has no n + 1
+    # at the top level, and a'^2 + a^2 joins entries 3 apart; <Y> = 0 by parity.
+    weight = np.where(n == q.d_a - 1, n, 2 * n + 1)
+    v_full = prob @ weight - 2.0 * ((re[:, :-3] * re[:, 3:] + im[:, :-3] * im[:, 3:])
+                                    @ np.sqrt(n[3:] * (n[3:] - 1.0)))
+    v_eff = np.exp(-2.0 * q.gamma_eff_predicted * times)
     max_rel = float(np.max(np.abs(v_full - v_eff) / v_eff))
-    fit = -0.5 * float(np.polyfit(traj.times, np.log(v_full), 1)[0])
+    fit = -0.5 * float(np.polyfit(times, np.log(v_full), 1)[0])
 
-    leakage = float(np.max(pops[:, LEVELS["g"]] + pops[:, LEVELS["e"]]))
-    n_max = float(np.max(n_mean))
+    leakage = float(np.max(prob @ (level != LEVELS["i"])))
+    n_max = float(np.max(prob @ n))
     band = LEAKAGE_BAND_FACTOR * (q.g1**2 + q.g2**2) * (n_max + 1.0) / q.Delta**2
 
     return SqueezeValidationReport(
         params=q,
-        times=traj.times,
+        times=times,
         varY_full=v_full,
         gamma_eff_predicted=q.gamma_eff_predicted,
         gamma_eff_fit=fit,

@@ -24,11 +24,15 @@ of every row. edge_masses measures the top-level mass of every state the
 library's walk builds, from the seed on a wider window displaced by dense
 expm and cut to the walk's levels. The three-level Hamiltonian is
 built here as the dense qutrit (x) field matrix from Kronecker products,
-which the library's parity chains are checked against; the trajectory,
-which the library samples from one
-eigendecomposition per chain, is stepped here with the dense expm
-propagator, its field moments come from per-sample dense traces, and
-norm_drift measures how far its samples leave the unit sphere. The CSV
+which the library's parity chain is checked against; the trajectory,
+which the library samples on that one chain from one eigendecomposition,
+is stepped here with the dense expm propagator from any start,
+chain_states places the library's chain amplitudes in the dense layout,
+its field moments come from per-sample dense traces, and norm_drift
+measures how far its samples leave the unit sphere. From a coherent seed
+the atom coherences are not zero, and check_adiabatic_coherences holds
+them to their adiabatic formulas. relative_uncertainty is the readout's
+sqrt(Var Y)/<Y> from the protocol's closed forms. The CSV
 renderer's oracle writes each value with repr, as the library once did,
 and the library's bytes are checked against it. thermal_pn is the thermal
 law renormalised on any number of levels, for tests that want it at a
@@ -36,12 +40,13 @@ dimension other than fock.ThermalLaw's own.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import jv
 
-from qndsim import fock, threelevel
+from qndsim import fock, protocol, threelevel
 
 # top-of-ladder levels excluded from unitarity checks
 GUARD_BAND = 5
@@ -335,15 +340,31 @@ def build_full_hamiltonian(q):
     return h + v + v.conj().T
 
 
+def vacuum_i(q):
+    """|i, 0> in the dense (3 d_a) layout, atom level first."""
+    psi = np.zeros(3 * q.d_a, dtype=complex)
+    psi[threelevel.LEVELS["i"] * q.d_a] = 1.0
+    return psi
+
+
+def chain_states(q, amps):
+    """threelevel.evolve_full's (samples, chain) amplitudes placed in the
+    dense (samples, 3 d_a) layout, atom level first."""
+    level, n, _, _ = threelevel._parity_chain(q)
+    states = np.zeros((len(amps), 3 * q.d_a), dtype=complex)
+    states[:, level * q.d_a + n] = amps
+    return states
+
+
 def threelevel_state_at(q, t, initial=None):
     """One dense propagator expm(-i H t) applied to the initial state."""
-    psi = threelevel.initial_vacuum_i(q) if initial is None else initial
+    psi = vacuum_i(q) if initial is None else initial
     return expm(-1j * t * build_full_hamiltonian(q)) @ psi
 
 
 def evolve_threelevel(q, t_final, steps, initial=None):
     """States after every step of the dense propagator expm(-i H dt)."""
-    psi = threelevel.initial_vacuum_i(q) if initial is None else initial
+    psi = vacuum_i(q) if initial is None else initial
     u = expm(-1j * (t_final / steps) * build_full_hamiltonian(q))
     states = [psi]
     for _ in range(steps):
@@ -351,9 +372,86 @@ def evolve_threelevel(q, t_final, steps, initial=None):
     return np.array(states)
 
 
-def norm_drift(traj):
-    """max |1 - ||psi(t)||| over the samples of a three-level Trajectory."""
-    return float(np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)))
+def norm_drift(states):
+    """max |1 - ||psi(t)||| over the samples of a three-level trajectory."""
+    return float(np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)))
+
+
+@dataclass(frozen=True)
+class AdiabaticReport:
+    times: np.ndarray
+    sigma_ig: np.ndarray
+    adiabatic_ig: np.ndarray
+    sigma_ie: np.ndarray
+    adiabatic_ie: np.ndarray
+    max_rel_residual_ig: float
+    max_rel_residual_ie: float
+
+    @property
+    def max_rel_residual(self):
+        return max(self.max_rel_residual_ig, self.max_rel_residual_ie)
+
+
+def check_adiabatic_coherences(times, states, q, smooth_cycles=0.0):
+    """Residuals of the adiabatic formulas for <sigma_ig> and <sigma_ie>
+    over the (samples, 3 d_a) dense states of a three-level trajectory.
+
+    The adiabatic solution keeps the leading field term plus the
+    pump-mediated correction, with the pump amplitude replaced by the
+    classical i*beta. Both sides are evaluated in the same
+    time-independent frame, where the frame corrections are O(dp/Delta)
+    below the reported residual.
+
+    With smooth_cycles = 0 the raw sampled coherences are compared. The
+    evolution is unitary, so an initial state off the adiabatic manifold
+    carries an undamped oscillation at frequency ~Delta whose amplitude is
+    comparable to the coherence itself; the adiabatic formulas describe
+    the coarse-grained motion. Passing smooth_cycles > 0 averages every
+    series over a boxcar window of that many fast periods (2*pi/Delta)
+    before forming residuals, which requires the trajectory to resolve the
+    fast scale.
+    """
+    n_t = times.size
+    b = states.reshape(n_t, 3, q.d_a)
+    b_i = b[:, threelevel.LEVELS["i"]].conj()
+    s_ig = np.einsum("kj,kj->k", b_i, b[:, threelevel.LEVELS["g"]])
+    s_ie = np.einsum("kj,kj->k", b_i, b[:, threelevel.LEVELS["e"]])
+    a_mean = threelevel_traces(states, q.d_a)[2]
+
+    if smooth_cycles > 0.0:
+        dt = times[1] - times[0]
+        w = round(smooth_cycles * 2.0 * math.pi / (q.Delta * dt))
+        if w < 2 or w > n_t:
+            raise ValueError(
+                "trajectory sampling does not resolve the fast scale for the "
+                "requested smoothing window"
+            )
+        kernel = np.full(w, 1.0 / w)
+
+        def smooth(series):
+            return np.convolve(series, kernel, mode="valid")
+
+        s_ig, s_ie, a_mean = smooth(s_ig), smooth(s_ie), smooth(a_mean)
+        times = smooth(times)
+
+    pump_amp = 1j * q.beta * q.G3
+    adia_ig = (q.g1 / q.Delta) * a_mean + (q.g2 / q.Delta**2) * np.conj(a_mean) * pump_amp
+    adia_ie = (q.g2 / q.Delta) * np.conj(a_mean) + (q.g1 / q.Delta**2) * a_mean * np.conj(pump_amp)
+
+    def rel(measured, target):
+        scale = max(float(np.max(np.abs(target))), 1e-300)
+        return float(np.max(np.abs(measured - target))) / scale
+
+    return AdiabaticReport(
+        times, s_ig, adia_ig, s_ie, adia_ie, rel(s_ig, adia_ig), rel(s_ie, adia_ie)
+    )
+
+
+def relative_uncertainty(p):
+    """sqrt(Var Y)/<Y> of the closed forms; tends to sqrt(1 + 1/N) as r grows."""
+    if p.N == 0:
+        raise ValueError("relative uncertainty undefined at N = 0")
+    return math.sqrt(protocol.var_Y(p)) / protocol.mean_Y(p)
 
 
 def threelevel_traces(states, d_a):

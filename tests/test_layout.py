@@ -18,11 +18,7 @@ LIBRARY = sorted(Path(qndsim.__file__).parent.glob("*.py"))
 # Public names that no library code uses, each kept for its reason.
 DECLARED = {
     "conditioned_state": "paper concept: the field state after phonon outcome m",
-    "relative_uncertainty": "paper concept: the sqrt(1 + 1/N) limit of the readout",
     "N_from_temperature": "paper concept: the occupation at a temperature",
-    "check_adiabatic_coherences": "paper concept: validity of the adiabatic elimination",
-    "AdiabaticReport.max_rel_residual": "paper concept: the headline figure of the "
-                                        "check_adiabatic_coherences report",
 }
 
 

@@ -49,14 +49,14 @@ def test_var_y():
 
 
 def test_relative_uncertainty():
-    assert protocol.relative_uncertainty(params(A=1, N=1, r=20.0)) == \
+    assert oracles.relative_uncertainty(params(A=1, N=1, r=20.0)) == \
         pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert protocol.relative_uncertainty(params(A=1, N=1e8, r=20.0)) == \
+    assert oracles.relative_uncertainty(params(A=1, N=1e8, r=20.0)) == \
         pytest.approx(1.0, abs=1e-7)
-    assert protocol.relative_uncertainty(params(A=1, N=1, r=R50)) == \
+    assert oracles.relative_uncertainty(params(A=1, N=1, r=R50)) == \
         pytest.approx(1.4159802258506295, abs=1e-12)
     with pytest.raises(ValueError):
-        protocol.relative_uncertainty(params(N=0))
+        oracles.relative_uncertainty(params(N=0))
 
 
 def test_distinguishability():
