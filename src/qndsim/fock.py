@@ -303,8 +303,12 @@ def write_csv(header, *columns):
     ranges (an index column, made per chunk), each value as repr of its
     Python scalar (shortest round-trip floats), taken from orjson's text by
     _cells, which calls repr only on the few cells orjson writes in fixed
-    point or as null. Each CSV_CHUNK rows are rendered to bytes and joined
-    into one growing buffer, which is returned as it is: no copy."""
+    point or as null. Each CSV_CHUNK rows are rendered to bytes and copied
+    into one buffer, which is returned as it is: no copy. The buffer is
+    allocated once, at the first chunk's bytes per row, and only grows by
+    what later rows add: a buffer grown from small crosses malloc's mmap
+    threshold by a copy whose old heap block stays resident or not by heap
+    layout, so the peak resident set of a large render would hang on it."""
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError("write_csv: columns differ in length: %s" % lengths)
@@ -313,11 +317,19 @@ def write_csv(header, *columns):
         # orjson writes float32 digits, and true for True: not repr's text
         raise TypeError("write_csv: columns must be integer or float64, got %s"
                         % [str(getattr(c, "dtype", "range")) for c in columns])
-    out = bytearray(header.encode() + b"\n")
+    head = header.encode() + b"\n"
+    out, pos = bytearray(head), len(head)
     for start in range(0, lengths[0], CSV_CHUNK):
         parts = [c[start:start + CSV_CHUNK] for c in columns]
         cells = [_cells(np.arange(p.start, p.stop) if isinstance(p, range)
                         else np.ascontiguousarray(p)) for p in parts]
-        out += b"\n".join(map(b",".join, zip(*cells)))
-        out += b"\n"
+        block = b"\n".join(map(b",".join, zip(*cells)))
+        if start == 0 and lengths[0] > CSV_CHUNK:
+            out = bytearray(pos + (len(block) + 1) * lengths[0] // CSV_CHUNK)
+            out[:pos] = head
+        out[pos:pos + len(block)] = block
+        pos += len(block)
+        out[pos:pos + 1] = b"\n"
+        pos += 1
+    del out[pos:]
     return out

@@ -461,7 +461,8 @@ def test_total_variation_pads_the_shorter_histogram():
 
 def test_grid_csv_render_peak_stays_under_twice_its_bytes():
     # each fock.CSV_CHUNK rows hold one bytes object per cell next to the
-    # growing output; on the benchmark grid (4.3 MB) that peak is 1.74x
+    # output, sized from the first chunk; on the benchmark grid (4.3 MB)
+    # that peak is 1.87x
     grid = wigner.wigner_numeric_protocol(params(), demo_im_spec(12.0, 49))
     tracemalloc.start()
     try:
