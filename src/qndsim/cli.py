@@ -28,9 +28,10 @@ point) is built before any computation starts, so an invalid config never
 leaves partial output files. Artifacts are rendered once, as bytes,
 by the modules that own their data, and written only after the whole run
 has succeeded, followed by manifest.json (config echo in canonical form,
-package version, wall time, sha256 of every artifact). The echoed config
-block is itself a valid config, and --config accepts a manifest file
-directly, so any output can be regenerated from its manifest alone.
+package version, wall time, CPU time, sha256 of every artifact). The
+echoed config block is itself a valid config, and --config accepts a
+manifest file directly, so any output can be regenerated from its
+manifest alone.
 
 Exit codes: 0 success, 2 on a validation error, a precondition a library
 module refuses during the run or an array numpy cannot allocate (nothing
@@ -51,6 +52,9 @@ import sys
 import time
 import typing
 from pathlib import Path
+
+# OpenBLAS reads it once, on load: its idle workers spin, a cost our small BLAS calls never repay
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -439,9 +443,16 @@ def _suffixed(name, index, sweep):
     return f"{stem}_{index:03d}.{ext}"
 
 
+def _cpu_time():
+    """User + system seconds of this process and of its reaped children
+    (the --jobs pool joins its workers); os.times() counts only in clock
+    ticks, so the process's own share is read at ns resolution."""
+    return time.process_time() + sum(os.times()[2:4])
+
+
 def run(experiment, cfg, jobs=1):
     """Execute a resolved config; returns (exit_code, manifest dict)."""
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), _cpu_time()
     runner = _EXPERIMENTS[experiment][2]
     points = _built_points(experiment, cfg)
     calls = [(cfg, point, inputs, seed) for (point, inputs), seed
@@ -475,6 +486,7 @@ def run(experiment, cfg, jobs=1):
         "experiment": experiment,
         "package_version": __version__,
         "wall_time_s": time.perf_counter() - t0,
+        "cpu_time_s": _cpu_time() - c0,
         "config": cfg,
         "results": results if sweep else results[0],
         "tolerance_ok": not failures,

@@ -42,7 +42,8 @@ def read_json(path):
 def manifests_equal(a, b):
     """Equality up to fields that legitimately vary between runs."""
     a, b = dict(a), dict(b)
-    a.pop("wall_time_s"), b.pop("wall_time_s")
+    for field in ("wall_time_s", "cpu_time_s"):
+        a.pop(field), b.pop(field)
     a["config"] = {k: v for k, v in a["config"].items() if k != "output_dir"}
     b["config"] = {k: v for k, v in b["config"].items() if k != "output_dir"}
     return a == b
@@ -336,6 +337,59 @@ def test_start_up_and_validate_jj_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines() == ["[]"] + [f"{experiment} 0 []" for experiment, _ in runs]
+
+
+def fresh_cli(argvs, **env):
+    """Run each argv through cli.main, one after another, in a new
+    interpreter whose environment has no OPENBLAS_NUM_THREADS besides what
+    env sets; returns the exit codes."""
+    code = ("import sys, qndsim.cli as cli\n"
+            f"print([cli.main(argv) for argv in {argvs!r}])\n")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """Seeded runs are the same bytes on hosts with any core count: every
+    experiment, a --jobs 2 sweep among them, at one and two BLAS threads."""
+    params = {"A": 1.0, "e2r": 10.0, "N": 0.5, "nu": NU}
+    grid = {"re_min": -4.0, "re_max": 4.0, "re_count": 9,
+            "im_min": -1.0, "im_max": 21.0, "im_count": 221}
+    runs = [("validate-jj", {"params": dict(JJ_PARAMS, d_a=12), "t_final": 5.0, "steps": 40,
+                             "sweep": [{"beta": 10.0}, {"beta": 5.0}]}),
+            ("wigner", {"convention": "standard", "params": params, "grid": grid}),
+            ("moments", {"params": params, "sweep": [{}, {"N": 1.0}]}),
+            ("sample", {"shots": 1000, "params": params})]
+    outs = {}
+    for threads in ("1", "2"):
+        argvs = [[experiment, "--config",
+                  write_config(tmp_path, {"seed": 3, **payload,
+                                          "output_dir": str(tmp_path / threads / experiment)},
+                               f"{experiment}-{threads}.json"), "--jobs", "2"]
+                 for experiment, payload in runs]
+        assert fresh_cli(argvs, OPENBLAS_NUM_THREADS=threads) == [0] * len(runs)
+        outs[threads] = {p.relative_to(tmp_path / threads): p.read_bytes()
+                         for p in (tmp_path / threads).rglob("*")
+                         if p.is_file() and p.name != "manifest.json"}
+    assert len(outs["1"]) == 4 + 6 + 2 + 2
+    assert outs["1"] == outs["2"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no workers on one CPU")
+def test_a_one_job_run_spends_no_more_cpu_than_wall_time(tmp_path):
+    """manifest.json records the run's CPU time over its wall-time
+    interval. A one-job run computes on one thread, so it starts no BLAS
+    workers that spin on another core."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"seed": 3, "output_dir": str(out), "params": JJ_PARAMS,
+                                  "steps": 5000})
+    assert fresh_cli([["validate-jj", "--config", cfg]]) == [0]
+    manifest = read_json(out / "manifest.json")
+    assert 0.0 < manifest["cpu_time_s"] <= manifest["wall_time_s"] + 0.01
 
 
 def test_validate_jj_fit_reference_passes(tmp_path):

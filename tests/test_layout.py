@@ -143,12 +143,44 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert "numpy" in third_party  # the walk sees the library's imports
 
 
+def fresh_interpreter(code, **env):
+    """stdout of code run by a new interpreter whose environment has no
+    OPENBLAS_NUM_THREADS besides what env sets."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(Path(qndsim.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def test_importing_the_cli_loads_neither_the_process_pool_nor_scipy():
     """A CLI run starts a fresh interpreter: a one-process run pays for no
     pool import, and no run loads the test-only scipy."""
     probe = ("import sys, qndsim.cli; "
              "print(sorted(m for m in ('concurrent.futures', 'scipy') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": str(Path(qndsim.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_interpreter(probe) == "[]"
+
+
+def test_importing_the_cli_starts_no_blas_threads():
+    """The CLI computes on one thread (--jobs is its only parallelism), so
+    it starts none of the OpenBLAS workers that spin after every call."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task to count threads")
+    probe = "import os, qndsim.cli; print(len(os.listdir('/proc/self/task')))"
+    assert fresh_interpreter(probe) == "1"
+
+
+def test_a_callers_blas_thread_count_is_kept():
+    probe = "import os, qndsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_interpreter(probe, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_only_the_cli_touches_the_environment():
+    """A program that imports the library modules keeps its BLAS threads:
+    only cli.py reads or writes os.environ."""
+    probe = ("import os, qndsim.fock, qndsim.threelevel; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert fresh_interpreter(probe) == "None"
+    touching = sorted(path.stem for path in LIBRARY if "environ" in {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))})
+    assert touching == ["cli"]
