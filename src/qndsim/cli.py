@@ -120,8 +120,10 @@ def _or_null(parse):
 
 
 def _output_dir(value, path):
-    if not value or not isinstance(value, str):
+    if value in (None, ""):
         _fail(path, "missing (set it or $QNDSIM_OUTPUT_DIR)")
+    if not isinstance(value, str):
+        _fail(path, f"expected a non-empty string, got {value!r}")
     target = Path(value).absolute()
     found = next(p for p in (target, *target.parents) if p.exists())
     if not found.is_dir():

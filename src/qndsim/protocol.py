@@ -14,7 +14,8 @@ fock.displaced_squeezed, the Fock-amplitude recurrence of the annihilation
 equation of D(inA) S(r)|0>, each on its own fock.window; no displacement
 operator is applied. truncated_law_moments gives the closed forms of the
 law the blocks are weighted by, the kept and renormalised P(n), which the
-matrix moments meet up to rounding.
+matrix moments meet up to rounding. temperature_from_N is the one N -> T
+map; its inverse and a block's conditioned state are test oracles.
 """
 
 import functools
@@ -81,19 +82,6 @@ class CompositeState:
 
 
 @dataclass(frozen=True)
-class ConditionedFieldState:
-    """Field state conditioned on a phonon-number outcome m: the normalised
-    vector on the Fock levels [offset, offset + len(vector))."""
-
-    m: int
-    alpha_m: complex
-    r: float
-    weight: float
-    offset: int
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class FieldMoments:
     mean_x: float
     mean_y: float
@@ -108,18 +96,6 @@ def evolve_pulse(p):
     """The pulse output: p.law's weights, block n holding D(inA) S(r)|0>."""
     offs, vecs = fock.displaced_squeezed(p.A * np.arange(p.law.dim), p.r)
     return CompositeState(pn=p.law.pn, offsets=tuple(offs), blocks=tuple(vecs), params=p)
-
-
-def conditioned_state(rho_tau, m):
-    """Project on phonon outcome m: the normalised field state on block m's window."""
-    if not 0 <= m < len(rho_tau.pn) or rho_tau.pn[m] <= 1e-12:
-        raise ValueError("phonon outcome %r out of support" % m)
-    p = rho_tau.params
-    vec = rho_tau.blocks[m]
-    return ConditionedFieldState(m=m, alpha_m=1j * m * p.A, r=p.r,
-                                 weight=float(rho_tau.pn[m]),
-                                 offset=rho_tau.offsets[m],
-                                 vector=vec / np.linalg.norm(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +130,6 @@ def temperature_from_N(N, nu):
     if N <= 0 or nu <= 0:
         raise ValueError("temperature_from_N needs N > 0 and nu > 0")
     return hbar * nu / (k_B * math.log1p(1.0 / N))
-
-
-def N_from_temperature(T, nu):
-    """Mean occupation from temperature (kelvin) at angular frequency nu."""
-    if T <= 0 or nu <= 0:
-        raise ValueError("N_from_temperature needs T > 0 and nu > 0")
-    return 1.0 / math.expm1(hbar * nu / (k_B * T))
 
 
 # ---------------------------------------------------------------------------

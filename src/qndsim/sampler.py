@@ -50,10 +50,8 @@ def sample_record(p, shots, seed):
 
 
 def assign_m(y, p):
-    """Nearest outcome center: round(y / 2A), half to even, clamped at 0."""
-    m = np.rint(np.asarray(y) / (2.0 * p.A)).astype(int)
-    m = np.maximum(m, 0)
-    return int(m) if np.isscalar(y) else m
+    """Nearest outcome center of each y: round(y / 2A), half to even, clamped at 0."""
+    return np.maximum(np.rint(y / (2.0 * p.A)).astype(int), 0)
 
 
 def interior_misassignment(A, r):

@@ -204,7 +204,7 @@ def evolve_full(q: ThreeLevelParams, t_final: float, steps: int) -> np.ndarray:
 def validate_effective_gamma(
     q: ThreeLevelParams,
     t_final: float,
-    steps: int = 100,
+    steps: int,
 ) -> SqueezeValidationReport:
     """Compare full-model Var(Y)(t) against exp(-2 gamma_eff_predicted t).
 

@@ -214,7 +214,7 @@ def wigner_numeric_protocol(
     half_rows = int(math.ceil(tail_sigmas * sig / h))
     dn = h * np.arange(half_rows + 1)
     # The walked states D(-alpha) S(r)|0> fit in fock.window at the patch's
-    # far corner, as the chain's blocks do; the walk measures their edge mass.
+    # far corner, as the pulse blocks do; the walk measures their edge mass.
     _, dim = fock.window(complex(np.max(np.abs(re)), dn[-1]), params.r,
                          "the Fock window of the walked states")
     walked_re, cols = np.unique(np.abs(re), return_inverse=True)

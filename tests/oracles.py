@@ -13,9 +13,10 @@ ladder_exp, one D(iA) at a time: the independent route to the pulse
 output's blocks.
 The protocol's blocked pulse output is densified here, with its mass
 policed, and reduced with partial_trace; phonon_marginal reads its
-phonon law from the block norms, and conditioned_dense turns a windowed
-conditioned field state into its density matrix. The library's Wigner map
-walks one squeezed-vacuum patch; wigner_dense evaluates the
+phonon law from the block norms, and conditioned_dense embeds block m,
+normalised, as the density matrix of the field state after phonon
+outcome m. The library's Wigner map walks one squeezed-vacuum patch;
+wigner_dense evaluates the
 displaced-parity trace of any density matrix with dense displacements
 instead, and stepped_parity_walk is the walk the library's recurrence
 replaced: it steps a seed out along Re and then the whole Re line along
@@ -32,7 +33,8 @@ its field moments come from per-sample dense traces, and norm_drift
 measures how far its samples leave the unit sphere. From a coherent seed
 the atom coherences are not zero, and check_adiabatic_coherences holds
 them to their adiabatic formulas. relative_uncertainty is the readout's
-sqrt(Var Y)/<Y> from the protocol's closed forms. The CSV
+sqrt(Var Y)/<Y> from the protocol's closed forms, and N_from_temperature
+the inverse of protocol.temperature_from_N, for its round trips. The CSV
 renderer's oracle writes each value with repr, as the library once did,
 and the library's bytes are checked against it. thermal_pn is the thermal
 law renormalised on any number of levels, for tests that want it at a
@@ -283,10 +285,11 @@ def to_dense(state, d_a):
     return out
 
 
-def conditioned_dense(c):
-    """Density matrix of a ConditionedFieldState on the Fock levels
-    [0, offset + len(vector))."""
-    psi = _embed(c.vector, c.offset, c.offset + len(c.vector))
+def conditioned_dense(state, m):
+    """Density matrix of the field state after phonon outcome m: block m of a
+    CompositeState, normalised, on the Fock levels [0, offset + len(block))."""
+    off, vec = state.offsets[m], state.blocks[m]
+    psi = _embed(vec / np.linalg.norm(vec), off, off + len(vec))
     return np.outer(psi, psi.conj())
 
 
@@ -452,6 +455,14 @@ def relative_uncertainty(p):
     if p.N == 0:
         raise ValueError("relative uncertainty undefined at N = 0")
     return math.sqrt(protocol.var_Y(p)) / protocol.mean_Y(p)
+
+
+def N_from_temperature(T, nu):
+    """Mean occupation at temperature T (kelvin) and angular frequency nu:
+    the inverse of protocol.temperature_from_N."""
+    if T <= 0 or nu <= 0:
+        raise ValueError("N_from_temperature needs T > 0 and nu > 0")
+    return 1.0 / math.expm1(protocol.hbar * nu / (protocol.k_B * T))
 
 
 def threelevel_traces(states, d_a):

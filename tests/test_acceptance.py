@@ -203,7 +203,7 @@ def test_criterion_8_temperature_round_trip_and_spot_value():
     for N in (0.1, 0.5, 1.0, 3.0, 25.0):
         for nu in (5e7, NU, 2 * math.pi * 6e9):
             T = protocol.temperature_from_N(N, nu)
-            worst = max(worst, abs(protocol.N_from_temperature(T, nu) - N) / N)
+            worst = max(worst, abs(oracles.N_from_temperature(T, nu) - N) / N)
     spot = protocol.temperature_from_N(1.0, NU)
     spot_ok = abs(spot - 0.0692384) <= 5e-8
     ok = worst <= 1e-12 and spot_ok

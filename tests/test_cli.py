@@ -521,6 +521,12 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     ("moments", {"sweep": [{"e2r": -(10**400)}]}, "config.sweep[0].e2r"),
     ("validate-jj", {"params": {**JJ_PARAMS, "Delta": 1e308}, "sweep": [{"beta": 1.0}]},
      "config.sweep[0]: Delta = 1e+308"),
+    # an output_dir of the wrong type is no missing one
+    ("moments", {"output_dir": 123}, "config.output_dir: expected a non-empty string, got 123"),
+    ("sample", {"output_dir": True}, "config.output_dir: expected a non-empty string, got True"),
+    ("wigner", {"output_dir": [1]}, "config.output_dir: expected a non-empty string, got [1]"),
+    ("moments", {"output_dir": None}, "config.output_dir: missing (set it or $QNDSIM_OUTPUT_DIR)"),
+    ("moments", {"output_dir": ""}, "config.output_dir: missing (set it or $QNDSIM_OUTPUT_DIR)"),
 ])
 def test_unhashable_and_overflowing_values_exit_2(tmp_path, capsys, experiment, patch, key):
     out = tmp_path / "out"
@@ -884,18 +890,34 @@ def test_sample_below_the_outcome_range_runs(tmp_path):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_table_keys(header):
-    """Back-ticked names in the first column of the README table whose
-    header row starts with header."""
+def readme_table(header):
+    """(back-ticked names of the first column, the other cells) of each row
+    of the README table whose header row starts with header."""
     lines = README.read_text(encoding="utf-8").splitlines()
     start = next(k for k, line in enumerate(lines) if line.startswith(header)) + 2
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
-    return {name for row in rows for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    cells = [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+    return [(re.findall(r"`([^`]+)`", first), rest) for first, *rest in cells]
 
 
 def test_readme_config_tables_match_the_schema():
-    schemas = [schema for schema, _, _ in cli._EXPERIMENTS.values()]
-    assert readme_table_keys("| Key |") == {key for schema in schemas for key in schema}
-    fields = {f.name for cls in (protocol.ProtocolParams, threelevel.ThreeLevelParams)
+    """The params table names every field of both params dataclasses, plus
+    e2r, and says "required" exactly for the fields without a default."""
+    fields = {f.name: f.default is dataclasses.MISSING
+              for cls in (protocol.ProtocolParams, threelevel.ThreeLevelParams)
               for f in dataclasses.fields(cls)}
-    assert readme_table_keys("| `params` key |") == fields | {"e2r"}
+    documented = {name: "required" in default
+                  for names, (_, _, default) in readme_table("| `params` key |") for name in names}
+    assert documented == {**fields, "e2r": True}  # e2r stands in for the required r
+
+
+def test_readme_key_table_matches_each_experiments_schema():
+    """Each row of the key table names its experiments ("all" or back-ticked
+    names) and says "required" exactly for the keys the schema requires."""
+    documented = {experiment: {} for experiment in cli._EXPERIMENTS}
+    for names, (where, _, _, default) in readme_table("| Key |"):
+        for experiment in cli._EXPERIMENTS if where == "all" else re.findall(r"`([^`]+)`", where):
+            documented[experiment].update(dict.fromkeys(names, "required" in default))
+    assert documented == {
+        experiment: {key: default is cli._REQUIRED for key, (_, default) in schema.items()}
+        for experiment, (schema, _, _) in cli._EXPERIMENTS.items()}

@@ -1,6 +1,6 @@
-"""The layout rule: the library holds what the CLI and the paper's concepts
-need, test-only oracles live in tests/oracles.py, and every third-party
-module the library imports is a declared dependency."""
+"""The layout rule: the library holds what the CLI runs, test-only oracles
+live in tests/oracles.py, and every third-party module the library
+imports is a declared dependency."""
 
 import ast
 import os
@@ -15,11 +15,8 @@ import qndsim
 
 LIBRARY = sorted(Path(qndsim.__file__).parent.glob("*.py"))
 
-# Public names that no library code uses, each kept for its reason.
-DECLARED = {
-    "conditioned_state": "paper concept: the field state after phonon outcome m",
-    "N_from_temperature": "paper concept: the occupation at a temperature",
-}
+# Public names that no library code uses, each kept for its reason: none is.
+DECLARED = {}
 
 
 def public_definitions():

@@ -75,15 +75,9 @@ def test_demo_point_mean_and_variance_bands():
 
 
 def test_assign_m_examples():
-    p = params(A=1.0)
-    assert sampler.assign_m(2.1, p) == 1
-    assert sampler.assign_m(-0.4, p) == 0
-    # ties land on even m
-    assert sampler.assign_m(1.0, p) == 0
-    assert sampler.assign_m(3.0, p) == 2
-    assert sampler.assign_m(5.0, p) == 2
-    got = sampler.assign_m(np.array([2.1, -0.4, 1.0]), p)
-    assert np.array_equal(got, [1, 0, 0])
+    # negative y clamps to 0, and ties (y = 1, 3, 5) land on even m
+    got = sampler.assign_m(np.array([2.1, -0.4, 1.0, 3.0, 5.0]), params(A=1.0))
+    assert np.array_equal(got, [1, 0, 0, 2, 2])
 
 
 def test_misassignment_closed_form():
