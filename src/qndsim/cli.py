@@ -25,10 +25,10 @@ and default (the params keys come from the dataclass fields), the builder
 that turns a params point into the library's inputs, and its runner.
 Unknown keys anywhere are rejected, and every point (including each sweep
 point) is built before any computation starts, so an invalid config never
-leaves partial output files. Artifacts are rendered once, as bytes,
-by the modules that own their data, and written only after the whole run
-has succeeded, followed by manifest.json (config echo in canonical form,
-package version, wall time, CPU time, sha256 of every artifact). The
+leaves partial output files. Once every point has computed, each CSV is
+rendered by the module that owns its data, chunk by chunk into its file and
+hashed from the same chunks, then manifest.json (config echo in canonical
+form, package version, wall time, CPU time, sha256 of every artifact). The
 echoed config block is itself a valid config, and --config accepts a
 manifest file directly, so any output can be regenerated from its
 manifest alone.
@@ -344,7 +344,7 @@ def _run_sample(cfg, point, p, point_seed):
     payload = {"params": point, **dataclasses.asdict(report),
                "misassign_predicted": sampler.misassignment_probability(p)}
     artifacts = {
-        "samples.csv": sampler.write_record_csv(record),
+        "samples.csv": functools.partial(sampler.write_record_csv, record),
         "estimate.json": _render_json(payload),
     }
     results = {k: payload[k] for k in
@@ -361,12 +361,12 @@ def _run_wigner(cfg, point, inputs, point_seed):
 
     meta = {"convention": grid.convention, "seed": point_seed, "params": point}
     artifacts = {
-        "wigner_grid.csv": wigner.write_grid_csv(grid),
+        "wigner_grid.csv": functools.partial(wigner.write_grid_csv, grid),
         "wigner_grid.meta.json": _render_json({"artifact": "wigner_grid.csv", **meta}),
-        "marginal.csv": wigner.write_marginal_csv(marg),
+        "marginal.csv": functools.partial(wigner.write_marginal_csv, marg),
         "marginal.meta.json": _render_json(
             {"artifact": "marginal.csv", "raw_integral": float(marg.raw_integral), **meta}),
-        "histogram.csv": wigner.write_histogram_csv(hist),
+        "histogram.csv": functools.partial(wigner.write_histogram_csv, hist),
         "histogram.meta.json": _render_json(
             {"artifact": "histogram.csv", "method": hist.method,
              "leakage": hist.leakage, **meta}),
@@ -392,7 +392,7 @@ def _run_validate_jj(cfg, point, inputs, point_seed):
                    tolerance=cfg["tolerance"], tolerance_ok=ok)
     artifacts = {
         "validate_report.json": _render_json(payload),
-        "validate_curve.csv": threelevel.write_report_csv(report),
+        "validate_curve.csv": functools.partial(threelevel.write_report_csv, report),
     }
     results = {k: payload[k] for k in (
         "gamma_eff_predicted", "gamma_eff_fit", "max_rel_error", "reference_rel_error",
@@ -445,6 +445,28 @@ def _suffixed(name, index, sweep):
     return f"{stem}_{index:03d}.{ext}"
 
 
+def _rendered(runner, *call):
+    """A --jobs worker's point, its CSV artifacts rendered to bytes in the worker."""
+    files, results = runner(*call)
+    for name, artifact in files.items():
+        if callable(artifact):
+            files[name] = buf = bytearray()
+            artifact(buf.extend)
+    return files, results
+
+
+def _write(path, artifact):
+    """Stream an artifact (bytes, or a CSV writer bound to its data) into the
+    file at path; its manifest entry, from the bytes as they were written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def sink(chunk):
+            digest.update(chunk)
+            fh.write(chunk)
+        artifact(sink) if callable(artifact) else sink(artifact)
+        return {"sha256": digest.hexdigest(), "bytes": fh.tell()}
+
+
 def _cpu_time():
     """User + system seconds of this process and of its reaped children
     (the --jobs pool joins its workers); os.times() counts only in clock
@@ -465,22 +487,19 @@ def run(experiment, cfg, jobs=1):
         # imported here: a one-process run need not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-            futures = [pool.submit(runner, *call) for call in calls]
+            futures = [pool.submit(_rendered, runner, *call) for call in calls]
             outcomes = [f.result() for f in futures]
     else:
         outcomes = [runner(*call) for call in calls]
 
-    artifacts = {}
-    results = []
-    for k, (files, res) in enumerate(outcomes):
-        for name, blob in files.items():
-            artifacts[_suffixed(name, k, sweep)] = blob
-        results.append(res)
-
+    results = [res for _, res in outcomes]
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, blob in artifacts.items():
-        (out_dir / name).write_bytes(blob)
+    artifacts = {}  # each file's manifest entry, in the order written
+    for k, (files, _) in enumerate(outcomes):
+        for name, artifact in files.items():
+            path = out_dir / _suffixed(name, k, sweep)
+            artifacts[path.name] = _write(path, artifact)
 
     failures = [k for k, res in enumerate(results)
                 if res.get("tolerance_ok") is False]
@@ -492,10 +511,7 @@ def run(experiment, cfg, jobs=1):
         "config": cfg,
         "results": results if sweep else results[0],
         "tolerance_ok": not failures,
-        "artifacts": {
-            name: {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
-            for name, blob in artifacts.items()
-        },
+        "artifacts": artifacts,
     }
     (out_dir / "manifest.json").write_bytes(_render_json(manifest))
     return (EXIT_TOLERANCE if failures else EXIT_OK), manifest

@@ -3,16 +3,16 @@ S(r)|0> from the one recurrence of their annihilation equation, as
 windowed vectors at alpha = i beta or as parity, norm and edge sums at any
 complex alpha, the quadrature stencil, the one Fock-window rule, the edge
 budget every state is held to, the thermal phonon law with its truncation
-and draw, and the CSV renderer of an artifact's bytes. Every operator acts
+and draw, and the CSV renderer that streams to a writer. Every operator acts
 on state vectors through its sqrt(n) bands; no dense Fock matrix is built.
 
 Quadrature convention, the single source of truth for the whole package:
 X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
 
-All states are plain numpy arrays; all functions are pure. The module
-needs numpy and orjson; no run loads scipy. The recurrence runs as
-in-place numpy ufuncs, one column per state and one level at a time: the
-pulse blocks keep every level of their windows, and the Wigner walk's
+All states are plain numpy arrays; all functions but write_csv are pure.
+The module needs numpy and orjson; no run loads scipy. The recurrence runs
+as in-place numpy ufuncs, one column per state and one level at a time:
+the pulse blocks keep every level of their windows, and the Wigner walk's
 states are reduced chunk by chunk as they are made. The CSV renderer takes
 its float digits from orjson's compiled shortest round-trip formatter and
 rewrites orjson's exponents into repr's form in numpy, so its bytes equal
@@ -298,17 +298,11 @@ def _cells(col):
     return cells
 
 
-def write_csv(header, *columns):
-    """The CSV bytes of equal-length integer or float64 numpy columns, or
-    ranges (an index column, made per chunk), each value as repr of its
-    Python scalar (shortest round-trip floats), taken from orjson's text by
-    _cells, which calls repr only on the few cells orjson writes in fixed
-    point or as null. Each CSV_CHUNK rows are rendered to bytes and copied
-    into one buffer, which is returned as it is: no copy. The buffer is
-    allocated once, at the first chunk's bytes per row, and only grows by
-    what later rows add: a buffer grown from small crosses malloc's mmap
-    threshold by a copy whose old heap block stays resident or not by heap
-    layout, so the peak resident set of a large render would hang on it."""
+def write_csv(write, header, *columns):
+    """Hand write the CSV bytes of equal-length integer or float64 numpy
+    columns, or ranges (an index column, made per chunk): the header, then
+    each CSV_CHUNK rows as one bytes object, every value repr's text (_cells).
+    Ragged or unrenderable columns are refused before write is called."""
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError("write_csv: columns differ in length: %s" % lengths)
@@ -317,19 +311,9 @@ def write_csv(header, *columns):
         # orjson writes float32 digits, and true for True: not repr's text
         raise TypeError("write_csv: columns must be integer or float64, got %s"
                         % [str(getattr(c, "dtype", "range")) for c in columns])
-    head = header.encode() + b"\n"
-    out, pos = bytearray(head), len(head)
+    write(header.encode() + b"\n")
     for start in range(0, lengths[0], CSV_CHUNK):
         parts = [c[start:start + CSV_CHUNK] for c in columns]
         cells = [_cells(np.arange(p.start, p.stop) if isinstance(p, range)
                         else np.ascontiguousarray(p)) for p in parts]
-        block = b"\n".join(map(b",".join, zip(*cells)))
-        if start == 0 and lengths[0] > CSV_CHUNK:
-            out = bytearray(pos + (len(block) + 1) * lengths[0] // CSV_CHUNK)
-            out[:pos] = head
-        out[pos:pos + len(block)] = block
-        pos += len(block)
-        out[pos:pos + 1] = b"\n"
-        pos += 1
-    del out[pos:]
-    return out
+        write(b"\n".join([*map(b",".join, zip(*cells)), b""]))  # "" ends the last row

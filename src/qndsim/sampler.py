@@ -103,6 +103,6 @@ def estimate(record):
                           shots=record.shots, seed=record.seed)
 
 
-def write_record_csv(record):
-    """CSV bytes of rows `shot,y,m_true`, floats in shortest round-trip form."""
-    return fock.write_csv("shot,y,m_true", range(record.shots), record.y, record.m_true)
+def write_record_csv(record, write):
+    """Hand write the CSV rows `shot,y,m_true`, floats in shortest round-trip form."""
+    fock.write_csv(write, "shot,y,m_true", range(record.shots), record.y, record.m_true)

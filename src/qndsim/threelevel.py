@@ -252,6 +252,6 @@ def validate_effective_gamma(
     )
 
 
-def write_report_csv(report: SqueezeValidationReport) -> bytearray:
-    return fock.write_csv("t,varY_full,varY_effective",
-                          report.times, report.varY_full, report.varY_effective)
+def write_report_csv(report: SqueezeValidationReport, write) -> None:
+    fock.write_csv(write, "t,varY_full,varY_effective",
+                   report.times, report.varY_full, report.varY_effective)

@@ -290,15 +290,15 @@ def total_variation(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(a - b).sum())
 
 
-def write_grid_csv(grid: WignerGrid) -> bytearray:
+def write_grid_csv(grid: WignerGrid, write) -> None:
     n_im, n_re = grid.values.shape
-    return fock.write_csv("re,im,w", np.tile(grid.re_axis, n_im),
-                          np.repeat(grid.im_axis, n_re), grid.values.ravel())
+    fock.write_csv(write, "re,im,w", np.tile(grid.re_axis, n_im),
+                   np.repeat(grid.im_axis, n_re), grid.values.ravel())
 
 
-def write_marginal_csv(marginal: Marginal) -> bytearray:
-    return fock.write_csv("coordinate,value", marginal.im_axis, marginal.density)
+def write_marginal_csv(marginal: Marginal, write) -> None:
+    fock.write_csv(write, "coordinate,value", marginal.im_axis, marginal.density)
 
 
-def write_histogram_csv(hist: PhononHistogram) -> bytearray:
-    return fock.write_csv("n,p", np.arange(len(hist.probabilities)), hist.probabilities)
+def write_histogram_csv(hist: PhononHistogram, write) -> None:
+    fock.write_csv(write, "n,p", np.arange(len(hist.probabilities)), hist.probabilities)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qndsim import cli, fock, protocol, sampler, threelevel
+from qndsim import cli, fock, protocol, threelevel
 
 NU = 2 * math.pi * 1e9
 
@@ -165,12 +165,15 @@ def test_sizes_past_float_range_exit_2(tmp_path, capsys, experiment, patch, mess
     assert not out.exists()
 
 
-@pytest.mark.parametrize("jobs, sweep", [(1, None), (2, [{"N": 1.0}, {}])], ids=["point", "pool"])
+@pytest.mark.parametrize("jobs, sweep", [(1, None), (2, [{"N": 1.0}, {}]), (1, [{"N": 1.0}, {}])],
+                         ids=["point", "pool", "sweep"])
 def test_an_allocation_numpy_refuses_exits_2(tmp_path, capsys, jobs, sweep):
     # N = 1e12 has a thermal law of 2.3e13 levels, whose P(n) asks numpy for
     # 168 TiB, above x86-64's 128 TiB of user address space: refused at once,
     # with nothing allocated. It passed validation and exited 1 with a
     # traceback; a --jobs worker's MemoryError is raised again in the parent.
+    # A one-job sweep's good first point writes nothing either: no artifact
+    # is rendered or written before every point has computed.
     out = tmp_path / "out"
     config = {"seed": 1, "output_dir": str(out), "params": {**PROTOCOL_PARAMS, "N": 1e12}}
     if sweep:
@@ -616,19 +619,22 @@ def test_validate_jj_run_out_of_range_exits_2(tmp_path, capsys, patch, t_final, 
 
 
 def test_sample_csv_is_rendered_once(monkeypatch):
-    # the samples.csv route of a sample run holds its bytes once: a text
-    # copy next to the encoded one would put the peak at twice the length
+    # a sample run's samples.csv is rendered chunk by chunk into its sink:
+    # the render holds one fock.CSV_CHUNK of rows, never the text, so its
+    # peak (1.25 MB) does not grow with the shots
     point = {"A": 1.0, "r": 0.5 * math.log(50.0), "N": 1.0, "nu": 2 * math.pi * 1e9}
-    record = sampler.sample_record(protocol.ProtocolParams(**point), 200_000, 7)
-    monkeypatch.setattr(sampler, "sample_record", lambda *args: record)
+    p = protocol.ProtocolParams(**point)
     monkeypatch.setattr(fock, "CSV_CHUNK", 4096)
-    tracemalloc.start()
-    try:
-        artifacts, _ = cli._run_sample({"shots": record.shots}, point, record.params, record.seed)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.7 * len(artifacts["samples.csv"])
+    for shots in (100_000, 400_000):
+        artifacts, _ = cli._run_sample({"shots": shots}, point, p, 7)
+        written = []
+        tracemalloc.start()
+        try:
+            artifacts["samples.csv"](lambda chunk: written.append(len(chunk)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(written) > 20 * shots and peak < 2e6
 
 
 def test_artifacts_refuse_non_json_numbers():
@@ -808,6 +814,26 @@ def test_property_base_configs_run(tmp_path, experiment):
     cfg = write_config(tmp_path, {**VALID[experiment], "output_dir": str(out)})
     assert cli.main([experiment, "--config", cfg]) == 0
     assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(VALID))
+def test_manifest_entries_are_the_written_files(tmp_path, experiment):
+    # each file's sha256 and size come from the sink that writes it: from
+    # the render at one job, from the workers' bytes at two
+    config = {**VALID[experiment], "sweep": [*VALID[experiment].get("sweep", [{}]), {}]}
+    entries = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out-{jobs}"
+        cfg = write_config(tmp_path, {**config, "output_dir": str(out)}, name=f"{jobs}.json")
+        assert cli.main([experiment, "--config", cfg, "--jobs", jobs]) == 0
+        artifacts = read_json(out / "manifest.json")["artifacts"]
+        assert sorted(artifacts) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        for name, entry in artifacts.items():
+            blob = (out / name).read_bytes()
+            assert entry == {"sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+        entries.append(artifacts)
+    assert entries[0] == entries[1]
+    assert any(name.endswith(".csv") for name in entries[0]) == (experiment != "moments")
 
 
 @pytest.mark.parametrize("experiment", sorted(VALID))

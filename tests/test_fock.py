@@ -524,19 +524,26 @@ def test_density_invariants_preserved_by_conjugation():
     assert np.linalg.eigvalsh(out).min() >= -1e-10
 
 
+def rendered_csv(header, *columns):
+    """The bytes fock.write_csv hands its writer, collected into one buffer."""
+    buf = bytearray()
+    fock.write_csv(buf.extend, header, *columns)
+    return buf
+
+
 def test_write_csv_renders_the_same_rows_in_any_chunking(monkeypatch):
     cols = (np.arange(10), np.linspace(-1.0, 1.0, 10) ** 3, np.arange(10) % 3)
-    whole = fock.write_csv("i,x,k", *cols)
+    whole = rendered_csv("i,x,k", *cols)
     monkeypatch.setattr(fock, "CSV_CHUNK", 3)
-    chunked = fock.write_csv("i,x,k", *cols)
+    chunked = rendered_csv("i,x,k", *cols)
     assert chunked == whole
     # an index column given as a range is made per chunk, to the same bytes
-    assert fock.write_csv("i,x,k", range(10), *cols[1:]) == whole
+    assert rendered_csv("i,x,k", range(10), *cols[1:]) == whole
     lines = whole.decode().split("\n")
     assert lines[0] == "i,x,k" and lines[-1] == "" and len(lines) == 12
     assert lines[4] == f"3,{float(cols[1][3])!r},0"
 
-    assert fock.write_csv("i,x", np.arange(0), np.zeros(0)) == b"i,x\n"
+    assert rendered_csv("i,x", np.arange(0), np.zeros(0)) == b"i,x\n"
 
 
 INT64 = np.iinfo(np.int64)
@@ -580,7 +587,7 @@ def test_write_csv_bytes_equal_the_repr_oracle(columns, chunk):
     bytes are those of repr on every value."""
     header = ",".join("c%d" % i for i in range(len(columns)))
     with mock.patch.object(fock, "CSV_CHUNK", chunk):
-        got = fock.write_csv(header, *columns)
+        got = rendered_csv(header, *columns)
     assert bytes(got) == oracles.write_csv(header, *columns)
 
 
@@ -593,17 +600,19 @@ def test_write_csv_calls_repr_only_where_orjson_writes_fixed_point_or_null(monke
                         raising=False)
     col = np.geomspace(1e-300, 1e20, 3201)
     col = np.concatenate((col, -col, [np.nan, np.inf, -np.inf]))
-    assert bytes(fock.write_csv("x", col)) == oracles.write_csv("x", col)
+    assert bytes(rendered_csv("x", col)) == oracles.write_csv("x", col)
     a = np.abs(col)
     odd = col[(a >= 1e-5) & (a < 1e-4) | ~np.isfinite(col)].tolist()
     assert len(odd) == 21 and list(map(builtins.repr, calls)) == list(map(builtins.repr, odd))
 
 
 def test_write_csv_refuses_ragged_or_unrenderable_columns():
+    writes = []
     # zip would drop the rows of the longer column without a word
     with pytest.raises(ValueError, match=r"differ in length: \[3, 2\]"):
-        fock.write_csv("i,x", np.arange(3), np.zeros(2))
+        fock.write_csv(writes.append, "i,x", np.arange(3), np.zeros(2))
     # orjson's text for these is not repr's: 0.1 as float32, true for True
     for col in (np.full(2, 0.1, dtype=np.float32), np.ones(2, dtype=bool)):
         with pytest.raises(TypeError, match="integer or float64"):
-            fock.write_csv("i,x", np.arange(2), col)
+            fock.write_csv(writes.append, "i,x", np.arange(2), col)
+    assert writes == []  # refused before the header: a file gets no partial text

@@ -181,3 +181,14 @@ def test_only_the_cli_touches_the_environment():
         getattr(node, "id", getattr(node, "attr", None))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))})
     assert touching == ["cli"]
+
+
+def test_only_the_cli_writes_files():
+    """One write path: no library module but cli.py calls open, write_bytes
+    or write_text, so every artifact reaches its file through the CLI's
+    sink, which hashes and counts what it writes."""
+    writing = sorted(path.stem for path in LIBRARY if {"open", "write_bytes", "write_text"} & {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)})
+    assert writing == ["cli"]

@@ -179,7 +179,9 @@ def test_record_csv_format():
     p = params()
     rec = sampler.MeasurementRecord(y=np.array([0.25, -1.5]),
                                     m_true=np.array([0, 1]), params=p, seed=5)
-    assert sampler.write_record_csv(rec) == b"shot,y,m_true\n0,0.25,0\n1,-1.5,1\n"
+    buf = bytearray()
+    sampler.write_record_csv(rec, buf.extend)
+    assert buf == b"shot,y,m_true\n0,0.25,0\n1,-1.5,1\n"
 
 
 def test_report_json_keys():

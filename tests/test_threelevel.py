@@ -407,7 +407,9 @@ def test_report_serialization():
     assert report.gamma_eff_predicted == 0.0
     assert report.leakage_ok is True
 
-    lines = tl.write_report_csv(report).decode().splitlines()
+    buf = bytearray()
+    tl.write_report_csv(report, buf.extend)
+    lines = buf.decode().splitlines()
     assert lines[0] == "t,varY_full,varY_effective"
     assert len(lines) == 6
     t, vf, ve = (float(x) for x in lines[-1].split(","))
