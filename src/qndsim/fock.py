@@ -7,7 +7,8 @@ and draw, and the CSV renderer that streams to a writer. Every operator acts
 on state vectors through its sqrt(n) bands; no dense Fock matrix is built.
 
 Quadrature convention, the single source of truth for the whole package:
-X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1.
+X = a + a', Y = i(a' - a), so the vacuum has Var(X) = Var(Y) = 1. In the
+real gauge, a vector at alpha = i beta holds d_m real, c_m = i^m d_m.
 
 All states are plain numpy arrays; all functions but write_csv are pure.
 The module needs numpy and orjson; no run loads scipy. The recurrence runs
@@ -50,25 +51,23 @@ class TruncationError(ValueError):
     """Construction refused: not enough truncation headroom or tail mass."""
 
 
-def quadrature_action(psi, k0=0):
-    """(X psi, Y psi) with X and Y truncated to the Fock levels
-    [k0, k0 + n) of psi's last axis, n its length: the banded ladder
-    stencil behind protocol's quadrature moments of the pulse output."""
-    ks = np.sqrt(np.arange(k0 + 1, k0 + psi.shape[-1], dtype=float))
-    xpsi = np.zeros_like(psi)
-    xpsi[..., 1:] += ks * psi[..., :-1]
-    xpsi[..., :-1] += ks * psi[..., 1:]
-    ypsi = np.zeros_like(psi)
-    ypsi[..., 1:] += 1j * ks * psi[..., :-1]
-    ypsi[..., :-1] -= 1j * ks * psi[..., 1:]
-    return xpsi, ypsi
+def quadrature_action(d, k0=0):
+    """(x, y) = (L d - R d, L d + R d), with (L d)_k = sqrt(k) d_{k-1} and
+    (R d)_k = sqrt(k+1) d_{k+1} on the Fock levels [k0, k0 + n) of d's
+    last axis, n its length: the real banded stencil behind protocol's
+    quadrature moments of the pulse output. For the amplitudes c = G d,
+    G = diag(i^k), of the real gauge, X c = -i G x and Y c = G y."""
+    ks = np.sqrt(np.arange(k0 + 1, k0 + d.shape[-1], dtype=float))
+    lower, upper = np.zeros_like(d), np.zeros_like(d)
+    lower[..., 1:], upper[..., :-1] = ks * d[..., :-1], ks * d[..., 1:]
+    return lower - upper, lower + upper
 
 
 def displaced_squeezed(betas, r):
-    """(offsets, vectors): vector k is D(i beta_k) S(r)|0> on the Fock levels
-    [offsets[k], offsets[k] + len), beta_k real, from the annihilation
-    equation of D(alpha) S(r)|0> at alpha = i beta (_ladder_chunks). With
-    c_m = i^m d_m it is the real recurrence
+    """(offsets, vectors): vector k holds the float64 d_m, c_m = i^m d_m, of
+    D(i beta_k) S(r)|0> on the Fock levels [offsets[k], offsets[k] + len),
+    beta_k real, from the annihilation equation of D(alpha) S(r)|0> at
+    alpha = i beta (_ladder_chunks), which for d_m is the real recurrence
 
         d_m = beta (1 + tanh r) / sqrt(m) d_{m-1} - tanh r sqrt((m-1)/m) d_{m-2},
 
@@ -102,9 +101,8 @@ def displaced_squeezed(betas, r):
         prob /= total
         check_edge_mass(prob, "the window of block %d" % k, lo)
         cut = max(0, int(np.searchsorted(np.cumsum(prob), 1e-18)) - EDGE_LEVELS)
-        lo += cut
-        offs.append(int(lo))
-        out.append(vec[cut:] / math.sqrt(total) * np.array([1, 1j, -1, -1j])[np.arange(lo, hi) % 4])
+        offs.append(int(lo + cut))
+        out.append(vec[cut:] / math.sqrt(total))
     return offs, out
 
 

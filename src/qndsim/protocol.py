@@ -9,7 +9,7 @@ number with a pure field state per block:
 
 evolve_pulse(p) builds exactly that, and it is the only state this module
 builds: a CompositeState of the thermal weights P(n) plus one windowed
-field vector per block. All blocks come from one forward pass of
+real field vector per block. All blocks come from one forward pass of
 fock.displaced_squeezed, the Fock-amplitude recurrence of the annihilation
 equation of D(inA) S(r)|0>, each on its own fock.window; no displacement
 operator is applied. truncated_law_moments gives the closed forms of the
@@ -71,8 +71,9 @@ class ProtocolParams:
 class CompositeState:
     """Phonon-blocked two-mode state: weights plus windowed field vectors.
 
-    blocks[n] lives on Fock levels [offsets[n], offsets[n] + len(blocks[n])).
-    params records the ProtocolParams that built the state.
+    blocks[n] is float64 on the Fock levels [offsets[n], offsets[n] + len),
+    in the real gauge: <m|psi_n> = i^m blocks[n][m - offsets[n]]. params
+    records the ProtocolParams that built the state.
     """
 
     pn: np.ndarray
@@ -136,16 +137,16 @@ def temperature_from_N(N, nu):
 # matrix path
 
 def composite_field_moments(state):
-    """Quadrature moments of the traced field state, block by block."""
-    ex = ey = ex2 = ey2 = 0.0
-    for w, off, psi in zip(state.pn, state.offsets, state.blocks):
-        xpsi, ypsi = fock.quadrature_action(psi, off)
-        ex += w * np.vdot(psi, xpsi).real
-        ey += w * np.vdot(psi, ypsi).real
-        ex2 += w * np.vdot(xpsi, xpsi).real
-        ey2 += w * np.vdot(ypsi, ypsi).real
-    return FieldMoments(mean_x=ex, mean_y=ey,
-                        var_x=ex2 - ex ** 2, var_y=ey2 - ey ** 2)
+    """Quadrature moments of the traced field state, as real sums over each
+    block d and its (x, y) = fock.quadrature_action: <Y> = d.y, <X^2> = x.x,
+    <Y^2> = y.y. <X> = -i d.x is set to 0.0, not summed: d.x = d.(L - L')d = 0."""
+    ey = ex2 = ey2 = 0.0
+    for w, off, d in zip(state.pn, state.offsets, state.blocks):
+        x, y = fock.quadrature_action(d, off)
+        ey += w * np.dot(d, y)
+        ex2 += w * np.dot(x, x)
+        ey2 += w * np.dot(y, y)
+    return FieldMoments(mean_x=0.0, mean_y=ey, var_x=ex2, var_y=ey2 - ey ** 2)
 
 
 def truncated_law_moments(state):

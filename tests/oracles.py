@@ -12,18 +12,19 @@ library kernel runs in it. displacement_chain steps a squeezed vacuum by
 ladder_exp, one D(iA) at a time: the independent route to the pulse
 output's blocks.
 The protocol's blocked pulse output is densified here, with its mass
-policed, and reduced with partial_trace; phonon_marginal reads its
-phonon law from the block norms, and conditioned_dense embeds block m,
-normalised, as the density matrix of the field state after phonon
-outcome m. The library's Wigner map walks one squeezed-vacuum patch;
-wigner_dense evaluates the
-displaced-parity trace of any density matrix with dense displacements
-instead, and stepped_parity_walk is the walk the library's recurrence
-replaced: it steps a seed out along Re and then the whole Re line along
-Im, one grid spacing at a time, by ladder_exp, with the measured edge mass
-of every row. edge_masses measures the top-level mass of every state the
-library's walk builds, from the seed on a wider window displaced by dense
-expm and cut to the walk's levels. The three-level Hamiltonian is
+policed, and reduced with partial_trace: its blocks hold the real d_m of
+the amplitudes c_m = i^m d_m, and every dense view applies i^m through
+phased. phonon_marginal reads its phonon law from the block norms, and
+conditioned_dense embeds block m, normalised, as the density matrix of
+the field state after phonon outcome m. The library's Wigner map walks
+one squeezed-vacuum patch; wigner_dense evaluates the displaced-parity
+trace of any density matrix with dense displacements instead, and
+stepped_parity_walk is the walk the library's recurrence replaced: it
+steps a seed out along Re and then the whole Re line along Im, one grid
+spacing at a time, by ladder_exp, with the measured edge mass of every
+row. edge_masses measures the top-level mass of every state the
+library's walk builds, from the seed on a wider window displaced by
+dense expm and cut to the walk's levels. The three-level Hamiltonian is
 built here as the dense qutrit (x) field matrix from Kronecker products,
 which the library's parity chain is checked against; the trajectory,
 which the library samples on that one chain from one eigendecomposition,
@@ -57,11 +58,12 @@ GUARD_BAND = 5
 DENSIFY_TAIL = 1e-14
 
 
-def annihilation(dim):
-    """Ladder operator with entries a[n-1, n] = sqrt(n)."""
+def annihilation(dim, k0=0):
+    """Ladder operator on the Fock levels [k0, k0 + dim), its entries
+    a[j-1, j] = sqrt(k0 + j)."""
     if dim < 2:
         raise ValueError("operator dimension must be >= 2, got %r" % dim)
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    return np.diag(np.sqrt(np.arange(k0 + 1, k0 + dim, dtype=float)), k=1).astype(complex)
 
 
 def number(dim):
@@ -76,20 +78,19 @@ def thermal_pn(N, dim):
 
 def ladder_generator(z, k, dim, k0=0):
     """z a'^k - z* a^k truncated to the Fock levels [k0, k0 + dim)."""
-    a = np.diag(np.sqrt(np.arange(k0 + 1, k0 + dim, dtype=float)), k=1)
-    ak = np.linalg.matrix_power(a, k).astype(complex)
+    ak = np.linalg.matrix_power(annihilation(dim, k0).real, k).astype(complex)
     return z * ak.conj().T - np.conj(z) * ak
 
 
-def quadrature_x(dim):
-    """X = a + a' as a dense matrix."""
-    a = annihilation(dim)
+def quadrature_x(dim, k0=0):
+    """X = a + a' as a dense matrix on the Fock levels [k0, k0 + dim)."""
+    a = annihilation(dim, k0)
     return a + a.conj().T
 
 
-def quadrature_y(dim):
-    """Y = i(a' - a) as a dense matrix."""
-    a = annihilation(dim)
+def quadrature_y(dim, k0=0):
+    """Y = i(a' - a) as a dense matrix on the Fock levels [k0, k0 + dim)."""
+    a = annihilation(dim, k0)
     return 1j * (a.conj().T - a)
 
 
@@ -268,8 +269,16 @@ def unitarity_defect(u, guard_band=GUARD_BAND):
     return float(np.abs(g[:k, :k]).max())
 
 
+def phased(off, d):
+    """The Fock amplitudes c_m = i^m d_m of a real-gauge vector, or block
+    of row vectors, d on the Fock levels [off, off + n) of its last axis,
+    n its length: protocol.CompositeState's convention."""
+    return np.array([1, 1j, -1, -1j])[np.arange(off, off + d.shape[-1]) % 4] * d
+
+
 def phonon_marginal(state):
-    """Phonon-number law P(n) <psi_n|psi_n> of a CompositeState."""
+    """Phonon-number law P(n) <psi_n|psi_n> of a CompositeState: a norm,
+    the same in the real gauge as in the phased amplitudes."""
     return state.pn * np.array([np.vdot(b, b).real for b in state.blocks])
 
 
@@ -306,11 +315,12 @@ def field_state_dense(state, d_a):
 
 
 def _embed(vec, off, dim, weight=1.0):
-    """Place a windowed vector into a size-dim array, policing lost mass."""
+    """Place the phased amplitudes of a windowed real-gauge vector into a
+    size-dim array, policing lost mass."""
     out = np.zeros(dim, dtype=complex)
     hi = min(dim, off + len(vec))
     if hi > off:
-        out[off:hi] = vec[:hi - off]
+        out[off:hi] = phased(off, vec)[:hi - off]
     lost = weight * (np.vdot(vec, vec).real - np.vdot(out, out).real)
     if lost > DENSIFY_TAIL:
         raise fock.TruncationError(

@@ -145,7 +145,8 @@ def test_criterion_3_estimator_within_bands():
 def test_criterion_4_squeezed_vacuum_variance():
     # S(r)|0>, the pulse output's block 0 on its window: it spans the
     # ~18 e^{2r} levels of the antisqueezed tail
-    (_,), (psi,) = fock.displaced_squeezed([0.0], R50)
+    (off,), (d,) = fock.displaced_squeezed([0.0], R50)
+    psi = oracles.phased(off, d)
     dim = len(psi)
     y = oracles.quadrature_y(dim)
     ypsi = y @ psi

@@ -71,19 +71,29 @@ def test_commutator_identity_below_top_level():
         assert np.abs(comm[:dim - 1, :dim - 1]).max() <= 1e-12
 
 
-def test_quadrature_action_matches_dense_operators():
-    rng = np.random.default_rng(5)
-    psi = rng.normal(size=(2, 3, 12)) + 1j * rng.normal(size=(2, 3, 12))
-    for k0 in (0, 7):
-        # X and Y on the levels [k0, k0 + 12): a diagonal block of the dense ones
-        x = oracles.quadrature_x(k0 + 12)[k0:, k0:]
-        y = oracles.quadrature_y(k0 + 12)[k0:, k0:]
-        xpsi, ypsi = fock.quadrature_action(psi, k0)
-        assert np.max(np.abs(xpsi - psi @ x.T)) <= 1e-13
-        assert np.max(np.abs(ypsi - psi @ y.T)) <= 1e-13
-        # one vector gives the same bits as a row of the batch
-        single = fock.quadrature_action(psi[1, 2], k0)
-        assert np.array_equal(single[0], xpsi[1, 2]) and np.array_equal(single[1], ypsi[1, 2])
+BLOCKS = st.tuples(st.integers(2, 24), st.sampled_from([(), (1,), (3,)]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k0=st.integers(0, 30000), shape=BLOCKS, seed=st.integers(0, 2**32 - 1))
+@example(k0=0, shape=(12, (3,)), seed=5)
+@example(k0=30000, shape=(24, (3,)), seed=5)
+def test_quadrature_action_matches_dense_operators(k0, shape, seed):
+    """For real d, a vector or a block of rows, on the Fock levels [k0, k0 +
+    n): the real stencil's (x, y) give X c = -i G x and Y c = G y for the
+    phased c = G d, G = diag(i^k), X and Y the dense oracles on those
+    levels. One vector gives the same bits as a row of the batch."""
+    n, batch = shape
+    d = np.random.default_rng(seed).normal(size=(*batch, n))
+    x, y = fock.quadrature_action(d, k0)
+    assert x.dtype == y.dtype == np.float64
+    c = oracles.phased(k0, d)
+    tol = 1e-14 * math.sqrt(k0 + n) * np.abs(d).max()
+    assert np.abs(c @ oracles.quadrature_x(n, k0).T + 1j * oracles.phased(k0, x)).max() <= tol
+    assert np.abs(c @ oracles.quadrature_y(n, k0).T - oracles.phased(k0, y)).max() <= tol
+    single = fock.quadrature_action(d.reshape(-1, n)[-1], k0)
+    assert np.array_equal(single[0], x.reshape(-1, n)[-1])
+    assert np.array_equal(single[1], y.reshape(-1, n)[-1])
 
 
 def coherent(alpha, dim):
@@ -179,7 +189,7 @@ def test_displaced_squeezed_against_the_chebyshev_chain(A, e2r, n_top):
     chain = oracles.displacement_chain(A, r, n_top)
     offs, vecs = fock.displaced_squeezed(A * np.arange(n_top + 1), r)
     for off, vec, ref in zip(offs, vecs, chain):
-        assert np.abs(vec - ref[off:off + len(vec)]).max() <= 1e-12
+        assert np.abs(oracles.phased(off, vec) - ref[off:off + len(vec)]).max() <= 1e-12
 
 
 def test_displaced_squeezed_warmup_sheds_the_other_solution():
@@ -225,7 +235,8 @@ def test_displaced_squeezed_against_a_50_digit_run(beta, e2r):
     start at 50 digits, up to the top of the window."""
     r = 0.5 * math.log(e2r)
     (off,), (vec,) = fock.displaced_squeezed([beta], r)
-    assert np.abs(vec - mp_displaced_squeezed(1j * beta, r, off, off + len(vec))).max() <= 2e-14
+    exact = mp_displaced_squeezed(1j * beta, r, off, off + len(vec))
+    assert np.abs(oracles.phased(off, vec) - exact).max() <= 2e-14
 
 
 def recurrence_amplitudes(alpha, r, dim):
@@ -277,11 +288,11 @@ def test_displacement_group_inverse():
 
 def squeezed_seed(r, dim):
     """S(r)|0> on the levels [0, dim) as the library builds it: the pulse
-    blocks' recurrence at zero displacement, on its fock.window, cut or
-    padded to dim levels and normalised there."""
-    (_,), (vec,) = fock.displaced_squeezed([0.0], r)
+    blocks' recurrence at zero displacement, on its fock.window, phased,
+    cut or padded to dim levels and normalised there."""
+    (off,), (vec,) = fock.displaced_squeezed([0.0], r)
     psi = np.zeros(dim, dtype=complex)
-    psi[:min(dim, len(vec))] = vec[:dim]
+    psi[:min(dim, len(vec))] = oracles.phased(off, vec)[:dim]
     return psi / np.linalg.norm(psi)
 
 
@@ -335,14 +346,13 @@ def test_squeezed_vacuum_equals_the_dense_expm(e2r):
 def test_squeezed_vacuum_moments_through_the_quadrature_stencil(e2r):
     """Var Y = e^{-2r} and <n> = sinh^2 r of the pulse output's block 0,
     D(0) S(r)|0> from the recurrence on its window, taken through the
-    banded stencil the block chain's moments use."""
+    real stencil the block chain's moments use: Var Y = y.y - (d.y)^2."""
     r = 0.5 * math.log(e2r)
-    (off,), (psi,) = fock.displaced_squeezed([0.0], r)
+    (off,), (d,) = fock.displaced_squeezed([0.0], r)
     assert off == 0
-    _, ypsi = fock.quadrature_action(psi)
-    assert np.vdot(ypsi, ypsi).real - np.vdot(psi, ypsi).real ** 2 == pytest.approx(
-        1.0 / e2r, rel=1e-12)
-    assert np.dot(np.arange(len(psi)), np.abs(psi) ** 2) == pytest.approx(
+    _, y = fock.quadrature_action(d)
+    assert np.dot(y, y) - np.dot(d, y) ** 2 == pytest.approx(1.0 / e2r, rel=1e-12)
+    assert np.dot(np.arange(len(d)), d * d) == pytest.approx(
         math.sinh(r) ** 2, rel=1e-12, abs=1e-300)
 
 
@@ -350,9 +360,6 @@ def test_unitarity_guard_banded():
     eye = np.eye(64)
     for z in (1.5j, 2.0 - 1.0j):
         assert oracles.unitarity_defect(oracles.ladder_exp(eye, z)) <= 1e-10
-
-
-BLOCKS = st.tuples(st.integers(2, 24), st.sampled_from([(), (1,), (3,)]))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -164,12 +164,34 @@ def test_evolve_vacuum_block_is_squeezed_vacuum():
 @pytest.mark.parametrize("A, e2r, N", [(1.0, 50.0, 0.5), (1.0, 50.0, 1.0), (1.0, 50.0, 2.0),
                                        (2.0, 50.0, 3.0), (0.5, 10.0, 3.0)])
 def test_mean_x_is_exactly_zero(A, e2r, N):
-    """<X> of the pulse output is 0.0 to the bit at the five points of the
-    benchmark's moment sweep: every block's amplitudes are i^m times a real
-    d_m, real on one parity of levels and imaginary on the other, so each
-    term of <X> has an exact zero."""
+    """<X> of the pulse output is 0 because every block's amplitudes are
+    i^m times a real d_m: composite_field_moments sets it to 0.0 on that
+    ground, so what is checked here, at the five points of the benchmark's
+    moment sweep, is that ground: every block is float64. The dense
+    propagator checks <X> itself (test_block_path_agrees_with_dense_propagator)."""
+    s = protocol.evolve_pulse(params(A=A, r=0.5 * math.log(e2r), N=N))
+    assert all(b.dtype == np.float64 for b in s.blocks)
+
+
+@pytest.mark.parametrize("A, e2r, N", [(2.0, 50.0, 3.0), (0.5, 10.0, 3.0), (1.0, 1000.0, 1.0),
+                                       (0.25, 1.0, 5.0)])
+def test_every_block_meets_its_closed_forms(A, e2r, N):
+    """Each block n of the pulse output, D(inA) S(r)|0>, through the real
+    stencil: <Y>_n = d.y = 2nA, Var X_n = x.x = e^{2r} and Var Y_n = y.y -
+    (d.y)^2 = e^{-2r}, up to the highest block (at A = 2, e^{2r} = 50, N =
+    3, block 80 starts at level 25238). Var Y_n cancels against <Y>_n^2, so
+    it is held on the scale <Y^2>_n = y.y, but not below the vacuum unit:
+    below it, in block 0 squeezed by e^{2r} = 1000, y is the difference of
+    two vectors of norm about sinh r, and it rounds on that unit (1.9e-14
+    of <Y^2>_0 = 1e-3, 9.5e-16 of the unit)."""
     p = params(A=A, r=0.5 * math.log(e2r), N=N)
-    assert protocol.composite_field_moments(protocol.evolve_pulse(p)).mean_x == 0.0
+    s = protocol.evolve_pulse(p)
+    for n, (off, d) in enumerate(zip(s.offsets, s.blocks)):
+        x, y = fock.quadrature_action(d, off)
+        ey, ey2 = np.dot(d, y), np.dot(y, y)
+        assert ey == pytest.approx(2.0 * n * A, rel=1e-14, abs=0.0)
+        assert np.dot(x, x) == pytest.approx(e2r, rel=1e-13)
+        assert abs(ey2 - ey ** 2 - 1.0 / e2r) <= 1e-14 * max(ey2, 1.0)
 
 
 def test_evolve_block1_r0_is_coherent_i():
@@ -178,7 +200,7 @@ def test_evolve_block1_r0_is_coherent_i():
     s = protocol.evolve_pulse(p)
     off, vec = s.offsets[1], s.blocks[1]
     amps = np.zeros(off + len(vec), dtype=complex)
-    amps[off:] = vec
+    amps[off:] = oracles.phased(off, vec)
     oracle = np.array([np.exp(-0.5) * 1j ** n / math.sqrt(math.factorial(n))
                        for n in range(len(amps))])
     assert np.abs(amps - oracle).max() <= 1e-10
@@ -207,6 +229,8 @@ def test_block_path_agrees_with_dense_propagator():
     assert np.abs(marg - oracles.phonon_marginal(s1)).max() <= 1e-12
     rho_a = oracles.partial_trace(dense1, (d_b, d_a), 1)
     ey, vy = dense_y_moments(rho_a, d_a)
+    # <X> is set to 0.0 on the block path; the dense trace checks it
+    assert abs(np.trace(oracles.quadrature_x(d_a) @ rho_a)) <= 1e-12
     m = protocol.composite_field_moments(s1)
     assert m.mean_y == pytest.approx(ey, abs=1e-12)
     assert m.var_y == pytest.approx(vy, abs=1e-12)
@@ -282,7 +306,7 @@ def test_chain_against_sparse_exponential_route():
     for n in range(n_top + 1):
         off, vec = offsets[n], blocks[n]
         chain = np.zeros(dim, dtype=complex)
-        chain[off:off + len(vec)] = vec
+        chain[off:off + len(vec)] = oracles.phased(off, vec)
         assert abs(np.vdot(psi, chain)) == pytest.approx(1.0, abs=1e-9)
         assert np.abs(psi - chain).max() <= 1e-7
         psi = expm_multiply(1j * A * x, psi)
