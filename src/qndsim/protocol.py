@@ -84,7 +84,6 @@ class CompositeState:
 
 @dataclass(frozen=True)
 class FieldMoments:
-    mean_x: float
     mean_y: float
     var_x: float
     var_y: float
@@ -107,11 +106,6 @@ def mean_Y(p):
     return 2.0 * p.A * p.N
 
 
-def mean_X(p):
-    """<X> = 0."""
-    return 0.0
-
-
 def var_Y(p):
     """Var(Y) = 4 A^2 N (N+1) + e^{-2r}."""
     return 4.0 * p.A ** 2 * p.N * (p.N + 1.0) + math.exp(-2.0 * p.r)
@@ -130,7 +124,7 @@ def temperature_from_N(N, nu):
     """Kelvin from mean occupation at angular frequency nu (rad/s)."""
     if N <= 0 or nu <= 0:
         raise ValueError("temperature_from_N needs N > 0 and nu > 0")
-    return hbar * nu / (k_B * math.log1p(1.0 / N))
+    return hbar * nu / k_B / math.log1p(1.0 / N)  # no product of k_B with log1p to underflow
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +133,25 @@ def temperature_from_N(N, nu):
 def composite_field_moments(state):
     """Quadrature moments of the traced field state, as real sums over each
     block d and its (x, y) = fock.quadrature_action: <Y> = d.y, <X^2> = x.x,
-    <Y^2> = y.y. <X> = -i d.x is set to 0.0, not summed: d.x = d.(L - L')d = 0."""
+    <Y^2> = y.y. <X> = -i d.x is not among them: d.x = d.(L - L')d = 0."""
     ey = ex2 = ey2 = 0.0
     for w, off, d in zip(state.pn, state.offsets, state.blocks):
         x, y = fock.quadrature_action(d, off)
         ey += w * np.dot(d, y)
         ex2 += w * np.dot(x, x)
         ey2 += w * np.dot(y, y)
-    return FieldMoments(mean_x=0.0, mean_y=ey, var_x=ex2, var_y=ey2 - ey ** 2)
+    return FieldMoments(mean_y=ey, var_x=ex2, var_y=ey2 - ey ** 2)
 
 
 def truncated_law_moments(state):
     """The closed-form moments of the law state's blocks are weighted by,
     its kept and renormalised P(n) rather than the untruncated thermal law:
-    <X> = 0, <Y> = 2A sum_n n P(n), Var X = e^{2r} and
+    <Y> = 2A sum_n n P(n), Var X = e^{2r} and
     Var Y = 4A^2 Var_P(n) + e^{-2r}."""
     p = state.params
     n = np.arange(len(state.pn))
     mean_n = float(np.dot(n, state.pn))
     var_n = float(np.dot((n - mean_n) ** 2, state.pn))
-    return FieldMoments(mean_x=0.0, mean_y=2.0 * p.A * mean_n, var_x=math.exp(2.0 * p.r),
+    return FieldMoments(mean_y=2.0 * p.A * mean_n, var_x=math.exp(2.0 * p.r),
                         var_y=4.0 * p.A ** 2 * var_n + math.exp(-2.0 * p.r))
 

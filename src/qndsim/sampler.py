@@ -50,8 +50,11 @@ def sample_record(p, shots, seed):
 
 
 def assign_m(y, p):
-    """Nearest outcome center of each y: round(y / 2A), half to even, clamped at 0."""
-    return np.maximum(np.rint(y / (2.0 * p.A)).astype(int), 0)
+    """Nearest outcome center of each y: round(y / 2A), half to even, clamped to
+    [0, 2^62] (the draw's level budget) on y, so no divide overflows or cast wraps."""
+    q = np.clip(y, 0.0, 2.0**63 * p.A)
+    q /= 2.0 * p.A
+    return np.rint(q, out=q).astype(int)
 
 
 def interior_misassignment(A, r):
@@ -72,8 +75,8 @@ def misassignment_probability(p):
 
 
 def _dT_dN(N, nu):
-    lg = math.log1p(1.0 / N)
-    return hbar * nu / k_B / (lg * lg * N * (N + 1.0))
+    lg = math.log1p(1.0 / N)  # lg * N stays near 1 at large N, where lg * lg underflows
+    return hbar * nu / k_B / (lg * N) / (lg * (N + 1.0))
 
 
 def estimate(record):

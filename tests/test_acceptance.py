@@ -62,15 +62,14 @@ def _closed_form_error(p, m):
     forms: relative, absolute against a zero target. It holds the thermal
     tail the truncated law drops."""
     my, vy = protocol.mean_Y(p), protocol.var_Y(p)
-    return max(abs(m.mean_x), abs(m.mean_y - my) / (abs(my) if my else 1.0),
-               abs(m.var_y - vy) / vy)
+    return max(abs(m.mean_y - my) / (abs(my) if my else 1.0), abs(m.var_y - vy) / vy)
 
 
 def _truncated_law_gap(m, law):
     """Largest gap of the moments m to the closed forms of the law the
     blocks are weighted by, in the same measure: rounding alone."""
     return max(abs(getattr(m, k) - getattr(law, k)) / (abs(getattr(law, k)) or 1.0)
-               for k in ("mean_x", "mean_y", "var_x", "var_y"))
+               for k in ("mean_y", "var_x", "var_y"))
 
 
 def test_criterion_1_moment_grid_matches_closed_forms(grid_pass):

@@ -72,6 +72,31 @@ def test_moments_run_and_manifest(tmp_path):
     assert entry["bytes"] == len(blob)
 
 
+MOMENTS_KEYS = ["params", "mean_x", "mean_y", "var_y", "matrix_mean_x", "matrix_mean_y",
+                "matrix_var_x", "matrix_var_y", "max_rel_error", "truncated_law_gap",
+                "tolerance", "tolerance_ok"]
+
+
+def test_moments_json_keys_and_gated_error(tmp_path):
+    # the key list is a contract (the benchmark's check reads matrix_mean_x);
+    # <X> is 0 by the blocks' real gauge, so max_rel_error gates <Y> and Var Y
+    # alone, relative, or absolute against a zero target (<Y> at N = 0)
+    def rel(measured, target):
+        return abs(measured) if target == 0.0 else abs(measured - target) / abs(target)
+
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**VALID["moments"], "output_dir": str(out),
+                                  "sweep": [{}, {"N": 0.0}, {"A": 2.0, "e2r": 50.0}]})
+    assert cli.main(["moments", "--config", cfg]) == 0
+    for k in range(3):
+        payload = read_json(out / f"moments_{k:03d}.json")
+        assert list(payload) == MOMENTS_KEYS
+        assert payload["mean_x"] == payload["matrix_mean_x"] == 0.0
+        assert payload["max_rel_error"] == max(rel(payload["matrix_mean_y"], payload["mean_y"]),
+                                               rel(payload["matrix_var_y"], payload["var_y"]))
+    assert read_json(out / "moments_001.json")["mean_y"] == 0.0
+
+
 def test_unknown_keys_rejected_before_any_output(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {"seed": 1, "output_dir": str(out),
@@ -335,7 +360,8 @@ def test_start_up_and_validate_jj_load_no_scipy(tmp_path):
             "print(loaded())\n"
             f"for argv in {argvs!r}:\n"
             "    print(argv[0], cli.main(argv), loaded())\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "PYTHONWARNINGS": "error"}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -345,11 +371,11 @@ def test_start_up_and_validate_jj_load_no_scipy(tmp_path):
 def fresh_cli(argvs, **env):
     """Run each argv through cli.main, one after another, in a new
     interpreter whose environment has no OPENBLAS_NUM_THREADS besides what
-    env sets; returns the exit codes."""
+    env sets and turns warnings into errors; returns the exit codes."""
     code = ("import sys, qndsim.cli as cli\n"
             f"print([cli.main(argv) for argv in {argvs!r}])\n")
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    base.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), PYTHONWARNINGS="error")
     proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -908,6 +934,29 @@ def test_sample_below_the_outcome_range_runs(tmp_path):
     assert cli.main(["sample", "--config", write_config(tmp_path, config)]) == 0
     estimate = read_json(out / "estimate.json")
     assert math.isfinite(estimate["n_hat"]) and math.isfinite(estimate["n_stderr"])
+
+
+
+def log_uniform(lo, hi):
+    """10**u for u uniform on [lo, hi]: every decade of a float range alike."""
+    return st.floats(lo, hi).map(lambda u: 10.0 ** u)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(shots=st.integers(2, 100), A=log_uniform(-323.0, 308.0), e2r=log_uniform(0.0, 308.0),
+       N=st.just(0.0) | log_uniform(-323.0, 17.0), nu=log_uniform(-323.0, 308.0))
+def test_sample_at_valid_extremes_exits_0_or_2(shots, A, e2r, N, nu):
+    # every value the schema lets through, from the smallest subnormal up:
+    # the int64 cast of the outcome assignment once wrapped past 2^63 (with
+    # a warning, an error here), and the N -> T map once divided by an
+    # underflowed zero (exit 1). sample has no tolerance, so no exit 3.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = write_config(Path(tmp), {"seed": 1, "shots": shots, "output_dir": str(out),
+                                       "params": {"A": A, "e2r": e2r, "N": N, "nu": nu}})
+        code = cli.main(["sample", "--config", cfg])
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,9 @@ def test_every_third_party_import_is_a_declared_dependency():
 
 def fresh_interpreter(code, **env):
     """stdout of code run by a new interpreter whose environment has no
-    OPENBLAS_NUM_THREADS besides what env sets."""
+    OPENBLAS_NUM_THREADS besides what env sets and turns warnings into errors."""
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    base["PYTHONPATH"] = str(Path(qndsim.__file__).resolve().parents[1])
+    base.update(PYTHONPATH=str(Path(qndsim.__file__).resolve().parents[1]), PYTHONWARNINGS="error")
     return subprocess.run([sys.executable, "-c", code], env={**base, **env},
                           capture_output=True, text=True, check=True).stdout.strip()
 

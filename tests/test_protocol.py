@@ -39,7 +39,6 @@ def test_mean_quadratures():
     assert protocol.mean_Y(params(A=1, N=1)) == 2.0
     assert protocol.mean_Y(params(A=1, N=0)) == 0.0
     assert protocol.mean_Y(params(A=0.5, N=2)) == 2.0
-    assert protocol.mean_X(params(A=0.5, N=2)) == 0.0
 
 
 def test_var_y():
@@ -165,7 +164,7 @@ def test_evolve_vacuum_block_is_squeezed_vacuum():
                                        (2.0, 50.0, 3.0), (0.5, 10.0, 3.0)])
 def test_mean_x_is_exactly_zero(A, e2r, N):
     """<X> of the pulse output is 0 because every block's amplitudes are
-    i^m times a real d_m: composite_field_moments sets it to 0.0 on that
+    i^m times a real d_m: composite_field_moments leaves it out on that
     ground, so what is checked here, at the five points of the benchmark's
     moment sweep, is that ground: every block is float64. The dense
     propagator checks <X> itself (test_block_path_agrees_with_dense_propagator)."""
@@ -229,7 +228,7 @@ def test_block_path_agrees_with_dense_propagator():
     assert np.abs(marg - oracles.phonon_marginal(s1)).max() <= 1e-12
     rho_a = oracles.partial_trace(dense1, (d_b, d_a), 1)
     ey, vy = dense_y_moments(rho_a, d_a)
-    # <X> is set to 0.0 on the block path; the dense trace checks it
+    # <X> is not computed on the block path; the dense trace checks it
     assert abs(np.trace(oracles.quadrature_x(d_a) @ rho_a)) <= 1e-12
     m = protocol.composite_field_moments(s1)
     assert m.mean_y == pytest.approx(ey, abs=1e-12)
@@ -264,7 +263,6 @@ def test_moment_grid_sample_matches_closed_forms():
                       (1.0, 1.0, 50.0), (2.0, 3.0, 10.0)):
         p = params(A=A, r=0.5 * math.log(e2r), N=N)
         m = protocol.composite_field_moments(protocol.evolve_pulse(p))
-        assert abs(m.mean_x) <= 1e-9
         if N == 0:
             assert abs(m.mean_y) <= 1e-9
         else:
