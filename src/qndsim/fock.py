@@ -298,9 +298,9 @@ def _cells(col):
 
 def write_csv(write, header, *columns):
     """Hand write the CSV bytes of equal-length integer or float64 numpy
-    columns, or ranges (an index column, made per chunk): the header, then
-    each CSV_CHUNK rows as one bytes object, every value repr's text (_cells).
-    Ragged or unrenderable columns are refused before write is called."""
+    columns, or ranges (an index column, made per chunk): the header (None:
+    none), then each CSV_CHUNK rows as one bytes object, every value repr's
+    text (_cells). Ragged or unrenderable columns are refused before write."""
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError("write_csv: columns differ in length: %s" % lengths)
@@ -309,7 +309,8 @@ def write_csv(write, header, *columns):
         # orjson writes float32 digits, and true for True: not repr's text
         raise TypeError("write_csv: columns must be integer or float64, got %s"
                         % [str(getattr(c, "dtype", "range")) for c in columns])
-    write(header.encode() + b"\n")
+    if header is not None:
+        write(header.encode() + b"\n")
     for start in range(0, lengths[0], CSV_CHUNK):
         parts = [c[start:start + CSV_CHUNK] for c in columns]
         cells = [_cells(np.arange(p.start, p.stop) if isinstance(p, range)

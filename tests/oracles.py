@@ -39,11 +39,15 @@ the inverse of protocol.temperature_from_N, for its round trips. The CSV
 renderer's oracle writes each value with repr, as the library once did,
 and the library's bytes are checked against it. thermal_pn is the thermal
 law renormalised on any number of levels, for tests that want it at a
-dimension other than fock.ThermalLaw's own.
+dimension other than fock.ThermalLaw's own. A sampler record keeps only
+its seed: record_arrays concatenates its chunks into the whole (m, y),
+FixedRecord is a record of given arrays, and exact_mean_and_m2 reduces
+y in integer arithmetic, the estimator's exact reference.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -497,3 +501,36 @@ def write_csv(header, *columns):
     Python scalar, joined row by row and encoded once."""
     rows = zip(*(map(repr, c.tolist()) for c in columns))
     return (header + "\n" + "".join(",".join(row) + "\n" for row in rows)).encode()
+
+
+def record_arrays(record):
+    """The whole (m, y) of a sampler record: its chunks, concatenated."""
+    ms, ys = zip(*record.chunks())
+    return np.concatenate(ms), np.concatenate(ys)
+
+
+@dataclass(frozen=True)
+class FixedRecord:
+    """A sampler record of the given (m, y), in one chunk: what
+    sampler.estimate and sampler.write_record_csv read of a record."""
+    params: protocol.ProtocolParams
+    m: np.ndarray
+    y: np.ndarray
+    seed: int = 0
+
+    @property
+    def shots(self):
+        return len(self.y)
+
+    def chunks(self):
+        yield self.m, self.y
+
+
+def exact_mean_and_m2(y):
+    """The mean of the float64 y and its sum of squared deviations M2, as
+    Fractions: every y an integer multiple of the least y's power of two."""
+    ratios = [v.as_integer_ratio() for v in y.tolist()]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    total, squares, n = sum(ints), sum(i * i for i in ints), len(ints)
+    return Fraction(total, n * scale), Fraction(n * squares - total * total, n * scale * scale)

@@ -893,6 +893,10 @@ def test_invalid_config_exits_2_without_output(experiment, data):
                  "level count, or its square is past float range", id="sample-A-1e308"),
     pytest.param("sample", {"params": {**SMALL_PARAMS, "A": 1e200}, "sweep": None},
                  "error: config.params: the outcome 2Am = 4.2e+201 at m = 21", id="sample-A-1e200"),
+    pytest.param("sample", {"shots": 18, "sweep": None,
+                            "params": {"A": 1e123, "e2r": 2.4e253, "N": 0.0, "nu": 2.4e251}},
+                 "error: the T estimate at nu = 2.4e+251 and n_hat = 1.18394e-252 is not finite: "
+                 "T or its standard error is past float range", id="sample-T"),
     pytest.param("wigner", {"convention": "standard",
                             "grid": {**SMALL_GRID, "re_min": -1e200, "re_max": 1e200}},
                  "error: the Fock window of the walked states, displaced by 1e+200",
@@ -913,8 +917,9 @@ def test_runs_past_float_range_exit_2(tmp_path, capsys, experiment, patch, messa
     # overflowing records exited 2 naming only a non-JSON number, and later
     # after numpy warnings; the walk once exited 1 with an OverflowError; the
     # bin count im_max / A past integer range was once called "too low", and
-    # so was the Im lattice's A / h past float range. A None in the patch
-    # drops its key.
+    # so was the Im lattice's A / h past float range; a temperature past
+    # float range (n_hat a tiny noise value) was refused only by the JSON
+    # renderer, naming nothing. A None in the patch drops its key.
     out = tmp_path / "out"
     config = {**VALID[experiment], **patch, "output_dir": str(out)}
     config = {k: v for k, v in config.items() if v is not None}
